@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -332,6 +333,8 @@ def _config_from_env() -> ToleranceConfig:
     return dataclasses.replace(DEFAULT_TOL, abs_tol=float(raw))
 
 
+# one parser per process: parse_args leaves it unchanged, since no option has a mutable default
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhaudit",

@@ -12,9 +12,11 @@ Functions: ``exp``, ``log``, ``sqrt``, ``sinh``, ``cosh``, ``abs``.  ``^`` is
 right-associative and binds tighter than unary minus.  Implicit
 multiplication ("2x") is not recognized.
 
-Evaluation is forward Taylor-mode: :func:`eval_jet` returns the value and the
-first three derivatives at a point, so a single parsed function supplies f,
-f' and f'' to every bound check.
+Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
+2nd ed., ch. 13), compiled once per tree and order: :meth:`Expr.compiled` emits
+straight-line Python for f, f', ..., f^(k) on first use.  ``f(x)`` runs the value
+variant and the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet`
+computes f'''.  Truncation drops operations but changes none, so it is bit-exact.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .core import DomainError
 
@@ -35,25 +38,54 @@ class ParseError(ValueError):
 
 
 class Expr:
-    """Base class for AST nodes.  Nodes are callable as plain float functions."""
+    """Base class for AST nodes.  Nodes are callable as plain float functions.
+
+    Each node type computes its jet through an :class:`_Emitter` in ``_emit``.
+    """
 
     def __call__(self, x: float) -> float:
-        return eval_jet(self, x).v0
+        return self.compiled(0)(x)
+
+    def compiled(self, order: int) -> Callable[[float], Any]:
+        """The evaluator of f and its first ``order`` derivatives (0 <= order <= 3).
+
+        Order 0 returns f(x); order k >= 1 returns the tuple (f(x), ..., f^(k)(x)).
+        Each order is compiled on first use and kept on this node, outside its
+        equality and hash.
+        """
+        try:
+            return self._evaluators[order]
+        except (AttributeError, KeyError):
+            if order not in (0, 1, 2, 3):
+                raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}") from None
+        fn = self.__dict__.setdefault("_evaluators", {})[order] = _compile(self, order)
+        return fn
+
+    def __getstate__(self) -> dict[str, Any]:
+        # compiled functions cannot be pickled; an unpickled node compiles again on use
+        return {k: v for k, v in vars(self).items() if k != "_evaluators"}
 
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
 
+    def _emit(self, out: _Emitter) -> Jet3:
+        return out.jet(Jet3(*map(out.lit, (self.value, 0.0, 0.0, 0.0))))
+
 
 @dataclass(frozen=True)
 class Var(Expr):
-    pass
+    def _emit(self, out: _Emitter) -> Jet3:
+        return out.jet(Jet3(out.x, *map(out.lit, (1.0, 0.0, 0.0))))
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
+
+    def _emit(self, out: _Emitter) -> Jet3:
+        return out.jet(-self.operand._emit(out))
 
 
 @dataclass(frozen=True)
@@ -62,17 +94,58 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
+    def _emit(self, out: _Emitter) -> Jet3:
+        left, right = self.left._emit(out), self.right._emit(out)
+        if self.op == "+":
+            return out.jet(left + right)
+        if self.op == "-":
+            return out.jet(left - right)
+        if self.op == "*":
+            return out.jet(left * right)
+        if self.op == "/":
+            return out.jet(left * out.reciprocal(right))
+        raise ValueError(f"unknown operator {self.op!r}")
+
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: float
 
+    def _emit(self, out: _Emitter) -> Jet3:
+        g, r = self.base._emit(out), self.exponent
+        if float(r).is_integer() and abs(r) <= 2**31:
+            return out.int_power(g, int(r))
+        v = g.v0
+        out.check(v <= 0.0, f"x^{r!r} needs a positive base for non-integer exponent; base = %r at x = %r", v, out.x)
+        u = [v**r, r * v ** (r - 1.0), r * (r - 1.0) * v ** (r - 2.0), r * (r - 1.0) * (r - 2.0) * v ** (r - 3.0)]
+        return out.compose(u, g)
+
 
 @dataclass(frozen=True)
 class Call(Expr):
     name: str
     arg: Expr
+
+    def _emit(self, out: _Emitter) -> Jet3:
+        g = self.arg._emit(out)
+        v, name = g.v0, self.name
+        if name == "exp":
+            (ev,) = out.guarded(["exp"], v, "exp overflow at x = %r (arg = %r)")
+            return out.compose([ev, ev, ev, ev], g)
+        if name in ("sinh", "cosh"):
+            sh, ch = out.guarded(["sinh", "cosh"], v, f"{name} overflow at x = %r (arg = %r)")
+            return out.compose([sh, ch, sh, ch] if name == "sinh" else [ch, sh, ch, sh], g)
+        if name in ("log", "sqrt"):
+            out.check(v <= 0.0, f"{name} of nonpositive argument at x = %r (arg = %r)", out.x, v)
+            if name == "log":
+                return out.compose([out.call("log", v), 1.0 / v, -1.0 / v**2, 2.0 / v**3], g)
+            s = out.let(out.call("sqrt", v))
+            return out.compose([s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)], g)
+        if name == "abs":
+            out.check(v == 0.0, "abs is not differentiable at 0 (x = %r)", out.x)
+            return out.jet(out.pick(v > 0.0, g, -g))
+        raise ValueError(f"unknown function {name!r}")
 
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sinh", "cosh", "abs")
@@ -109,17 +182,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _contains_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return _contains_var(e.operand)
-    if isinstance(e, BinOp):
-        return _contains_var(e.left) or _contains_var(e.right)
-    if isinstance(e, Pow):
-        return _contains_var(e.base)
-    if isinstance(e, Call):
-        return _contains_var(e.arg)
-    return False
+    return isinstance(e, Var) or any(isinstance(c, Expr) and _contains_var(c) for c in vars(e).values())
 
 
 class _Parser:
@@ -169,7 +232,7 @@ class _Parser:
             if _contains_var(exponent):
                 raise ParseError("exponent must be constant (no x in exponent)", caret.offset)
             try:
-                value = eval_jet(exponent, 0.0).v0
+                value = exponent._emit(_Emitter(3, 0.0)).v0
             except DomainError as exc:
                 raise ParseError(f"invalid constant exponent: {exc}", caret.offset) from None
             node = Pow(node, value)
@@ -265,90 +328,137 @@ class Jet3:
     def scaled(self, c: float) -> "Jet3":
         return Jet3(c * self.v0, c * self.v1, c * self.v2, c * self.v3)
 
-
-def _compose(u0: float, u1: float, u2: float, u3: float, g: Jet3) -> Jet3:
-    """Chain rule to third order: u(g(x)) given derivatives of u at g.v0."""
-    g1, g2, g3 = g.v1, g.v2, g.v3
-    return Jet3(
-        u0,
-        u1 * g1,
-        u2 * g1 * g1 + u1 * g2,
-        u3 * g1 * g1 * g1 + 3.0 * u2 * g1 * g2 + u1 * g3,
-    )
+    def __iter__(self):
+        return iter((self.v0, self.v1, self.v2, self.v3))
 
 
-def _recip(g: Jet3, x: float) -> Jet3:
-    if g.v0 == 0.0:
-        raise DomainError(f"division by zero at x = {x!r}")
-    v = 1.0 / g.v0
-    return _compose(v, -v * v, 2.0 * v**3, -6.0 * v**4, g)
+class _Src(str):
+    """Python source of a float expression, with its operator precedence.  Arithmetic
+    and comparisons on it return the source of the result, parenthesized as needed,
+    so a formula written for floats emits its own code with its own grouping."""
+
+    def __new__(cls, text: str, prec: int = 9):
+        self = super().__new__(cls, text)
+        self.prec = prec
+        return self
 
 
-def _int_power(g: Jet3, n: int, x: float) -> Jet3:
-    # square-and-multiply keeps integer powers exact without a sign/domain split
-    if n == 0:
-        return Jet3(1.0, 0.0, 0.0, 0.0)
-    if n < 0:
-        return _recip(_int_power(g, -n, x), x)
-    result = Jet3(1.0, 0.0, 0.0, 0.0)
-    base = g
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+def _operand(v: Any, prec: int) -> str:
+    if isinstance(v, _Src):
+        return v if v.prec >= prec else f"({v})"
+    text = repr(float(v))
+    return f"({text})" if text[0] == "-" else text
 
 
-def _pow_jet(g: Jet3, r: float, x: float) -> Jet3:
-    if float(r).is_integer() and abs(r) <= 2**31:
-        return _int_power(g, int(r), x)
-    if g.v0 <= 0.0:
-        raise DomainError(
-            f"x^{r!r} needs a positive base for non-integer exponent; base = {g.v0!r} at x = {x!r}"
-        )
-    u0 = g.v0**r
-    u1 = r * g.v0 ** (r - 1.0)
-    u2 = r * (r - 1.0) * g.v0 ** (r - 2.0)
-    u3 = r * (r - 1.0) * (r - 2.0) * g.v0 ** (r - 3.0)
-    return _compose(u0, u1, u2, u3, g)
+# operator, method, its precedence, and the precedence each operand needs unparenthesized
+for _op, _name, _p, _l, _r in (("+", "add", 4, 4, 5), ("-", "sub", 4, 4, 5), ("*", "mul", 5, 5, 6),
+                               ("/", "truediv", 5, 5, 6), ("**", "pow", 7, 8, 6),
+                               ("<=", "le", 3, 4, 4), ("==", "eq", 3, 4, 4), (">", "gt", 3, 4, 4)):
+    def _forward(a, b, op=_op, p=_p, left=_l, right=_r):
+        return _CUT if a is _CUT or b is _CUT else _Src(f"{_operand(a, left)} {op} {_operand(b, right)}", p)
+    setattr(_Src, f"__{_name}__", _forward)
+    setattr(_Src, f"__r{_name}__", lambda a, b, f=_forward: f(b, a))
+_Src.__neg__ = lambda a: _CUT if a is _CUT else _Src(f"-{_operand(a, 6)}", 6)  # type: ignore[method-assign]
+
+# a coefficient above the compiled order: arithmetic on it is skipped, and emitting it is a SyntaxError
+_CUT = _Src("<cut>")
+# every name generated code reads: constants are float reprs, so inf and nan too
+_GLOBALS: dict[str, Any] = {"DomainError": DomainError, "inf": math.inf, "nan": math.nan,
+                            **{name: getattr(math, name) for name in ("exp", "log", "sqrt", "sinh", "cosh")}}
 
 
-def _call_jet(name: str, g: Jet3, x: float) -> Jet3:
-    v = g.v0
-    if name == "exp":
-        try:
-            ev = math.exp(v)
-        except OverflowError:
-            raise DomainError(f"exp overflow at x = {x!r} (arg = {v!r})") from None
-        return _compose(ev, ev, ev, ev, g)
-    if name == "log":
-        if v <= 0.0:
-            raise DomainError(f"log of nonpositive argument at x = {x!r} (arg = {v!r})")
-        return _compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, g)
-    if name == "sqrt":
-        if v <= 0.0:
-            raise DomainError(f"sqrt of nonpositive argument at x = {x!r} (arg = {v!r})")
-        s = math.sqrt(v)
-        return _compose(s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s), g)
-    if name == "sinh":
-        try:
-            sh, ch = math.sinh(v), math.cosh(v)
-        except OverflowError:
-            raise DomainError(f"sinh overflow at x = {x!r} (arg = {v!r})") from None
-        return _compose(sh, ch, sh, ch, g)
-    if name == "cosh":
-        try:
-            sh, ch = math.sinh(v), math.cosh(v)
-        except OverflowError:
-            raise DomainError(f"cosh overflow at x = {x!r} (arg = {v!r})") from None
-        return _compose(ch, sh, ch, sh, g)
-    if name == "abs":
-        if v == 0.0:
-            raise DomainError(f"abs is not differentiable at 0 (x = {x!r})")
-        return g if v > 0.0 else -g
-    raise ValueError(f"unknown function {name!r}")
+class _Emitter:
+    """Runs a tree's :class:`Jet3` arithmetic on source operands or on floats.
+
+    With ``x`` a :class:`_Src` it records the statements computing the
+    coefficients up to ``order`` in the order the jet arithmetic takes, so a
+    truncated variant runs a subsequence of the full variant's float operations.
+    With ``x`` a float it computes the jet, which is how the parser folds a
+    constant exponent without compiling anything.
+    """
+
+    def __init__(self, order: int, x: Any):
+        self.order, self.x, self.text = order, x, isinstance(x, _Src)
+        self.lines: list[str] = []
+
+    def lit(self, c: float) -> Any:
+        return _Src(_operand(c, 0)) if self.text else c
+
+    def let(self, v: Any) -> Any:
+        """Bind computed source to a new temporary; names, literals and floats pass."""
+        if not isinstance(v, _Src) or (v.prec == 9 and "(" not in v):
+            return v
+        name = _Src(f"t{len(self.lines)}")
+        self.lines.append(f"{name} = {v}")
+        return name
+
+    def jet(self, j: Jet3) -> Jet3:
+        """Bind the coefficients of ``j`` up to ``order``, lowest first, and cut the rest."""
+        if not self.text:
+            return j
+        return Jet3(*(self.let(v) if k <= self.order else _CUT for k, v in enumerate(j)))
+
+    def check(self, failed: Any, message: str, *args: Any) -> None:
+        """Raise ``DomainError(message % args)`` where ``failed`` holds."""
+        if isinstance(failed, _Src):
+            args_text = ", ".join(_operand(a, 0) for a in args)
+            self.lines += [f"if {failed}:", f"    raise DomainError({message!r} % ({args_text},))"]
+        elif failed:
+            raise DomainError(message % args)
+
+    def guarded(self, names: list[str], v: Any, message: str) -> list[Any]:
+        """The math functions ``names`` at ``v``; overflow raises ``DomainError(message % (x, v))``."""
+        if not self.text:
+            try:
+                return [getattr(math, name)(v) for name in names]
+            except OverflowError:
+                raise DomainError(message % (self.x, v)) from None
+        temps = [_Src(f"t{len(self.lines)}_{name}") for name in names]
+        self.lines += ["try:", f"    {', '.join(temps)} = {', '.join(f'{name}({v})' for name in names)}",
+                       "except OverflowError:", f"    raise DomainError({message!r} % (x, {v})) from None"]
+        return temps
+
+    def call(self, name: str, v: Any) -> Any:
+        return _Src(f"{name}({v})") if self.text else getattr(math, name)(v)
+
+    def pick(self, cond: Any, a: Jet3, b: Jet3) -> Jet3:
+        if not self.text:
+            return a if cond else b
+        return Jet3(*(_Src(f"{_operand(p, 2)} if {cond} else {_operand(q, 2)}", 1) for p, q in zip(a, b)))
+
+    def compose(self, u: list[Any], g: Jet3) -> Jet3:
+        """Chain rule to third order: u(g(x)) given the derivatives ``u`` of u at g.v0."""
+        u0, u1, u2, u3 = self.jet(Jet3(*u))
+        _, g1, g2, g3 = g
+        return self.jet(Jet3(u0, u1 * g1, u2 * g1 * g1 + u1 * g2, u3 * g1 * g1 * g1 + 3.0 * u2 * g1 * g2 + u1 * g3))
+
+    def reciprocal(self, g: Jet3) -> Jet3:
+        self.check(g.v0 == 0.0, "division by zero at x = %r", self.x)
+        v = self.let(1.0 / g.v0)
+        return self.compose([v, -v * v, 2.0 * v**3, -6.0 * v**4], g)
+
+    def int_power(self, g: Jet3, n: int) -> Jet3:
+        # square-and-multiply keeps integer powers exact without a sign/domain split
+        if n < 0:
+            return self.reciprocal(self.int_power(g, -n))
+        result = self.jet(Jet3(*map(self.lit, (1.0, 0.0, 0.0, 0.0))))
+        while n:
+            if n & 1:
+                result = self.jet(result * g)
+            n >>= 1
+            if n:
+                g = self.jet(g * g)
+        return result
+
+
+def _compile(e: Expr, order: int) -> Callable[[float], Any]:
+    out = _Emitter(order, _Src("x"))
+    coeffs = ", ".join(list(e._emit(out))[: order + 1])
+    body = "".join(f"    {line}\n" for line in out.lines)
+    namespace: dict[str, Any] = {}
+    # names come from fixed lists and every constant is a float repr, so the source is safe to run
+    exec(compile(f"def jet(x):\n{body}    return {coeffs}\n", "<exprlang>", "exec"), _GLOBALS, namespace)
+    return namespace["jet"]
 
 
 def eval_jet(e: Expr, x: float) -> Jet3:
@@ -357,31 +467,9 @@ def eval_jet(e: Expr, x: float) -> Jet3:
     Raises :class:`~hhaudit.core.DomainError` naming the operator and the
     point whenever the evaluation leaves a function's domain.
     """
-    if isinstance(e, Const):
-        return Jet3(e.value, 0.0, 0.0, 0.0)
-    if isinstance(e, Var):
-        return Jet3(x, 1.0, 0.0, 0.0)
-    if isinstance(e, Neg):
-        return -eval_jet(e.operand, x)
-    if isinstance(e, BinOp):
-        left = eval_jet(e.left, x)
-        right = eval_jet(e.right, x)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return left * _recip(right, x)
-        raise ValueError(f"unknown operator {e.op!r}")
-    if isinstance(e, Pow):
-        return _pow_jet(eval_jet(e.base, x), e.exponent, x)
-    if isinstance(e, Call):
-        return _call_jet(e.name, eval_jet(e.arg, x), x)
-    raise TypeError(f"not an Expr node: {type(e).__name__}")
+    return Jet3(*e.compiled(3)(x))
 
 
 def evaluate(e: Expr, x: float) -> float:
     """Plain value of ``e`` at ``x`` (the jet's zeroth component)."""
-    return eval_jet(e, x).v0
+    return e(x)

@@ -35,7 +35,7 @@ from .core import (
     make_report,
     sample_convexity,
 )
-from .exprlang import Expr, eval_jet, to_text
+from .exprlang import Expr, to_text
 from .oracle import integrate_ref
 from .special_fns import log_gamma
 
@@ -126,17 +126,19 @@ def lemma_identity_residual(
     mean = mean_integral(fn, iv, cfg)
     if which == "lemma1":
         lhs = 0.5 * (fn(a) + fn(b)) - mean
+        jet2 = f.compiled(2)
 
         def weighted_second(t: float) -> float:
-            return t * (1.0 - t) * eval_jet(f, t * a + (1.0 - t) * b).v2
+            return t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2]
 
         inner, _ = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg.abs_tol, cfg=cfg)
         rhs = 0.5 * width * width * inner
     else:
         lhs = mean - fn(iv.midpoint)
+        jet1 = f.compiled(1)
 
         def deriv_at(t: float) -> float:
-            return eval_jet(f, b + (a - b) * t).v1
+            return jet1(b + (a - b) * t)[1]
 
         left, _ = integrate_ref(lambda t: t * deriv_at(t), Interval(0.0, 0.5), cfg.abs_tol, cfg=cfg)
         right, _ = integrate_ref(
@@ -205,15 +207,16 @@ def first_order_bounds(
         raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
     fn = _as_fn(f)
     ext = extend(iv)
+    jet1 = f.compiled(1)
 
     def deriv_pow(x: float) -> float:
-        return abs(eval_jet(f, x).v1) ** q
+        return abs(jet1(x)[1]) ** q
 
     _require_convex(deriv_pow, ext, cfg, f"|f'|^q (q = {q!r})")
     mean = mean_integral(fn, iv, cfg)
     lhs = abs(mean - fn(ext.mid))
-    d_lo = abs(eval_jet(f, ext.lo).v1)
-    d_hi = abs(eval_jet(f, ext.hi).v1)
+    d_lo = abs(jet1(ext.lo)[1])
+    d_hi = abs(jet1(ext.hi)[1])
     s = d_lo**q + d_hi**q
     rhs_thm2 = (iv.width / 8.0) * s ** (1.0 / q)
     if q > 1.0:
@@ -270,15 +273,16 @@ def second_order_bounds(
         raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
     fn = _as_fn(f)
     ext = extend(iv)
+    jet2 = f.compiled(2)
 
     def second_pow(x: float) -> float:
-        return abs(eval_jet(f, x).v2) ** q
+        return abs(jet2(x)[2]) ** q
 
     _require_convex(second_pow, ext, cfg, f"|f''|^q (q = {q!r})")
     mean = mean_integral(fn, iv, cfg)
     lhs = abs(mean - (fn(ext.lo) + fn(ext.hi) + 2.0 * fn(ext.mid)) / 4.0)
-    dd_lo = abs(eval_jet(f, ext.lo).v2)
-    dd_hi = abs(eval_jet(f, ext.hi).v2)
+    dd_lo = abs(jet2(ext.lo)[2])
+    dd_hi = abs(jet2(ext.hi)[2])
     w2 = iv.width**2
     avg_q = 0.5 * (dd_lo**q + dd_hi**q)
     rhs_k3 = (w2 / 3.0) * avg_q ** (1.0 / q)

@@ -18,7 +18,7 @@ from .core import (
     make_report,
     sample_convexity,
 )
-from .exprlang import Expr, eval_jet
+from .exprlang import Expr
 from .hh_bounds import K1, _fn_label, _require_convex, k2_derived_constant, min_first_order_constant
 from .oracle import integrate_ref
 
@@ -114,9 +114,10 @@ def midpoint_error_bound(
         raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
     if guard not in ("panel", "hull", "none"):
         raise ValueError(f"guard must be 'panel', 'hull', or 'none', got {guard!r}")
+    jet1 = f.compiled(1)
 
     def deriv_pow(x: float) -> float:
-        return abs(eval_jet(f, x).v1) ** q
+        return abs(jet1(x)[1]) ** q
 
     if guard == "hull":
         hull = extend(Interval(partition.points[0], partition.points[-1]))
@@ -134,8 +135,8 @@ def midpoint_error_bound(
                     raise PreconditionError(
                         f"|f'|^q is not midpoint-convex (worst gap {report.lhs!r})"
                     )
-            d_lo = abs(eval_jet(f, ext.lo).v1)
-            d_hi = abs(eval_jet(f, ext.hi).v1)
+            d_lo = abs(jet1(ext.lo)[1])
+            d_hi = abs(jet1(ext.hi)[1])
         except (DomainError, PreconditionError) as exc:
             raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
         total += (right - left) ** 2 * (d_lo**q + d_hi**q) ** (1.0 / q)
@@ -205,9 +206,10 @@ def adaptive_midpoint(
     """
     if target <= 0.0:
         raise ValueError(f"target error must be positive, got {target!r}")
+    jet1 = f.compiled(1)
 
     def deriv_pow(x: float) -> float:
-        return abs(eval_jet(f, x).v1) ** q
+        return abs(jet1(x)[1]) ** q
 
     _require_convex(deriv_pow, extend(iv), cfg, f"|f'|^q (q = {q!r})")
     partition = Partition.uniform(iv, 1)

@@ -192,3 +192,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"]["satisfied"] == 2
+
+
+def test_repeated_calls_in_one_process_match_separate_processes(capsys):
+    # the argument parser is built once per process; usage errors must not leave state behind
+    calls = [
+        ("verify", "--target", "nope", "--fn", "x^2"),
+        ("verify", "--target", "k1", "--fn", "x^2", "--a", "0", "--b", "2"),
+        ("integrate", "--fn", "x^2", "--a", "0", "--b", "1"),
+        ("verify", "--target", "k2", "--fn", "x^2-5", "--a", "0", "--b", "2", "--pretty"),
+        ("special", "normI", "--p", "2", "--x", "1"),
+        ("verify", "--target", "k1", "--fn", "x^2", "--a", "0", "--b", "2"),
+    ]
+    in_process = [run_cli(capsys, *argv) for argv in calls]
+    for argv, got in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-m", "hhaudit", *argv], capture_output=True, text=True)
+        assert got == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 1, 0, 0]
