@@ -12,9 +12,9 @@ import argparse
 import random
 import sys
 
-from hhaudit.core import Interval, PreconditionError
+from hhaudit.core import Interval, PreconditionError, config_from_env
 from hhaudit.exprlang import parse
-from hhaudit.hh_bounds import first_order_bounds, second_order_bounds
+from hhaudit.hh_bounds import Instance
 
 BATTERY = ("x^2", "x^4", "exp(x)", "cosh(x)", "x*log(x)")
 
@@ -31,47 +31,28 @@ def main() -> int:
     ap.add_argument("--q", type=float, nargs="+", default=[1.0, 1.5, 2.0, 3.0])
     args = ap.parse_args()
 
+    cfg = config_from_env()
     rng = random.Random(args.seed)
     tally: dict[str, list[int]] = {}  # theorem -> [pass, fail, guarded]
     violations = []
 
-    def record(name, ok):
-        tally.setdefault(name, [0, 0, 0])[0 if ok else 1] += 1
-
-    def guarded(name):
-        tally.setdefault(name, [0, 0, 0])[2] += 1
-
     for fn_text in BATTERY:
         expr = parse(fn_text)
         for q in args.q:
+            names = ("thm2", "thm3", "thm4", "thm7", "thm5", "thm6") if q > 1 else ("thm2", "thm4", "thm7")
             for _ in range(args.trials):
-                iv = draw(rng)
-                first_names = ["thm2"] + (["thm3"] if q > 1 else [])
-                try:
-                    fb = first_order_bounds(expr, iv, q)
-                    pairs = [("thm2", fb.rhs_thm2)] + ([("thm3", fb.rhs_thm3)] if q > 1 else [])
-                    for name, rhs in pairs:
-                        ok = fb.lhs <= rhs + 1e-12
-                        record(name, ok)
-                        if not ok:
-                            violations.append((name, fn_text, iv.a, iv.b, q, fb.lhs, rhs))
-                except PreconditionError:
-                    for name in first_names:
-                        guarded(name)
-                second_names = ["thm4", "thm7"] + (["thm5", "thm6"] if q > 1 else [])
-                try:
-                    sb = second_order_bounds(expr, iv, q)
-                    pairs = [("thm4", sb.rhs_k3), ("thm7", sb.rhs_k6)]
-                    if q > 1:
-                        pairs += [("thm5", sb.rhs_k4), ("thm6", sb.rhs_k5)]
-                    for name, rhs in pairs:
-                        ok = sb.lhs <= rhs + 1e-12
-                        record(name, ok)
-                        if not ok:
-                            violations.append((name, fn_text, iv.a, iv.b, q, sb.lhs, rhs))
-                except PreconditionError:
-                    for name in second_names:
-                        guarded(name)
+                # the same per-interval context, verdict and guards as `hhaudit verify`
+                inst = Instance(expr, draw(rng), q, cfg)
+                for name in names:
+                    counts = tally.setdefault(name, [0, 0, 0])
+                    try:
+                        report = inst.derivative_report(name)
+                    except PreconditionError:
+                        counts[2] += 1
+                        continue
+                    counts[0 if report.satisfied else 1] += 1
+                    if not report.satisfied:
+                        violations.append((name, fn_text, inst.iv.a, inst.iv.b, q, report.lhs, report.rhs))
 
     print(f"battery={BATTERY} trials/cell={args.trials} q={args.q} seed={args.seed}")
     print(f"{'theorem':<8} {'pass':>7} {'fail':>7} {'guarded':>8}")

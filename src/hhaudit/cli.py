@@ -1,6 +1,10 @@
 """Batch front-end: verify named inequalities over given or randomized inputs,
 run certified midpoint integration, and evaluate the special functions.
 
+``verify`` runs the function targets of each interval on one shared
+:class:`hhaudit.hh_bounds.Instance`, so each guard, the mean integral and the
+derivative bounds run once; a failed guard counts in ``guarded_out`` per target.
+
 Output is a single JSON document per invocation (sorted keys, so a fixed
 command and seed produce byte-identical output); ``--pretty`` switches to a
 human-readable table.  Exit codes: 0 when no inequality violation was found,
@@ -11,36 +15,24 @@ errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
-import os
 import random
 import sys
 
 from .core import (
     BoundReport,
     ConvergenceError,
-    DEFAULT_TOL,
     DomainError,
     Interval,
     PreconditionError,
     ToleranceConfig,
+    config_from_env,
     extend,
+    make_report,
 )
-from .exprlang import Expr, parse
-from .hh_bounds import (
-    K1,
-    LEMMA_RESIDUAL_TOL,
-    abs_half_check,
-    first_order_bounds,
-    hh_classic_check,
-    k2_printed_constant,
-    lemma_identity_residual,
-    second_order_bounds,
-    three_point_check,
-)
-from .core import make_report
+from .exprlang import parse
+from .hh_bounds import TARGETS, Instance
 from .means import means_proposition_check
 from .oracle import integrate_ref
 from .quadrature import Partition, adaptive_midpoint, midpoint_T2, midpoint_error_bound, prop4_check
@@ -71,69 +63,15 @@ tallied as guarded_out.
 environment: HH_TOL overrides the absolute comparison tolerance (default 1e-12).
 """
 
-# targets parameterized by --fn; "all" expands to exactly these
-_FUNCTION_TARGETS = (
-    "eq1",
-    "k1",
-    "k2",
-    "lemma1",
-    "lemma2",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "thm7",
-    "cor1",
-    "cor2",
-)
+# TARGETS are the targets parameterized by --fn; "all" expands to exactly these
 _PROP_TARGETS = tuple(f"prop{i}" for i in range(1, 10))
-_TARGETS = _FUNCTION_TARGETS + _PROP_TARGETS + ("all",)
+_TARGETS = (*TARGETS, *_PROP_TARGETS, "all")
 
-_FN_REQUIRED = set(_FUNCTION_TARGETS) | {"prop4", "prop5"}
-
-# these need the conjugate exponent, so they are guarded out at q = 1
-_HOELDER_ONLY = {"thm3", "thm5", "thm6", "cor1"}
+_FN_REQUIRED = set(TARGETS) | {"prop4", "prop5"}
 
 
-def _checks_for_target(target, expr, iv, args, cfg) -> list[BoundReport]:
+def _prop_checks(target, expr, iv, args, cfg) -> list[BoundReport]:
     q = args.q
-    if target == "eq1":
-        return list(hh_classic_check(expr, iv, cfg))
-    if target == "k1":
-        return list(three_point_check(expr, iv, cfg))
-    if target == "k2":
-        return [abs_half_check(expr, iv, cfg)]
-    if target in ("lemma1", "lemma2"):
-        residual = lemma_identity_residual(target, expr, iv, cfg)
-        inputs = {"fn": args.fn, "a": iv.a, "b": iv.b}
-        return [make_report(target, residual, LEMMA_RESIDUAL_TOL, inputs, cfg)]
-    if target in ("thm2", "thm3", "cor1"):
-        if target in _HOELDER_ONLY and q <= 1.0:
-            raise PreconditionError(f"{target} needs q > 1 (got q = {q!r})")
-        fb = first_order_bounds(expr, iv, q, cfg)
-        inputs = {"fn": args.fn, "a": iv.a, "b": iv.b, "q": q}
-        if target == "thm2":
-            return [make_report("thm2", fb.lhs, fb.rhs_thm2, inputs, cfg)]
-        if target == "thm3":
-            return [make_report("thm3", fb.lhs, fb.rhs_thm3, inputs, cfg)]
-        # combined corollary exactly as printed: min{K1, printed K2} times
-        # (b-a) S^(1/q), where (b-a) S^(1/q) = 8 * rhs_thm2
-        rhs = min(K1, k2_printed_constant(q)) * 8.0 * fb.rhs_thm2
-        return [make_report("cor1", fb.lhs, rhs, inputs, cfg)]
-    if target in ("thm4", "thm5", "thm6", "thm7", "cor2"):
-        if target in _HOELDER_ONLY and q <= 1.0:
-            raise PreconditionError(f"{target} needs q > 1 (got q = {q!r})")
-        sb = second_order_bounds(expr, iv, q, cfg)
-        inputs = {"fn": args.fn, "a": iv.a, "b": iv.b, "q": q}
-        rhs = {
-            "thm4": sb.rhs_k3,
-            "thm5": sb.rhs_k4,
-            "thm6": sb.rhs_k5,
-            "thm7": sb.rhs_k6,
-            "cor2": sb.rhs_min,
-        }[target]
-        return [make_report(target, sb.lhs, rhs, inputs, cfg)]
     if target in ("prop1", "prop2", "prop3"):
         return list(
             means_proposition_check("P" + target[-1], iv.a, iv.b, q=q, n=args.n, cfg=cfg)
@@ -180,18 +118,6 @@ def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interva
     raise PreconditionError(f"no interval passing the domain guard found in {max_attempts} draws")
 
 
-def _report_dict(report: BoundReport) -> dict:
-    return {
-        "label": report.label,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "satisfied": report.satisfied,
-        "fragile": report.fragile,
-        "inputs": report.inputs,
-    }
-
-
 def _echo(prefix: str, args, fields) -> str:
     parts = [prefix]
     for name in fields:
@@ -204,7 +130,7 @@ def _echo(prefix: str, args, fields) -> str:
 def cmd_verify(args, cfg: ToleranceConfig):
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    targets = list(_FUNCTION_TARGETS) if args.target == "all" else [args.target]
+    targets = list(TARGETS) if args.target == "all" else [args.target]
     expr = parse(args.fn) if args.fn is not None else None
     if expr is None and any(t in _FN_REQUIRED for t in targets):
         raise ValueError(f"target {args.target!r} needs --fn")
@@ -218,16 +144,18 @@ def cmd_verify(args, cfg: ToleranceConfig):
 
     def run_instance(iv: Interval, trial: int | None) -> None:
         nonlocal satisfied, violated, guarded_out
+        # one context per interval: the targets share its guards, mean integral and bounds
+        inst = Instance(expr, iv, args.q, cfg, text=args.fn) if expr is not None else None
         for target in targets:
             try:
-                checks = _checks_for_target(target, expr, iv, args, cfg)
+                checks = TARGETS[target](inst) if target in TARGETS else _prop_checks(target, expr, iv, args, cfg)
             except (DomainError, PreconditionError):
                 if not tolerant and trial is None:
                     raise
                 guarded_out += 1
                 continue
             for report in checks:
-                entry = _report_dict(report)
+                entry = dict(vars(report))
                 if trial is not None:
                     entry["inputs"] = {**entry["inputs"], "trial": trial, "a": iv.a, "b": iv.b}
                 reports.append(entry)
@@ -326,13 +254,6 @@ def _render(doc: dict, pretty: bool) -> str:
     return "\n".join(lines)
 
 
-def _config_from_env() -> ToleranceConfig:
-    raw = os.environ.get("HH_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    return dataclasses.replace(DEFAULT_TOL, abs_tol=float(raw))
-
-
 # one parser per process: parse_args leaves it unchanged, since no option has a mutable default
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,7 +312,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        cfg = _config_from_env()
+        cfg = config_from_env()
         doc, code = args.run(args, cfg)
     except (ValueError, ConvergenceError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,9 @@ inequality "satisfied".
 from __future__ import annotations
 
 import math
+import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 
@@ -49,6 +50,14 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def config_from_env() -> ToleranceConfig:
+    """DEFAULT_TOL, with ``abs_tol`` taken from the HH_TOL environment variable when set."""
+    raw = os.environ.get("HH_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    return replace(DEFAULT_TOL, abs_tol=float(raw))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,14 @@ Checks implemented here, each as an explicit (lhs, rhs) pair:
 All integral left-hand sides come from :mod:`hhaudit.oracle`; right-hand
 sides are closed-form evaluations.  Every bound operation first guards the
 convexity/domain hypotheses on the widened interval and fails loudly rather
-than silently evaluating outside a function's domain.
+than silently evaluating outside a function's domain.  :class:`Instance`
+holds one function on one interval and computes each guard, the mean
+integral and the shared bounds once for all the checks run on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -27,6 +30,8 @@ from typing import Callable
 from .core import (
     BoundReport,
     DEFAULT_TOL,
+    DomainError,
+    ExtendedInterval,
     Interval,
     PreconditionError,
     ToleranceConfig,
@@ -70,12 +75,6 @@ def min_first_order_constant(q: float) -> float:
     return min(K1, k2_derived_constant(q))
 
 
-def _as_fn(f) -> Callable[[float], float]:
-    if callable(f):
-        return f
-    raise TypeError(f"expected a callable or parsed expression, got {type(f).__name__}")
-
-
 def _fn_label(f) -> str:
     return to_text(f) if isinstance(f, Expr) else getattr(f, "__name__", "<callable>")
 
@@ -89,95 +88,10 @@ def _require_convex(fn, region, cfg: ToleranceConfig, what: str) -> None:
         )
 
 
-def mean_integral(f, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
-    value, _ = integrate_ref(_as_fn(f), iv, cfg.abs_tol, cfg=cfg)
-    return value / iv.width
-
-
-def hh_classic_check(
-    f: Expr, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[BoundReport, BoundReport]:
-    """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
-    fn = _as_fn(f)
-    _require_convex(fn, iv, cfg, "f")
-    mean = mean_integral(fn, iv, cfg)
-    inputs = {"fn": _fn_label(f), "a": iv.a, "b": iv.b}
-    lower = make_report("eq1.lower", fn(iv.midpoint), mean, inputs, cfg)
-    upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), inputs, cfg)
-    return lower, upper
-
-
-def lemma_identity_residual(
-    which: str, f: Expr, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """|LHS - RHS| of the stated integral identity, both sides via the oracle.
-
-    ``lemma1`` ties the trapezoid defect to the t(1-t)-weighted integral of
-    f''; ``lemma2`` ties the midpoint defect to the two tent-weighted
-    integrals of f'.  For smooth f the residual should sit at oracle accuracy
-    (contract: <= 1e-8).
-    """
-    if which not in ("lemma1", "lemma2"):
-        raise ValueError(f"which must be 'lemma1' or 'lemma2', got {which!r}")
-    fn = _as_fn(f)
-    a, b = iv.a, iv.b
-    width = iv.width
-    mean = mean_integral(fn, iv, cfg)
-    if which == "lemma1":
-        lhs = 0.5 * (fn(a) + fn(b)) - mean
-        jet2 = f.compiled(2)
-
-        def weighted_second(t: float) -> float:
-            return t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2]
-
-        inner, _ = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg.abs_tol, cfg=cfg)
-        rhs = 0.5 * width * width * inner
-    else:
-        lhs = mean - fn(iv.midpoint)
-        jet1 = f.compiled(1)
-
-        def deriv_at(t: float) -> float:
-            return jet1(b + (a - b) * t)[1]
-
-        left, _ = integrate_ref(lambda t: t * deriv_at(t), Interval(0.0, 0.5), cfg.abs_tol, cfg=cfg)
-        right, _ = integrate_ref(
-            lambda t: (t - 1.0) * deriv_at(t), Interval(0.5, 1.0), cfg.abs_tol, cfg=cfg
-        )
-        rhs = width * (left + right)
-    return abs(lhs - rhs)
-
-
-def three_point_check(
-    f: Expr, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[BoundReport, BoundReport]:
-    """Three-point bound: f(mid) <= mean integral <= [2 f(mid) + f(hi) + f(lo)] / 4,
-    with lo/hi from the widened interval.  Needs f convex there."""
-    fn = _as_fn(f)
-    ext = extend(iv)
-    _require_convex(fn, ext, cfg, "f")
-    mean = mean_integral(fn, iv, cfg)
-    fmid, flo, fhi = fn(ext.mid), fn(ext.lo), fn(ext.hi)
-    inputs = {"fn": _fn_label(f), "a": iv.a, "b": iv.b}
-    lower = make_report("k1.lower", fmid, mean, inputs, cfg)
-    upper = make_report("k1.upper", mean, (2.0 * fmid + fhi + flo) / 4.0, inputs, cfg)
-    return lower, upper
-
-
-def abs_half_check(f: Expr, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
-    """Half-value companion bound |mean - f(mid)/2| <= |f(hi) + f(lo)|/4, as printed.
-
-    Fragile: a vertical shift of f changes the left side but can zero the
-    right side, so violations are recorded as findings, not artifact bugs.
-    """
-    fn = _as_fn(f)
-    ext = extend(iv)
-    _require_convex(fn, ext, cfg, "f")
-    mean = mean_integral(fn, iv, cfg)
-    lhs = abs(mean - 0.5 * fn(ext.mid))
-    rhs = abs(fn(ext.hi) + fn(ext.lo)) / 4.0
-    inputs = {"fn": _fn_label(f), "a": iv.a, "b": iv.b}
-    return make_report("k2", lhs, rhs, inputs, cfg, fragile=True)
+def derivative_power(f: Expr, order: int, q: float) -> Callable[[float], float]:
+    """x -> |f^(order)(x)|^q, the function whose convexity the derivative bounds assume."""
+    jet = f.compiled(order)
+    return lambda x: abs(jet(x)[order]) ** q
 
 
 @dataclass(frozen=True)
@@ -197,49 +111,6 @@ class FirstOrderBounds:
     k2_printed: float | None
     k2_derived: float | None
     rhs_min: float
-
-
-def first_order_bounds(
-    f: Expr, iv: Interval, q: float, cfg: ToleranceConfig = DEFAULT_TOL
-) -> FirstOrderBounds:
-    """Evaluate |mean integral - f(mid)| against the first-derivative bounds."""
-    if q < 1.0:
-        raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
-    fn = _as_fn(f)
-    ext = extend(iv)
-    jet1 = f.compiled(1)
-
-    def deriv_pow(x: float) -> float:
-        return abs(jet1(x)[1]) ** q
-
-    _require_convex(deriv_pow, ext, cfg, f"|f'|^q (q = {q!r})")
-    mean = mean_integral(fn, iv, cfg)
-    lhs = abs(mean - fn(ext.mid))
-    d_lo = abs(jet1(ext.lo)[1])
-    d_hi = abs(jet1(ext.hi)[1])
-    s = d_lo**q + d_hi**q
-    rhs_thm2 = (iv.width / 8.0) * s ** (1.0 / q)
-    if q > 1.0:
-        p = conjugate_exponent(q)
-        thm3_const = math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p)
-        rhs_thm3 = iv.width * thm3_const * (0.5 * s) ** (1.0 / q)
-        k2p: float | None = k2_printed_constant(q)
-        k2d: float | None = k2_derived_constant(q)
-        rhs_min = min(rhs_thm2, rhs_thm3)
-    else:
-        p = rhs_thm3 = k2p = k2d = None
-        rhs_min = rhs_thm2
-    return FirstOrderBounds(
-        q=q,
-        p=p,
-        lhs=lhs,
-        rhs_thm2=rhs_thm2,
-        rhs_thm3=rhs_thm3,
-        k1=K1,
-        k2_printed=k2p,
-        k2_derived=k2d,
-        rhs_min=rhs_min,
-    )
 
 
 @dataclass(frozen=True)
@@ -265,56 +136,276 @@ def _gamma_ratio_power(p: float) -> float:
     return math.exp(log_ratio / p)
 
 
-def second_order_bounds(
-    f: Expr, iv: Interval, q: float, cfg: ToleranceConfig = DEFAULT_TOL
-) -> SecondOrderBounds:
-    """Evaluate |mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
-    if q < 1.0:
-        raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
-    fn = _as_fn(f)
-    ext = extend(iv)
-    jet2 = f.compiled(2)
+# the derivative-bound targets of `verify`: the order of the bounds they read,
+# whether they need the conjugate exponent (so q > 1), and their right side
+_DERIVATIVE_TARGETS: dict[str, tuple[int, bool, Callable]] = {
+    "thm2": (1, False, lambda fb: fb.rhs_thm2),
+    "thm3": (1, True, lambda fb: fb.rhs_thm3),
+    "thm4": (2, False, lambda sb: sb.rhs_k3),
+    "thm5": (2, True, lambda sb: sb.rhs_k4),
+    "thm6": (2, True, lambda sb: sb.rhs_k5),
+    "thm7": (2, False, lambda sb: sb.rhs_k6),
+    # combined corollary exactly as printed: min{K1, printed K2} times
+    # (b-a) S^(1/q), where (b-a) S^(1/q) = 8 * rhs_thm2
+    "cor1": (1, True, lambda fb: min(K1, k2_printed_constant(fb.q)) * 8.0 * fb.rhs_thm2),
+    "cor2": (2, False, lambda sb: sb.rhs_min),
+}
 
-    def second_pow(x: float) -> float:
-        return abs(jet2(x)[2]) ** q
 
-    _require_convex(second_pow, ext, cfg, f"|f''|^q (q = {q!r})")
-    mean = mean_integral(fn, iv, cfg)
-    lhs = abs(mean - (fn(ext.lo) + fn(ext.hi) + 2.0 * fn(ext.mid)) / 4.0)
-    dd_lo = abs(jet2(ext.lo)[2])
-    dd_hi = abs(jet2(ext.hi)[2])
-    w2 = iv.width**2
-    avg_q = 0.5 * (dd_lo**q + dd_hi**q)
-    rhs_k3 = (w2 / 3.0) * avg_q ** (1.0 / q)
-    rhs_k6 = (
-        w2
-        * (2.0 / ((q + 1.0) * (q + 2.0) * (q + 3.0))) ** (1.0 / q)
-        * (2.0 * dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
-    )
-    if q > 1.0:
-        p = conjugate_exponent(q)
-        rhs_k4: float | None = 2.0 * w2 * _gamma_ratio_power(p) * avg_q ** (1.0 / q)
-        rhs_k5: float | None = (
+class Instance:
+    """One function f on one base interval [a, b], at one exponent q.
+
+    The battery's bounds share four hypotheses (f convex on [a, b]; f, |f'|^q
+    and |f''|^q convex on the widened interval) and one left side, the mean
+    integral.  An instance computes each of those, f at the widened lo, mid
+    and hi, and the first- and second-order bounds at most once.  A
+    DomainError or PreconditionError is kept and raised again, as the same
+    exception, to every later check that needs that piece.
+
+    ``text`` is f as the caller wrote it.  The lemma and derivative-bound
+    reports echo it; eq1, k1 and k2 echo the canonical form of f.
+    """
+
+    def __init__(self, f, iv: Interval, q: float = 1.0, cfg: ToleranceConfig = DEFAULT_TOL,
+                 *, text: str | None = None):
+        if not callable(f):
+            raise TypeError(f"expected a callable or parsed expression, got {type(f).__name__}")
+        self.f, self.iv, self.q, self.cfg = f, iv, q, cfg
+        self.text = text
+        self._memo: dict = {}
+
+    def _inputs(self, as_written: bool) -> dict:
+        text = self.text if as_written and self.text is not None else _fn_label(self.f)
+        return {"fn": text, "a": self.iv.a, "b": self.iv.b}
+
+    def _once(self, key: str, compute: Callable):
+        if key not in self._memo:
+            try:
+                self._memo[key] = (True, compute())
+            except (DomainError, PreconditionError) as exc:
+                self._memo[key] = (False, exc)
+        ok, value = self._memo[key]
+        if not ok:
+            raise value
+        return value
+
+    @functools.cached_property
+    def ext(self) -> ExtendedInterval:
+        return extend(self.iv)
+
+    def _guard_f(self, widened: bool) -> None:
+        self._once("f widened" if widened else "f",
+                   lambda: _require_convex(self.f, self.ext if widened else self.iv, self.cfg, "f"))
+
+    def _guard_derivative(self, order: int) -> None:
+        if self.q < 1.0:
+            raise PreconditionError(f"exponent must satisfy q >= 1, got {self.q!r}")
+        what = "|f" + "'" * order + "|^q"
+        self._once(what, lambda: _require_convex(
+            derivative_power(self.f, order, self.q), self.ext, self.cfg, f"{what} (q = {self.q!r})"))
+
+    def _f_at(self, point: str) -> float:
+        """f at the widened interval's "lo", "mid" or "hi"."""
+        return self._once(point, lambda: self.f(getattr(self.ext, point)))
+
+    def mean(self) -> float:
+        """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
+        iv, cfg = self.iv, self.cfg
+        return self._once("mean", lambda: integrate_ref(self.f, iv, cfg.abs_tol, cfg=cfg)[0] / iv.width)
+
+    def classic(self) -> tuple[BoundReport, BoundReport]:
+        """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
+        fn, iv, cfg = self.f, self.iv, self.cfg
+        self._guard_f(widened=False)
+        mean = self.mean()
+        inputs = self._inputs(as_written=False)
+        lower = make_report("eq1.lower", fn(iv.midpoint), mean, inputs, cfg)
+        upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), inputs, cfg)
+        return lower, upper
+
+    def lemma_residual(self, which: str) -> float:
+        """|LHS - RHS| of the stated integral identity, both sides via the oracle.
+
+        ``lemma1`` ties the trapezoid defect to the t(1-t)-weighted integral of
+        f''; ``lemma2`` ties the midpoint defect to the two tent-weighted
+        integrals of f'.  For smooth f the residual should sit at oracle
+        accuracy (contract: <= 1e-8).
+        """
+        if which not in ("lemma1", "lemma2"):
+            raise ValueError(f"which must be 'lemma1' or 'lemma2', got {which!r}")
+        fn, cfg = self.f, self.cfg
+        a, b = self.iv.a, self.iv.b
+        width = self.iv.width
+        mean = self.mean()
+        if which == "lemma1":
+            lhs = 0.5 * (fn(a) + fn(b)) - mean
+            jet2 = fn.compiled(2)
+
+            def weighted_second(t: float) -> float:
+                return t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2]
+
+            inner, _ = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg.abs_tol, cfg=cfg)
+            rhs = 0.5 * width * width * inner
+        else:
+            lhs = mean - fn(self.iv.midpoint)
+            jet1 = fn.compiled(1)
+
+            def deriv_at(t: float) -> float:
+                return jet1(b + (a - b) * t)[1]
+
+            left, _ = integrate_ref(lambda t: t * deriv_at(t), Interval(0.0, 0.5), cfg.abs_tol, cfg=cfg)
+            right, _ = integrate_ref(
+                lambda t: (t - 1.0) * deriv_at(t), Interval(0.5, 1.0), cfg.abs_tol, cfg=cfg
+            )
+            rhs = width * (left + right)
+        return abs(lhs - rhs)
+
+    def three_point(self) -> tuple[BoundReport, BoundReport]:
+        """Three-point bound: f(mid) <= mean integral <= [2 f(mid) + f(hi) + f(lo)] / 4,
+        with lo/hi from the widened interval.  Needs f convex there."""
+        self._guard_f(widened=True)
+        mean = self.mean()
+        fmid, flo, fhi = self._f_at("mid"), self._f_at("lo"), self._f_at("hi")
+        inputs = self._inputs(as_written=False)
+        lower = make_report("k1.lower", fmid, mean, inputs, self.cfg)
+        upper = make_report("k1.upper", mean, (2.0 * fmid + fhi + flo) / 4.0, inputs, self.cfg)
+        return lower, upper
+
+    def abs_half(self) -> BoundReport:
+        """Half-value companion bound |mean - f(mid)/2| <= |f(hi) + f(lo)|/4, as printed.
+
+        Fragile: a vertical shift of f changes the left side but can zero the
+        right side, so violations are recorded as findings, not artifact bugs.
+        """
+        self._guard_f(widened=True)
+        mean = self.mean()
+        lhs = abs(mean - 0.5 * self._f_at("mid"))
+        rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
+        inputs = self._inputs(as_written=False)
+        return make_report("k2", lhs, rhs, inputs, self.cfg, fragile=True)
+
+    def first_order(self) -> FirstOrderBounds:
+        """|mean integral - f(mid)| against the first-derivative bounds."""
+        return self._once("first_order", self._first_order)
+
+    def _first_order(self) -> FirstOrderBounds:
+        q, width = self.q, self.iv.width
+        self._guard_derivative(1)
+        lhs = abs(self.mean() - self._f_at("mid"))
+        jet1 = self.f.compiled(1)
+        d_lo = abs(jet1(self.ext.lo)[1])
+        d_hi = abs(jet1(self.ext.hi)[1])
+        s = d_lo**q + d_hi**q
+        rhs_thm2 = (width / 8.0) * s ** (1.0 / q)
+        if q > 1.0:
+            p = conjugate_exponent(q)
+            thm3_const = math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p)
+            rhs_thm3 = width * thm3_const * (0.5 * s) ** (1.0 / q)
+            k2p: float | None = k2_printed_constant(q)
+            k2d: float | None = k2_derived_constant(q)
+            rhs_min = min(rhs_thm2, rhs_thm3)
+        else:
+            p = rhs_thm3 = k2p = k2d = None
+            rhs_min = rhs_thm2
+        return FirstOrderBounds(q, p, lhs, rhs_thm2, rhs_thm3, K1, k2p, k2d, rhs_min)
+
+    def second_order(self) -> SecondOrderBounds:
+        """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
+        return self._once("second_order", self._second_order)
+
+    def _second_order(self) -> SecondOrderBounds:
+        q = self.q
+        self._guard_derivative(2)
+        mean = self.mean()
+        lhs = abs(mean - (self._f_at("lo") + self._f_at("hi") + 2.0 * self._f_at("mid")) / 4.0)
+        jet2 = self.f.compiled(2)
+        dd_lo = abs(jet2(self.ext.lo)[2])
+        dd_hi = abs(jet2(self.ext.hi)[2])
+        w2 = self.iv.width**2
+        avg_q = 0.5 * (dd_lo**q + dd_hi**q)
+        rhs_k3 = (w2 / 3.0) * avg_q ** (1.0 / q)
+        rhs_k6 = (
             w2
-            * 2.0
-            * (1.0 / (p + 1.0)) ** (1.0 / p)
-            * (1.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q)
-            * (dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
+            * (2.0 / ((q + 1.0) * (q + 2.0) * (q + 3.0))) ** (1.0 / q)
+            * (2.0 * dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
         )
-        rhs_min = min(rhs_k3, rhs_k4, rhs_k5, rhs_k6)
-    else:
-        p = rhs_k4 = rhs_k5 = None
-        rhs_min = min(rhs_k3, rhs_k6)
-    return SecondOrderBounds(
-        q=q,
-        p=p,
-        lhs=lhs,
-        rhs_k3=rhs_k3,
-        rhs_k4=rhs_k4,
-        rhs_k5=rhs_k5,
-        rhs_k6=rhs_k6,
-        rhs_min=rhs_min,
-    )
+        if q > 1.0:
+            p = conjugate_exponent(q)
+            rhs_k4: float | None = 2.0 * w2 * _gamma_ratio_power(p) * avg_q ** (1.0 / q)
+            rhs_k5: float | None = (
+                w2
+                * 2.0
+                * (1.0 / (p + 1.0)) ** (1.0 / p)
+                * (1.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q)
+                * (dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
+            )
+            rhs_min = min(rhs_k3, rhs_k4, rhs_k5, rhs_k6)
+        else:
+            p = rhs_k4 = rhs_k5 = None
+            rhs_min = min(rhs_k3, rhs_k6)
+        return SecondOrderBounds(q, p, lhs, rhs_k3, rhs_k4, rhs_k5, rhs_k6, rhs_min)
+
+    def lemma_report(self, which: str) -> BoundReport:
+        """The lemma residual against its 1e-8 contract."""
+        inputs = self._inputs(as_written=True)
+        return make_report(which, self.lemma_residual(which), LEMMA_RESIDUAL_TOL, inputs, self.cfg)
+
+    def derivative_report(self, target: str) -> BoundReport:
+        """One of thm2-thm7, cor1 and cor2, from the shared first- or second-order bounds."""
+        order, hoelder_only, rhs = _DERIVATIVE_TARGETS[target]
+        if hoelder_only and self.q <= 1.0:
+            raise PreconditionError(f"{target} needs q > 1 (got q = {self.q!r})")
+        bounds = self.first_order() if order == 1 else self.second_order()
+        inputs = {**self._inputs(as_written=True), "q": self.q}
+        return make_report(target, bounds.lhs, rhs(bounds), inputs, self.cfg)
+
+
+# verify's function targets, in the order `--target all` runs them
+TARGETS: dict[str, Callable[[Instance], list[BoundReport]]] = {
+    "eq1": lambda inst: list(inst.classic()),
+    "k1": lambda inst: list(inst.three_point()),
+    "k2": lambda inst: [inst.abs_half()],
+    "lemma1": lambda inst: [inst.lemma_report("lemma1")],
+    "lemma2": lambda inst: [inst.lemma_report("lemma2")],
+    **{t: (lambda inst, t=t: [inst.derivative_report(t)]) for t in _DERIVATIVE_TARGETS},
+}
+
+# each module function below runs one check on a fresh Instance, so calls share nothing
+
+
+def mean_integral(f, iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
+    return Instance(f, iv, cfg=cfg).mean()
+
+
+def hh_classic_check(f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> tuple[BoundReport, BoundReport]:
+    """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
+    return Instance(f, iv, cfg=cfg).classic()
+
+
+def lemma_identity_residual(which: str, f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> float:
+    """|LHS - RHS| of the lemma1 or lemma2 integral identity (contract: <= 1e-8)."""
+    return Instance(f, iv, cfg=cfg).lemma_residual(which)
+
+
+def three_point_check(f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> tuple[BoundReport, BoundReport]:
+    """Three-point bound: f(mid) <= mean integral <= [2 f(mid) + f(hi) + f(lo)] / 4."""
+    return Instance(f, iv, cfg=cfg).three_point()
+
+
+def abs_half_check(f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> BoundReport:
+    """Half-value companion bound |mean - f(mid)/2| <= |f(hi) + f(lo)|/4, as printed (fragile)."""
+    return Instance(f, iv, cfg=cfg).abs_half()
+
+
+def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> FirstOrderBounds:
+    """Evaluate |mean integral - f(mid)| against the first-derivative bounds."""
+    return Instance(f, iv, q, cfg).first_order()
+
+
+def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> SecondOrderBounds:
+    """Evaluate |mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
+    return Instance(f, iv, q, cfg).second_order()
 
 
 def uniform_bound_remarks(K: float, iv: Interval, p: float) -> tuple[float, float]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import (
     BoundReport,
@@ -19,7 +19,7 @@ from .core import (
     sample_convexity,
 )
 from .exprlang import Expr
-from .hh_bounds import K1, _fn_label, _require_convex, k2_derived_constant, min_first_order_constant
+from .hh_bounds import _fn_label, _require_convex, derivative_power, min_first_order_constant
 from .oracle import integrate_ref
 
 # every refinement doubles the panel count, so a runtime/memory cap is needed
@@ -90,6 +90,18 @@ def midpoint_T2(f, partition: Partition) -> float:
     return total
 
 
+def _guard_panels(fn, partition: Partition, what: str, cfg: ToleranceConfig) -> None:
+    """Sample convexity of ``fn`` on each panel's widened interval; failures name the panel."""
+    for i, (left, right) in enumerate(partition.panels()):
+        try:
+            ext = extend(Interval(left, right))
+            report = sample_convexity(fn, ext, _GUARD_PAIRS, cfg=cfg, label=f"guard:{what} panel {i}")
+            if not report.satisfied:
+                raise PreconditionError(f"{what} is not midpoint-convex (worst gap {report.lhs!r})")
+        except (DomainError, PreconditionError) as exc:
+            raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+
+
 def midpoint_error_bound(
     f: Expr,
     partition: Partition,
@@ -106,75 +118,46 @@ def midpoint_error_bound(
     min{1/8, derived Hoelder constant} for q > 1.
 
     ``guard`` selects where the convexity hypothesis is sampled: "panel"
-    (each panel's widened interval, failures name the panel index), "hull"
-    (the widened full interval, a superset of every panel extension), or
-    "none" (caller has already guarded a superset).
+    (each panel's widened interval, failures name the panel index) or "none"
+    (caller has already guarded a superset).
     """
     if q < 1.0:
         raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
-    if guard not in ("panel", "hull", "none"):
-        raise ValueError(f"guard must be 'panel', 'hull', or 'none', got {guard!r}")
+    if guard not in ("panel", "none"):
+        raise ValueError(f"guard must be 'panel' or 'none', got {guard!r}")
+    if guard == "panel":
+        _guard_panels(derivative_power(f, 1, q), partition, "|f'|^q", cfg)
     jet1 = f.compiled(1)
-
-    def deriv_pow(x: float) -> float:
-        return abs(jet1(x)[1]) ** q
-
-    if guard == "hull":
-        hull = extend(Interval(partition.points[0], partition.points[-1]))
-        _require_convex(deriv_pow, hull, cfg, f"|f'|^q (q = {q!r})")
     kconst = min_first_order_constant(q)
     total = 0.0
     for i, (left, right) in enumerate(partition.panels()):
         try:
             ext = extend(Interval(left, right))
-            if guard == "panel":
-                report = sample_convexity(
-                    deriv_pow, ext, _GUARD_PAIRS, cfg=cfg, label=f"guard:|f'|^q panel {i}"
-                )
-                if not report.satisfied:
-                    raise PreconditionError(
-                        f"|f'|^q is not midpoint-convex (worst gap {report.lhs!r})"
-                    )
             d_lo = abs(jet1(ext.lo)[1])
             d_hi = abs(jet1(ext.hi)[1])
-        except (DomainError, PreconditionError) as exc:
-            raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+        except DomainError as exc:
+            raise DomainError(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
         total += (right - left) ** 2 * (d_lo**q + d_hi**q) ** (1.0 / q)
     return kconst * total
 
 
-def prop4_check(
-    f: Expr,
-    partition: Partition,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    *,
-    guard: str = "panel",
-) -> BoundReport:
+def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
     """The printed chain |2 int f - T2| <= sum dx |f(lo*) + f(hi*)|/2 (fragile).
 
     The outer max-based sum of the chain is echoed in the report inputs.
     """
-    fn = f if callable(f) else None
-    if fn is None:
+    if not callable(f):
         raise TypeError("f must be callable")
-    for i, (left, right) in enumerate(partition.panels()):
-        try:
-            ext = extend(Interval(left, right))
-            if guard == "panel":
-                report = sample_convexity(fn, ext, _GUARD_PAIRS, cfg=cfg, label=f"guard:f panel {i}")
-                if not report.satisfied:
-                    raise PreconditionError(f"f is not midpoint-convex (worst gap {report.lhs!r})")
-        except (DomainError, PreconditionError) as exc:
-            raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+    _guard_panels(f, partition, "f", cfg)
     iv = Interval(partition.points[0], partition.points[-1])
-    integral, _ = integrate_ref(fn, iv, cfg.abs_tol, cfg=cfg)
-    t2 = midpoint_T2(fn, partition)
+    integral, _ = integrate_ref(f, iv, cfg.abs_tol, cfg=cfg)
+    t2 = midpoint_T2(f, partition)
     lhs = abs(2.0 * integral - t2)
     mid_sum = 0.0
     max_sum = 0.0
     for left, right in partition.panels():
         ext = extend(Interval(left, right))
-        flo, fhi = fn(ext.lo), fn(ext.hi)
+        flo, fhi = f(ext.lo), f(ext.hi)
         dx = right - left
         mid_sum += dx * abs(flo + fhi) / 2.0
         max_sum += dx * max(abs(flo), abs(fhi))
@@ -206,12 +189,7 @@ def adaptive_midpoint(
     """
     if target <= 0.0:
         raise ValueError(f"target error must be positive, got {target!r}")
-    jet1 = f.compiled(1)
-
-    def deriv_pow(x: float) -> float:
-        return abs(jet1(x)[1]) ** q
-
-    _require_convex(deriv_pow, extend(iv), cfg, f"|f'|^q (q = {q!r})")
+    _require_convex(derivative_power(f, 1, q), extend(iv), cfg, f"|f'|^q (q = {q!r})")
     partition = Partition.uniform(iv, 1)
     depth = 0
     certified = False
