@@ -31,7 +31,7 @@ from .core import (
     extend,
     sample_convexity,
 )
-from .exprlang import Expr, Jet3, ParseError, eval_jet, evaluate, parse
+from .exprlang import Expr, Jet3, ParseError, eval_jet, parse
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "ToleranceConfig",
     "conjugate_exponent",
     "eval_jet",
-    "evaluate",
     "extend",
     "parse",
     "sample_convexity",

@@ -8,8 +8,8 @@ derivative bounds run once; a failed guard counts in ``guarded_out`` per target.
 Output is a single JSON document per invocation (sorted keys, so a fixed
 command and seed produce byte-identical output); ``--pretty`` switches to a
 human-readable table.  Exit codes: 0 when no inequality violation was found,
-1 when at least one violation finding was recorded, 2 on usage or domain
-errors.
+1 when at least one violation finding was recorded, 2 on usage, domain or
+parameter errors.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (
     extend,
     make_report,
 )
-from .exprlang import parse
+from .exprlang import parse, to_text
 from .hh_bounds import TARGETS, Instance
 from .means import means_proposition_check
 from .oracle import integrate_ref
@@ -84,7 +84,7 @@ def _prop_checks(target, expr, iv, args, cfg) -> list[BoundReport]:
         bound = midpoint_error_bound(expr, partition, q, cfg)
         integral, _ = integrate_ref(expr, iv, cfg.abs_tol, cfg=cfg)
         true_err = abs(integral - midpoint_T2(expr, partition))
-        inputs = {"fn": args.fn, "a": iv.a, "b": iv.b, "q": q, "panels": args.panels}
+        inputs = {"fn": to_text(expr), "a": iv.a, "b": iv.b, "q": q, "panels": args.panels}
         return [make_report("prop5", true_err, bound, inputs, cfg)]
     if target == "prop6":
         reports = bessel_prop_checks(args.p, iv.a, iv.b, cfg)
@@ -145,7 +145,7 @@ def cmd_verify(args, cfg: ToleranceConfig):
     def run_instance(iv: Interval, trial: int | None) -> None:
         nonlocal satisfied, violated, guarded_out
         # one context per interval: the targets share its guards, mean integral and bounds
-        inst = Instance(expr, iv, args.q, cfg, text=args.fn) if expr is not None else None
+        inst = Instance(expr, iv, args.q, cfg) if expr is not None else None
         for target in targets:
             try:
                 checks = TARGETS[target](inst) if target in TARGETS else _prop_checks(target, expr, iv, args, cfg)
@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fn", help="function of x (see grammar below)")
     v.add_argument("--a", type=float, help="left endpoint (omit with --b for random mode)")
     v.add_argument("--b", type=float, help="right endpoint")
-    v.add_argument("--q", type=float, default=1.0, help="power-mean/Hoelder exponent, q >= 1 (default 1)")
+    v.add_argument("--q", type=float, default=1.0, help="power-mean/Hoelder exponent, 1 <= q < inf (default 1)")
     v.add_argument("--n", type=int, default=2, help="order of the generalized log mean for prop1 (default 2)")
     v.add_argument("--p", type=float, default=2.0, help="Bessel order for prop6/prop7 (default 2)")
     v.add_argument("--qbase", type=float, default=0.5, help="q of the q-digamma for prop8/prop9 (default 0.5)")
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--fn", required=True)
     i.add_argument("--a", type=float, required=True)
     i.add_argument("--b", type=float, required=True)
-    i.add_argument("--err", type=float, required=True, help="certificate target for |E2|")
+    i.add_argument("--err", type=float, required=True, help="certificate target for |E2|, positive and finite")
     i.add_argument("--q", type=float, default=1.0)
     i.add_argument("--pretty", action="store_true")
     i.set_defaults(run=cmd_integrate)

@@ -1,10 +1,12 @@
-"""Intervals, the widened-interval construction, tolerance policy, and bound reports.
+"""Intervals, the widened-interval construction, tolerance policy, bound reports, guards.
 
 Every inequality audited by this package is hypothesized on the widened
 interval ``[(3a-b)/2, (3b-a)/2]`` built from a base interval ``[a, b]``.  This
 module owns that construction, the tolerance configuration shared by all
 numeric routines, and the comparison policy used to call a floating-point
-inequality "satisfied".
+inequality "satisfied".  Every hypothesis check lives here too, so a failure
+raises the same error from every module: the convexity guard, 1 <= q < inf,
+``0 < a < b`` and a widened interval inside (0, inf).
 """
 
 from __future__ import annotations
@@ -220,3 +222,44 @@ def sample_convexity(
         {"lo": lo, "hi": hi, "pairs": n, "worst_at": worst_at},
         cfg=cfg,
     )
+
+
+def require_convex(
+    fn: Callable[[float], float], region: AnyInterval, pairs: int, cfg: ToleranceConfig, what: str
+) -> None:
+    """The convexity guard: PreconditionError naming ``what``, the span and the worst
+    gap unless ``fn`` passes :func:`sample_convexity` at ``pairs`` pairs (seed 0);
+    a domain hole raises the probe's DomainError."""
+    report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
+    if not report.satisfied:
+        raise PreconditionError(
+            f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
+            f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})"
+        )
+
+
+def derivative_power(f, order: int, q: float) -> Callable[[float], float]:
+    """x -> |f^(order)(x)|^q for a parsed expression f: the function whose
+    convexity the derivative bounds assume."""
+    jet = f.compiled(order)
+    return lambda x: abs(jet(x)[order]) ** q
+
+
+def require_exponent(q: float) -> None:
+    """The power-mean/Hoelder exponent of every derivative bound: 1 <= q < inf (NaN fails)."""
+    if not 1.0 <= q < math.inf:
+        raise PreconditionError(f"exponent must satisfy 1 <= q < inf, got q = {q!r}")
+
+
+def require_positive_pair(a: float, b: float) -> None:
+    """Positive endpoints in order: 0 < a < b."""
+    if not 0.0 < a < b:
+        raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
+
+
+def require_positive_widening(a: float, b: float) -> None:
+    """The widened interval [(3a-b)/2, (3b-a)/2] inside (0, inf), i.e. 3a - b > 0."""
+    if not 3.0 * a - b > 0.0:
+        raise PreconditionError(
+            f"extended interval leaves (0, inf): 3a - b = {3.0 * a - b!r} must be positive"
+        )

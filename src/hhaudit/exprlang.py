@@ -295,6 +295,12 @@ def to_text(e: Expr) -> str:
     raise TypeError(f"not an Expr node: {type(e).__name__}")
 
 
+def fn_label(f) -> str:
+    """How reports name a function: the canonical text of a parsed expression,
+    the ``__name__`` of a plain callable."""
+    return to_text(f) if isinstance(f, Expr) else getattr(f, "__name__", "<callable>")
+
+
 @dataclass(frozen=True)
 class Jet3:
     """Value and first three derivatives of a function at a point."""
@@ -324,9 +330,6 @@ class Jet3:
             + 3.0 * self.v1 * other.v2
             + self.v0 * other.v3,
         )
-
-    def scaled(self, c: float) -> "Jet3":
-        return Jet3(c * self.v0, c * self.v1, c * self.v2, c * self.v3)
 
     def __iter__(self):
         return iter((self.v0, self.v1, self.v2, self.v3))
@@ -468,8 +471,3 @@ def eval_jet(e: Expr, x: float) -> Jet3:
     point whenever the evaluation leaves a function's domain.
     """
     return Jet3(*e.compiled(3)(x))
-
-
-def evaluate(e: Expr, x: float) -> float:
-    """Plain value of ``e`` at ``x`` (the jet's zeroth component)."""
-    return e(x)

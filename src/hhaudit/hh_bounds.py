@@ -13,11 +13,12 @@ Checks implemented here, each as an explicit (lhs, rhs) pair:
   two uniform-bound remark forms.
 
 All integral left-hand sides come from :mod:`hhaudit.oracle`; right-hand
-sides are closed-form evaluations.  Every bound operation first guards the
-convexity/domain hypotheses on the widened interval and fails loudly rather
-than silently evaluating outside a function's domain.  :class:`Instance`
-holds one function on one interval and computes each guard, the mean
-integral and the shared bounds once for all the checks run on it.
+sides are closed-form evaluations.  Every bound operation first checks its
+hypotheses on the widened interval with the guards of :mod:`hhaudit.core`
+(convexity sampled at 32 pairs; 1 <= q < inf) and fails loudly rather than
+silently evaluating outside a function's domain.  :class:`Instance` holds one
+function on one interval and computes each guard, the mean integral and the
+shared bounds once for all the checks run on it.
 """
 
 from __future__ import annotations
@@ -36,17 +37,18 @@ from .core import (
     PreconditionError,
     ToleranceConfig,
     conjugate_exponent,
+    derivative_power,
     extend,
     make_report,
-    sample_convexity,
+    require_convex,
+    require_exponent,
+    sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
-from .exprlang import Expr, to_text
+from .exprlang import Expr, fn_label
 from .oracle import integrate_ref
 from .special_fns import log_gamma
 
 K1 = 0.125
-
-_GUARD_PAIRS = 32
 
 LEMMA_RESIDUAL_TOL = 1e-8
 
@@ -73,25 +75,6 @@ def min_first_order_constant(q: float) -> float:
     if q == 1.0:
         return K1
     return min(K1, k2_derived_constant(q))
-
-
-def _fn_label(f) -> str:
-    return to_text(f) if isinstance(f, Expr) else getattr(f, "__name__", "<callable>")
-
-
-def _require_convex(fn, region, cfg: ToleranceConfig, what: str) -> None:
-    report = sample_convexity(fn, region, _GUARD_PAIRS, cfg=cfg, label=f"guard:{what}")
-    if not report.satisfied:
-        raise PreconditionError(
-            f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
-            f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})"
-        )
-
-
-def derivative_power(f: Expr, order: int, q: float) -> Callable[[float], float]:
-    """x -> |f^(order)(x)|^q, the function whose convexity the derivative bounds assume."""
-    jet = f.compiled(order)
-    return lambda x: abs(jet(x)[order]) ** q
 
 
 @dataclass(frozen=True)
@@ -147,7 +130,7 @@ _DERIVATIVE_TARGETS: dict[str, tuple[int, bool, Callable]] = {
     "thm7": (2, False, lambda sb: sb.rhs_k6),
     # combined corollary exactly as printed: min{K1, printed K2} times
     # (b-a) S^(1/q), where (b-a) S^(1/q) = 8 * rhs_thm2
-    "cor1": (1, True, lambda fb: min(K1, k2_printed_constant(fb.q)) * 8.0 * fb.rhs_thm2),
+    "cor1": (1, True, lambda fb: min(K1, fb.k2_printed) * 8.0 * fb.rhs_thm2),
     "cor2": (2, False, lambda sb: sb.rhs_min),
 }
 
@@ -160,23 +143,19 @@ class Instance:
     integral.  An instance computes each of those, f at the widened lo, mid
     and hi, and the first- and second-order bounds at most once.  A
     DomainError or PreconditionError is kept and raised again, as the same
-    exception, to every later check that needs that piece.
-
-    ``text`` is f as the caller wrote it.  The lemma and derivative-bound
-    reports echo it; eq1, k1 and k2 echo the canonical form of f.
+    exception, to every later check that needs that piece.  Every report
+    names f in its canonical form.
     """
 
-    def __init__(self, f, iv: Interval, q: float = 1.0, cfg: ToleranceConfig = DEFAULT_TOL,
-                 *, text: str | None = None):
+    def __init__(self, f, iv: Interval, q: float = 1.0, cfg: ToleranceConfig = DEFAULT_TOL):
         if not callable(f):
             raise TypeError(f"expected a callable or parsed expression, got {type(f).__name__}")
         self.f, self.iv, self.q, self.cfg = f, iv, q, cfg
-        self.text = text
         self._memo: dict = {}
 
-    def _inputs(self, as_written: bool) -> dict:
-        text = self.text if as_written and self.text is not None else _fn_label(self.f)
-        return {"fn": text, "a": self.iv.a, "b": self.iv.b}
+    @functools.cached_property
+    def inputs(self) -> dict:
+        return {"fn": fn_label(self.f), "a": self.iv.a, "b": self.iv.b}
 
     def _once(self, key: str, compute: Callable):
         if key not in self._memo:
@@ -195,14 +174,13 @@ class Instance:
 
     def _guard_f(self, widened: bool) -> None:
         self._once("f widened" if widened else "f",
-                   lambda: _require_convex(self.f, self.ext if widened else self.iv, self.cfg, "f"))
+                   lambda: require_convex(self.f, self.ext if widened else self.iv, 32, self.cfg, "f"))
 
     def _guard_derivative(self, order: int) -> None:
-        if self.q < 1.0:
-            raise PreconditionError(f"exponent must satisfy q >= 1, got {self.q!r}")
+        require_exponent(self.q)
         what = "|f" + "'" * order + "|^q"
-        self._once(what, lambda: _require_convex(
-            derivative_power(self.f, order, self.q), self.ext, self.cfg, f"{what} (q = {self.q!r})"))
+        self._once(what, lambda: require_convex(
+            derivative_power(self.f, order, self.q), self.ext, 32, self.cfg, f"{what} (q = {self.q!r})"))
 
     def _f_at(self, point: str) -> float:
         """f at the widened interval's "lo", "mid" or "hi"."""
@@ -218,9 +196,8 @@ class Instance:
         fn, iv, cfg = self.f, self.iv, self.cfg
         self._guard_f(widened=False)
         mean = self.mean()
-        inputs = self._inputs(as_written=False)
-        lower = make_report("eq1.lower", fn(iv.midpoint), mean, inputs, cfg)
-        upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), inputs, cfg)
+        lower = make_report("eq1.lower", fn(iv.midpoint), mean, self.inputs, cfg)
+        upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), self.inputs, cfg)
         return lower, upper
 
     def lemma_residual(self, which: str) -> float:
@@ -266,9 +243,8 @@ class Instance:
         self._guard_f(widened=True)
         mean = self.mean()
         fmid, flo, fhi = self._f_at("mid"), self._f_at("lo"), self._f_at("hi")
-        inputs = self._inputs(as_written=False)
-        lower = make_report("k1.lower", fmid, mean, inputs, self.cfg)
-        upper = make_report("k1.upper", mean, (2.0 * fmid + fhi + flo) / 4.0, inputs, self.cfg)
+        lower = make_report("k1.lower", fmid, mean, self.inputs, self.cfg)
+        upper = make_report("k1.upper", mean, (2.0 * fmid + fhi + flo) / 4.0, self.inputs, self.cfg)
         return lower, upper
 
     def abs_half(self) -> BoundReport:
@@ -281,8 +257,7 @@ class Instance:
         mean = self.mean()
         lhs = abs(mean - 0.5 * self._f_at("mid"))
         rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
-        inputs = self._inputs(as_written=False)
-        return make_report("k2", lhs, rhs, inputs, self.cfg, fragile=True)
+        return make_report("k2", lhs, rhs, self.inputs, self.cfg, fragile=True)
 
     def first_order(self) -> FirstOrderBounds:
         """|mean integral - f(mid)| against the first-derivative bounds."""
@@ -347,8 +322,7 @@ class Instance:
 
     def lemma_report(self, which: str) -> BoundReport:
         """The lemma residual against its 1e-8 contract."""
-        inputs = self._inputs(as_written=True)
-        return make_report(which, self.lemma_residual(which), LEMMA_RESIDUAL_TOL, inputs, self.cfg)
+        return make_report(which, self.lemma_residual(which), LEMMA_RESIDUAL_TOL, self.inputs, self.cfg)
 
     def derivative_report(self, target: str) -> BoundReport:
         """One of thm2-thm7, cor1 and cor2, from the shared first- or second-order bounds."""
@@ -356,8 +330,7 @@ class Instance:
         if hoelder_only and self.q <= 1.0:
             raise PreconditionError(f"{target} needs q > 1 (got q = {self.q!r})")
         bounds = self.first_order() if order == 1 else self.second_order()
-        inputs = {**self._inputs(as_written=True), "q": self.q}
-        return make_report(target, bounds.lhs, rhs(bounds), inputs, self.cfg)
+        return make_report(target, bounds.lhs, rhs(bounds), {**self.inputs, "q": self.q}, self.cfg)
 
 
 # verify's function targets, in the order `--target all` runs them

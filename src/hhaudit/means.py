@@ -16,11 +16,13 @@ from .core import (
     BoundReport,
     DEFAULT_TOL,
     DomainError,
-    PreconditionError,
     ToleranceConfig,
     extend,
     Interval,
     make_report,
+    require_exponent,
+    require_positive_pair,
+    require_positive_widening,
 )
 from .hh_bounds import min_first_order_constant
 
@@ -51,13 +53,6 @@ def generalized_log(n: int) -> MeanKind:
     return MeanKind("generalized_log", n)
 
 
-def _check_pair(a: float, b: float) -> None:
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"means need positive arguments, got ({a!r}, {b!r})")
-    if not a < b:
-        raise DomainError(f"means need a < b, got ({a!r}, {b!r})")
-
-
 def _gen_log_power(n: int, a: float, b: float) -> float:
     # L_n(a,b)^n without the 1/n root/power round trip
     return (b ** (n + 1) - a ** (n + 1)) / ((b - a) * (n + 1))
@@ -65,7 +60,7 @@ def _gen_log_power(n: int, a: float, b: float) -> float:
 
 def mean(kind: MeanKind, a: float, b: float) -> float:
     """A, G, L, or L_n of 0 < a < b."""
-    _check_pair(a, b)
+    require_positive_pair(a, b)
     if kind.family == "arithmetic":
         return 0.5 * (a + b)
     if kind.family == "geometric":
@@ -95,16 +90,12 @@ def means_proposition_check(
     key = prop.upper()
     if key not in ("P1", "P2", "P3"):
         raise ValueError(f"proposition must be P1, P2, or P3, got {prop!r}")
-    _check_pair(a, b)
-    if q < 1.0:
-        raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
+    require_positive_pair(a, b)
+    require_exponent(q)
     if key == "P1" and n in (-1, 0):
         raise DomainError(f"P1 needs integer n outside {{-1, 0}}, got {n!r}")
-    needs_positive_extension = key in ("P2", "P3") or (key == "P1" and n < 0)
-    if needs_positive_extension and 3.0 * a - b <= 0.0:
-        raise PreconditionError(
-            f"extended interval leaves (0, inf): 3a - b = {3.0 * a - b!r} must be positive"
-        )
+    if key in ("P2", "P3") or (key == "P1" and n < 0):
+        require_positive_widening(a, b)
     ext = extend(Interval(a, b))
     lo, hi = ext.lo, ext.hi
     A = 0.5 * (a + b)

@@ -1,5 +1,7 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, and an
-adaptive certified midpoint integrator built on them."""
+adaptive certified midpoint integrator built on them.  Hypotheses are checked
+by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16
+pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull."""
 
 from __future__ import annotations
 
@@ -14,19 +16,20 @@ from .core import (
     Interval,
     PreconditionError,
     ToleranceConfig,
+    derivative_power,
     extend,
     make_report,
-    sample_convexity,
+    require_convex,
+    require_exponent,
+    sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
-from .exprlang import Expr
-from .hh_bounds import _fn_label, _require_convex, derivative_power, min_first_order_constant
+from .exprlang import Expr, fn_label
+from .hh_bounds import min_first_order_constant
 from .oracle import integrate_ref
 
 # every refinement doubles the panel count, so a runtime/memory cap is needed
 # long before max_refine_depth = 40 could be reached
 _PANEL_CAP = 1 << 16
-
-_GUARD_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class QuadratureResult:
     t2: float
     e2_bound: float
     partition: Partition
-    oracle_value: float | None = None
     certified: bool = True
 
 
@@ -91,13 +93,10 @@ def midpoint_T2(f, partition: Partition) -> float:
 
 
 def _guard_panels(fn, partition: Partition, what: str, cfg: ToleranceConfig) -> None:
-    """Sample convexity of ``fn`` on each panel's widened interval; failures name the panel."""
+    """The convexity guard on each panel's widened interval; failures name the panel."""
     for i, (left, right) in enumerate(partition.panels()):
         try:
-            ext = extend(Interval(left, right))
-            report = sample_convexity(fn, ext, _GUARD_PAIRS, cfg=cfg, label=f"guard:{what} panel {i}")
-            if not report.satisfied:
-                raise PreconditionError(f"{what} is not midpoint-convex (worst gap {report.lhs!r})")
+            require_convex(fn, extend(Interval(left, right)), 16, cfg, what)
         except (DomainError, PreconditionError) as exc:
             raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
 
@@ -121,12 +120,11 @@ def midpoint_error_bound(
     (each panel's widened interval, failures name the panel index) or "none"
     (caller has already guarded a superset).
     """
-    if q < 1.0:
-        raise PreconditionError(f"exponent must satisfy q >= 1, got {q!r}")
+    require_exponent(q)
     if guard not in ("panel", "none"):
         raise ValueError(f"guard must be 'panel' or 'none', got {guard!r}")
     if guard == "panel":
-        _guard_panels(derivative_power(f, 1, q), partition, "|f'|^q", cfg)
+        _guard_panels(derivative_power(f, 1, q), partition, f"|f'|^q (q = {q!r})", cfg)
     jet1 = f.compiled(1)
     kconst = min_first_order_constant(q)
     total = 0.0
@@ -162,7 +160,7 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
         mid_sum += dx * abs(flo + fhi) / 2.0
         max_sum += dx * max(abs(flo), abs(fhi))
     inputs = {
-        "fn": _fn_label(f),
+        "fn": fn_label(f),
         "a": iv.a,
         "b": iv.b,
         "panels": partition.panel_count,
@@ -177,19 +175,19 @@ def adaptive_midpoint(
     target: float,
     q: float = 1.0,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    *,
-    with_oracle: bool = False,
 ) -> QuadratureResult:
-    """Bisect a uniform partition until the midpoint certificate fits ``target``.
+    """Bisect a uniform partition until the midpoint certificate fits ``target``
+    (positive and finite).
 
     The |f'|^q convexity guard runs once on the widened full interval, which
     contains every panel's widened interval at every refinement level.  Depth
     or panel-count exhaustion returns the best partition so far flagged
     ``certified=False``.
     """
-    if target <= 0.0:
-        raise ValueError(f"target error must be positive, got {target!r}")
-    _require_convex(derivative_power(f, 1, q), extend(iv), cfg, f"|f'|^q (q = {q!r})")
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target error must be positive and finite, got {target!r}")
+    require_exponent(q)
+    require_convex(derivative_power(f, 1, q), extend(iv), 32, cfg, f"|f'|^q (q = {q!r})")
     partition = Partition.uniform(iv, 1)
     depth = 0
     certified = False
@@ -204,7 +202,4 @@ def adaptive_midpoint(
         depth += 1
     t2 = midpoint_T2(f, partition)
     t1 = trapezoid_T1(f, partition)
-    oracle_value = None
-    if with_oracle:
-        oracle_value, _ = integrate_ref(f, iv, cfg.abs_tol, cfg=cfg)
-    return QuadratureResult(t1, t2, bound, partition, oracle_value, certified)
+    return QuadratureResult(t1, t2, bound, partition, certified)

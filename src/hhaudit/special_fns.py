@@ -20,11 +20,12 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     Interval,
-    PreconditionError,
     ToleranceConfig,
     BoundReport,
     extend,
     make_report,
+    require_positive_pair,
+    require_positive_widening,
 )
 from .oracle import _integrate_with_panels, diff_ref
 
@@ -227,8 +228,7 @@ def bessel_prop_checks(
     Also cross-checks the derivative identity
     nI_p'(x) = x nI_{p+1}(x) / (2(p+1)) at the midpoint by finite differences.
     """
-    if not 0.0 < a < b:
-        raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
+    require_positive_pair(a, b)
     if p <= -1.0:
         raise DomainError(f"series order must satisfy p > -1, got {p!r}")
     ext = extend(Interval(a, b))
@@ -278,12 +278,8 @@ def qdigamma_prop_checks(
     refinement; requires 3a > b so all evaluation points stay positive."""
     if q <= 0.0 or q == 1.0:
         raise DomainError(f"q-digamma needs q > 0 and q != 1, got q = {q!r}")
-    if not 0.0 < a < b:
-        raise DomainError(f"need 0 < a < b, got ({a!r}, {b!r})")
-    if 3.0 * a - b <= 0.0:
-        raise PreconditionError(
-            f"extended interval leaves (0, inf): 3a - b = {3.0 * a - b!r} must be positive"
-        )
+    require_positive_pair(a, b)
+    require_positive_widening(a, b)
     ext = extend(Interval(a, b))
     inputs = {"q": q, "a": a, "b": b}
 

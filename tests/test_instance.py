@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from hhaudit import cli, hh_bounds
+from hhaudit import cli, core, hh_bounds
 from hhaudit.core import DomainError, ExtendedInterval, Interval
 from hhaudit.exprlang import Expr, parse
 from hhaudit.hh_bounds import Instance, three_point_check
@@ -47,7 +47,7 @@ def calls(monkeypatch):
             return original(self)
         return counted
 
-    monkeypatch.setattr(hh_bounds, "sample_convexity", wrap_guard(hh_bounds.sample_convexity))
+    monkeypatch.setattr(core, "sample_convexity", wrap_guard(core.sample_convexity))
     monkeypatch.setattr(hh_bounds, "integrate_ref", wrap_integral(hh_bounds.integrate_ref))
     for name in ("first_order", "second_order"):
         monkeypatch.setattr(Instance, f"_{name}", wrap_bounds(name))
