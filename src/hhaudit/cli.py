@@ -1,9 +1,10 @@
 """Batch front-end: verify named inequalities over given or randomized inputs,
 run certified midpoint integration, and evaluate the special functions.
 
-``verify`` runs the function targets of each interval on one shared
-:class:`hhaudit.hh_bounds.Instance`, so each guard, the mean integral and the
-derivative bounds run once; a failed guard counts in ``guarded_out`` per target.
+``verify`` looks every target up in one table, which says whether it needs
+``--fn`` and computes exactly the reports it prints.  The function targets of an
+interval share one :class:`hhaudit.hh_bounds.Instance`, so each guard, the mean
+integral and the bounds run once; a failed guard counts in ``guarded_out`` per target.
 
 Output is a single JSON document per invocation (sorted keys, so a fixed
 command and seed produce byte-identical output); ``--pretty`` switches to a
@@ -21,7 +22,6 @@ import random
 import sys
 
 from .core import (
-    BoundReport,
     ConvergenceError,
     DomainError,
     Interval,
@@ -29,17 +29,16 @@ from .core import (
     ToleranceConfig,
     config_from_env,
     extend,
-    make_report,
 )
-from .exprlang import parse, to_text
+from .exprlang import parse
 from .hh_bounds import TARGETS, Instance
 from .means import means_proposition_check
-from .oracle import integrate_ref
-from .quadrature import Partition, adaptive_midpoint, midpoint_T2, midpoint_error_bound, prop4_check
+from .quadrature import Partition, adaptive_midpoint, prop4_check, prop5_check
 from .special_fns import (
     bessel_I,
     bessel_K,
-    bessel_prop_checks,
+    bessel_prop6,
+    bessel_prop7,
     normalized_I_series,
     q_digamma,
     q_digamma_deriv,
@@ -63,43 +62,21 @@ tallied as guarded_out.
 environment: HH_TOL overrides the absolute comparison tolerance (default 1e-12).
 """
 
-# TARGETS are the targets parameterized by --fn; "all" expands to exactly these
-_PROP_TARGETS = tuple(f"prop{i}" for i in range(1, 10))
-_TARGETS = (*TARGETS, *_PROP_TARGETS, "all")
-
-_FN_REQUIRED = set(TARGETS) | {"prop4", "prop5"}
-
-
-def _prop_checks(target, expr, iv, args, cfg) -> list[BoundReport]:
-    q = args.q
-    if target in ("prop1", "prop2", "prop3"):
-        return list(
-            means_proposition_check("P" + target[-1], iv.a, iv.b, q=q, n=args.n, cfg=cfg)
-        )
-    if target == "prop4":
-        partition = Partition.uniform(iv, args.panels)
-        return [prop4_check(expr, partition, cfg)]
-    if target == "prop5":
-        partition = Partition.uniform(iv, args.panels)
-        bound = midpoint_error_bound(expr, partition, q, cfg)
-        integral, _ = integrate_ref(expr, iv, cfg.abs_tol, cfg=cfg)
-        true_err = abs(integral - midpoint_T2(expr, partition))
-        inputs = {"fn": to_text(expr), "a": iv.a, "b": iv.b, "q": q, "panels": args.panels}
-        return [make_report("prop5", true_err, bound, inputs, cfg)]
-    if target == "prop6":
-        reports = bessel_prop_checks(args.p, iv.a, iv.b, cfg)
-        return [r for r in reports if r.label.startswith("prop6")]
-    if target == "prop7":
-        reports = [r for r in bessel_prop_checks(args.p, iv.a, iv.b, cfg) if r.label == "prop7.ii"]
-        if not reports:
-            raise PreconditionError(
-                f"prop7 needs p > 1 and 3a > b (got p = {args.p!r}, 3a - b = {3 * iv.a - iv.b!r})"
-            )
-        return reports
-    if target in ("prop8", "prop9"):
-        reports = qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)
-        return [reports[0] if target == "prop8" else reports[1]]
-    raise ValueError(f"unknown target {target!r}")
+# verify's targets: name -> (needs --fn, run(inst, iv, args, cfg) -> the reports of one
+# interval), inst being the interval's shared Instance (None without --fn); "all" runs TARGETS.
+_TARGETS: dict[str, tuple] = {
+    **{name: (True, lambda inst, iv, args, cfg, run=run: run(inst)) for name, run in TARGETS.items()},
+    **{f"prop{i}": (False, lambda inst, iv, args, cfg, prop=f"P{i}": list(
+        means_proposition_check(prop, iv.a, iv.b, q=args.q, n=args.n, cfg=cfg))) for i in (1, 2, 3)},
+    "prop4": (True, lambda inst, iv, args, cfg: [prop4_check(inst.f, Partition.uniform(iv, args.panels), cfg)]),
+    "prop5": (True, lambda inst, iv, args, cfg: [
+        prop5_check(inst.f, Partition.uniform(iv, args.panels), args.q, cfg)]),
+    "prop6": (False, lambda inst, iv, args, cfg: bessel_prop6(args.p, iv.a, iv.b, cfg)),
+    "prop7": (False, lambda inst, iv, args, cfg: [bessel_prop7(args.p, iv.a, iv.b, cfg)]),
+    # prop9's left side is built from prop8's two sides, so both come from one call
+    "prop8": (False, lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[:1]),
+    "prop9": (False, lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[1:]),
+}
 
 
 def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interval:
@@ -132,7 +109,7 @@ def cmd_verify(args, cfg: ToleranceConfig):
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     targets = list(TARGETS) if args.target == "all" else [args.target]
     expr = parse(args.fn) if args.fn is not None else None
-    if expr is None and any(t in _FN_REQUIRED for t in targets):
+    if expr is None and any(_TARGETS[t][0] for t in targets):
         raise ValueError(f"target {args.target!r} needs --fn")
     if (args.a is None) != (args.b is None):
         raise ValueError("provide both --a and --b, or omit both for random mode")
@@ -148,7 +125,7 @@ def cmd_verify(args, cfg: ToleranceConfig):
         inst = Instance(expr, iv, args.q, cfg) if expr is not None else None
         for target in targets:
             try:
-                checks = TARGETS[target](inst) if target in TARGETS else _prop_checks(target, expr, iv, args, cfg)
+                checks = _TARGETS[target][1](inst, iv, args, cfg)
             except (DomainError, PreconditionError):
                 if not tolerant and trial is None:
                     raise
@@ -272,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_GRAMMAR_HELP,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    v.add_argument("--target", required=True, choices=_TARGETS)
+    v.add_argument("--target", required=True, choices=(*_TARGETS, "all"))
     v.add_argument("--fn", help="function of x (see grammar below)")
     v.add_argument("--a", type=float, help="left endpoint (omit with --b for random mode)")
     v.add_argument("--b", type=float, help="right endpoint")

@@ -186,10 +186,9 @@ def sample_convexity(
     n: int,
     *,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
     label: str = "convexity",
 ) -> BoundReport:
-    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` seeded random pairs.
+    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` random pairs (seed 0).
 
     The five structural points (endpoints, midpoint, quarter points) are
     evaluated first so that domain holes surface as :class:`DomainError`
@@ -205,7 +204,7 @@ def sample_convexity(
     lo, hi = _span(iv)
     for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
         _probe(f, x)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst = -math.inf
     worst_at = lo
     for _ in range(n):
@@ -228,7 +227,7 @@ def require_convex(
     fn: Callable[[float], float], region: AnyInterval, pairs: int, cfg: ToleranceConfig, what: str
 ) -> None:
     """The convexity guard: PreconditionError naming ``what``, the span and the worst
-    gap unless ``fn`` passes :func:`sample_convexity` at ``pairs`` pairs (seed 0);
+    gap unless ``fn`` passes :func:`sample_convexity` at ``pairs`` pairs;
     a domain hole raises the probe's DomainError."""
     report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
     if not report.satisfied:

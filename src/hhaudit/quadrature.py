@@ -1,5 +1,5 @@
-"""Composite trapezoid/midpoint rules, the midpoint error certificates, and an
-adaptive certified midpoint integrator built on them.  Hypotheses are checked
+"""Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
+and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
 by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16
 pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull."""
 
@@ -167,6 +167,15 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
         "max_bound": max_sum,
     }
     return make_report("prop4", lhs, mid_sum, inputs, cfg, fragile=True)
+
+
+def prop5_check(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
+    """The true midpoint error |int f - T2| against :func:`midpoint_error_bound`."""
+    bound = midpoint_error_bound(f, partition, q, cfg)
+    iv = Interval(partition.points[0], partition.points[-1])
+    integral, _ = integrate_ref(f, iv, cfg.abs_tol, cfg=cfg)
+    inputs = {"fn": fn_label(f), "a": iv.a, "b": iv.b, "q": q, "panels": partition.panel_count}
+    return make_report("prop5", abs(integral - midpoint_T2(f, partition)), bound, inputs, cfg)
 
 
 def adaptive_midpoint(

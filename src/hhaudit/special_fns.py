@@ -1,5 +1,6 @@
 """Gamma/Beta helpers, modified Bessel functions, the q-digamma family, and
-the inequality reports built on them.
+the reports of prop6, prop7 (which checks its hypothesis p > 1 and 3a > b before
+evaluating anything) and prop8/prop9 built on them.
 
 The first-kind Bessel functions come from their power series with a ratio-test
 tail bound; the second-kind ones from the Laplace-type integral
@@ -11,6 +12,7 @@ series in x^2, equal to 1 at x = 0) so small arguments suffer no cancellation.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +22,7 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     Interval,
+    PreconditionError,
     ToleranceConfig,
     BoundReport,
     extend,
@@ -75,10 +78,14 @@ def _normalized_series(p: float, x: float, cfg: ToleranceConfig) -> tuple[float,
     )
 
 
+def _check_order(p: float) -> None:
+    if not p > -1.0:
+        raise DomainError(f"Bessel order must satisfy p > -1, got p = {p!r}")
+
+
 def normalized_I_series(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Normalized first-kind function as a :class:`SeriesResult`; even in x, equals 1 at x = 0."""
-    if p <= -1.0:
-        raise DomainError(f"normalized Bessel function needs p > -1, got {p!r}")
+    _check_order(p)
     value, terms, tail = _normalized_series(p, x, cfg)
     return SeriesResult(value, terms, tail)
 
@@ -89,8 +96,7 @@ def normalized_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
 
 def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Modified Bessel function of the first kind by its power series, x >= 0."""
-    if p <= -1.0:
-        raise DomainError(f"bessel_I needs p > -1, got {p!r}")
+    _check_order(p)
     if x < 0.0:
         raise DomainError(f"bessel_I needs x >= 0, got {x!r}")
     if x == 0.0:
@@ -191,11 +197,10 @@ def _power_tail_series(
 def q_digamma(q: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """q-digamma value; series branch for 0 < q < 1, reflected branch for q > 1."""
     _check_q_x(q, x)
+    lnq = math.log(q)
     if q < 1.0:
-        lnq = math.log(q)
         s, terms, tail = _power_tail_series(q, x, 0, abs(lnq), cfg)
         return SeriesResult(-math.log1p(-q) + lnq * s, terms, tail)
-    lnq = math.log(q)
     s, terms, tail = _power_tail_series(1.0 / q, x, 0, lnq, cfg)
     return SeriesResult(-math.log(q - 1.0) + lnq * (x - 0.5) - lnq * s, terms, tail)
 
@@ -207,33 +212,24 @@ def q_digamma_deriv(
     if order not in (1, 3):
         raise ValueError(f"derivative order must be 1 or 3, got {order!r}")
     _check_q_x(q, x)
+    lnq = math.log(q)
     if q < 1.0:
-        lnq = math.log(q)
         scale = abs(lnq) ** (order + 1)
         s, terms, tail = _power_tail_series(q, x, order, scale, cfg)
         return SeriesResult(scale * s, terms, tail)
-    lnq = math.log(q)
     scale = lnq ** (order + 1)
     s, terms, tail = _power_tail_series(1.0 / q, x, order, scale, cfg)
     linear = lnq if order == 1 else 0.0
     return SeriesResult(linear + scale * s, terms, tail)
 
 
-def bessel_prop_checks(
-    p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOL
-) -> list[BoundReport]:
-    """Three-point bounds for the normalized first-kind family and, when
-    p > 1 and 3a > b, the weighted second-kind ratio bound.
-
-    Also cross-checks the derivative identity
-    nI_p'(x) = x nI_{p+1}(x) / (2(p+1)) at the midpoint by finite differences.
-    """
+def bessel_prop6(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOL) -> list[BoundReport]:
+    """Three-point bounds for the normalized first-kind family (prop6.i1) and cosh
+    (prop6.i11); prop6.mm cross-checks nI_p'(x) = x nI_{p+1}(x) / (2(p+1)) at the
+    midpoint by finite differences."""
     require_positive_pair(a, b)
-    if p <= -1.0:
-        raise DomainError(f"series order must satisfy p > -1, got {p!r}")
     ext = extend(Interval(a, b))
     inputs = {"p": p, "a": a, "b": b}
-    reports: list[BoundReport] = []
 
     def nI(order: float, x: float) -> float:
         return normalized_I(order, x, cfg)
@@ -244,30 +240,50 @@ def bessel_prop_checks(
         + ext.hi * nI(p + 1.0, ext.hi)
         + (a + b) * nI(p + 1.0, ext.mid)
     ) / (8.0 * (p + 1.0))
-    reports.append(make_report("prop6.i1", lhs_i1, rhs_i1, inputs, cfg))
 
     lhs_i11 = abs(math.cosh(b) - math.cosh(a)) / (b - a)
     rhs_i11 = (math.sinh(ext.lo) + math.sinh(ext.hi) + 2.0 * math.sinh(ext.mid)) / 4.0
-    reports.append(make_report("prop6.i11", lhs_i11, rhs_i11, {"a": a, "b": b}, cfg))
 
     fd = diff_ref(lambda t: normalized_I(p, t, cfg), ext.mid, 1)
     closed = ext.mid * nI(p + 1.0, ext.mid) / (2.0 * (p + 1.0))
     rel_err = abs(fd - closed) / max(abs(fd), 1e-300)
-    reports.append(make_report("prop6.mm", rel_err, 1e-6, {**inputs, "at": ext.mid}, cfg))
+    return [
+        make_report("prop6.i1", lhs_i1, rhs_i1, inputs, cfg),
+        make_report("prop6.i11", lhs_i11, rhs_i11, {"a": a, "b": b}, cfg),
+        make_report("prop6.mm", rel_err, 1e-6, {**inputs, "at": ext.mid}, cfg),
+    ]
 
-    if p > 1.0 and 3.0 * a > b:
-        def kv(order: float, x: float) -> float:
-            return bessel_K(order, x, cfg).value
 
-        lhs_ii = abs(a**p * kv(p, b) - b**p * kv(p, a)) / ((a * b) ** p * (b - a))
-        u, v, w = a + b, 3.0 * a - b, 3.0 * b - a
-        f_top = (
-            2.0 ** (p + 1.0) * (v * w) ** p * kv(p + 1.0, ext.mid)
-            + (2.0 * u * w) ** p * kv(p + 1.0, ext.lo)
-            + (2.0 * u * v) ** p * kv(p + 1.0, ext.hi)
-        )
-        rhs_ii = f_top / (u * v * w) ** p
-        reports.append(make_report("prop7.ii", lhs_ii, rhs_ii, inputs, cfg))
+def bessel_prop7(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
+    """The weighted second-kind ratio bound (prop7.ii).  Its hypothesis, p > 1 and
+    3a > b, is checked before any Bessel function is evaluated."""
+    require_positive_pair(a, b)
+    if not p > 1.0:
+        raise PreconditionError(f"prop7 needs p > 1, got p = {p!r}")
+    require_positive_widening(a, b)
+    ext = extend(Interval(a, b))
+
+    def kv(order: float, x: float) -> float:
+        return bessel_K(order, x, cfg).value
+
+    lhs_ii = abs(a**p * kv(p, b) - b**p * kv(p, a)) / ((a * b) ** p * (b - a))
+    u, v, w = a + b, 3.0 * a - b, 3.0 * b - a
+    f_top = (
+        2.0 ** (p + 1.0) * (v * w) ** p * kv(p + 1.0, ext.mid)
+        + (2.0 * u * w) ** p * kv(p + 1.0, ext.lo)
+        + (2.0 * u * v) ** p * kv(p + 1.0, ext.hi)
+    )
+    rhs_ii = f_top / (u * v * w) ** p
+    return make_report("prop7.ii", lhs_ii, rhs_ii, {"p": p, "a": a, "b": b}, cfg)
+
+
+def bessel_prop_checks(
+    p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TOL
+) -> list[BoundReport]:
+    """The three prop6 reports and, when its hypothesis holds, the prop7 report."""
+    reports = bessel_prop6(p, a, b, cfg)
+    with contextlib.suppress(PreconditionError):
+        reports.append(bessel_prop7(p, a, b, cfg))
     return reports
 
 
@@ -276,8 +292,6 @@ def qdigamma_prop_checks(
 ) -> list[BoundReport]:
     """Three-point bound for the q-digamma slope and the second-derivative
     refinement; requires 3a > b so all evaluation points stay positive."""
-    if q <= 0.0 or q == 1.0:
-        raise DomainError(f"q-digamma needs q > 0 and q != 1, got q = {q!r}")
     require_positive_pair(a, b)
     require_positive_widening(a, b)
     ext = extend(Interval(a, b))

@@ -47,7 +47,20 @@ CASES: dict[str, list[str]] = {
                        "--panels", "16"],
     "prop5_panels16": ["verify", "--target", "prop5", "--fn", "cosh(x)", "--a", "1", "--b", "2",
                        "--q", "2", "--panels", "16"],
-    "integrate_exp": ["integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-3"],
+    **{
+        f"{target}_fixed": ["verify", "--target", target, "--a", "1", "--b", "2", *extra]
+        for target, extra in (
+            ("prop1", ["--n", "-2"]),
+            ("prop2", []),
+            ("prop3", []),
+            ("prop6", ["--p", "2"]),
+            ("prop7", ["--p", "2"]),
+            ("prop8", []),
+            ("prop9", []),
+        )
+    },
+    "prop2_random": ["verify", "--target", "prop2", "--trials", "40", "--seed", "3"],
+    "integrate_exp":["integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-3"],
     "special_besselK": ["special", "besselK", "--p", "0.5", "--x", "1"],
     "script_audit_battery": ["scripts/audit_battery.py", "--trials", "20", "--seed", "0"],
 }
