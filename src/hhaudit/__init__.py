@@ -3,11 +3,12 @@
 Library layout:
 
 * :mod:`hhaudit.core` - intervals, the widened-interval construction,
-  tolerances, bound reports, convexity sampling;
+  tolerances, truncated results (``SeriesResult``), bound reports, convexity
+  sampling;
 * :mod:`hhaudit.exprlang` - the one-variable function grammar and
   forward-mode jet evaluation (f, f', f'', f''');
-* :mod:`hhaudit.oracle` - adaptive Gauss-Kronrod reference integration and
-  finite-difference derivatives;
+* :mod:`hhaudit.oracle` - the one adaptive Gauss-Kronrod reference
+  integrator and finite-difference derivatives;
 * :mod:`hhaudit.hh_bounds` - the inequality battery (classical bound, lemma
   identities, three-point bounds, first/second-derivative constants);
 * :mod:`hhaudit.means` - special means and their proposition checks;

@@ -1,9 +1,11 @@
-"""Intervals, the widened-interval construction, tolerance policy, bound reports, guards.
+"""Intervals, the widened-interval construction, tolerance policy, truncated results,
+bound reports, guards.
 
 Every inequality audited by this package is hypothesized on the widened
 interval ``[(3a-b)/2, (3b-a)/2]`` built from a base interval ``[a, b]``.  This
 module owns that construction, the tolerance configuration shared by all
-numeric routines, and the comparison policy used to call a floating-point
+numeric routines, the :class:`SeriesResult` that every series and the reference
+integrator return, and the comparison policy used to call a floating-point
 inequality "satisfied".  Every hypothesis check lives here too, so a failure
 raises the same error from every module: the convexity guard, 1 <= q < inf,
 ``0 < a < b`` and a widened interval inside (0, inf).
@@ -52,6 +54,15 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+@dataclass(frozen=True)
+class SeriesResult:
+    """A truncated evaluation: value, terms (or panels) used, and a bound on the truncation error."""
+
+    value: float
+    terms_used: int
+    tail_bound: float
 
 
 def config_from_env() -> ToleranceConfig:

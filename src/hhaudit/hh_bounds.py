@@ -9,8 +9,7 @@ Checks implemented here, each as an explicit (lhs, rhs) pair:
   widened interval, and its half-value companion (fragile as printed);
 * the first-derivative error bounds with constants 1/8 and the Hoelder-type
   constant, including both variants of the combined-corollary constant;
-* the second-derivative error bounds with the four constants K3..K6 and the
-  two uniform-bound remark forms.
+* the second-derivative error bounds with the four constants K3..K6.
 
 All integral left-hand sides come from :mod:`hhaudit.oracle`; right-hand
 sides are closed-form evaluations.  Every bound operation first checks its
@@ -189,7 +188,7 @@ class Instance:
     def mean(self) -> float:
         """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
         iv, cfg = self.iv, self.cfg
-        return self._once("mean", lambda: integrate_ref(self.f, iv, cfg.abs_tol, cfg=cfg)[0] / iv.width)
+        return self._once("mean", lambda: integrate_ref(self.f, iv, cfg).value / iv.width)
 
     def classic(self) -> tuple[BoundReport, BoundReport]:
         """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
@@ -221,7 +220,7 @@ class Instance:
             def weighted_second(t: float) -> float:
                 return t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2]
 
-            inner, _ = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg.abs_tol, cfg=cfg)
+            inner = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg).value
             rhs = 0.5 * width * width * inner
         else:
             lhs = mean - fn(self.iv.midpoint)
@@ -230,10 +229,8 @@ class Instance:
             def deriv_at(t: float) -> float:
                 return jet1(b + (a - b) * t)[1]
 
-            left, _ = integrate_ref(lambda t: t * deriv_at(t), Interval(0.0, 0.5), cfg.abs_tol, cfg=cfg)
-            right, _ = integrate_ref(
-                lambda t: (t - 1.0) * deriv_at(t), Interval(0.5, 1.0), cfg.abs_tol, cfg=cfg
-            )
+            left = integrate_ref(lambda t: t * deriv_at(t), Interval(0.0, 0.5), cfg).value
+            right = integrate_ref(lambda t: (t - 1.0) * deriv_at(t), Interval(0.5, 1.0), cfg).value
             rhs = width * (left + right)
         return abs(lhs - rhs)
 
@@ -379,13 +376,3 @@ def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> Firs
 def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> SecondOrderBounds:
     """Evaluate |mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
     return Instance(f, iv, q, cfg).second_order()
-
-
-def uniform_bound_remarks(K: float, iv: Interval, p: float) -> tuple[float, float]:
-    """Uniform |f''| <= K forms: (K(b-a)^2/3, (K(b-a)^2/2) * gamma-ratio^(1/p))."""
-    if K < 0.0:
-        raise ValueError(f"uniform bound K must be nonnegative, got {K!r}")
-    if p <= 1.0:
-        raise ValueError(f"the second remark form needs p > 1, got {p!r}")
-    w2 = iv.width**2
-    return K * w2 / 3.0, (K * w2 / 2.0) * _gamma_ratio_power(p)

@@ -1,7 +1,10 @@
 """Reference integration and differentiation, independent of the audited rules.
 
-:func:`integrate_ref` is an adaptive Gauss-Kronrod (G7/K15) integrator used as
-the ground truth for every integral left-hand side and identity residual.  It
+:func:`integrate_ref` is the one adaptive Gauss-Kronrod (G7/K15) integrator,
+used as the ground truth for every integral left-hand side and identity
+residual and for the Laplace-type integral of ``bessel_K``.  It aims at the
+``abs_tol`` and ``rel_tol`` of the :class:`ToleranceConfig` it is given and
+returns a :class:`SeriesResult` (value, panels used, error estimate).  It
 deliberately belongs to a different rule family than the midpoint/trapezoid
 sums in :mod:`hhaudit.quadrature`, so certificate audits are never
 self-confirming.  :func:`diff_ref` supplies 5-point central finite differences
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import ConvergenceError, DEFAULT_TOL, Interval, ToleranceConfig
+from .core import ConvergenceError, DEFAULT_TOL, DomainError, Interval, SeriesResult, ToleranceConfig
 
 # 15-point Kronrod abscissae for [-1, 1] (positive half, descending) and
 # weights, with the embedded 7-point Gauss weights.  Gauss nodes are the
@@ -63,46 +66,31 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
 
 
 def integrate_ref(
-    f: Callable[[float], float],
-    iv: Interval,
-    tol: float = 1e-12,
-    *,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    rel_tol: float | None = None,
-) -> tuple[float, float]:
-    """Integrate ``f`` over ``iv`` adaptively; returns ``(value, err_est)``.
+    f: Callable[[float], float], iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL
+) -> SeriesResult:
+    """Integrate ``f`` over ``iv`` adaptively: the value, the panels used and the error estimate.
 
     Panels are bisected until the per-panel Gauss/Kronrod discrepancy fits the
-    proportional share of ``tol``; the summed estimate satisfies
-    ``err_est <= max(tol, rel_tol * |value|)``.  The relative floor (default
-    ``cfg.rel_tol``) keeps large smooth integrals from chasing an absolute
-    target below double-precision resolution.  Exceeding
-    ``cfg.max_refine_depth`` raises :class:`ConvergenceError`.
+    proportional share of ``cfg.abs_tol``; the summed estimate satisfies
+    ``tail_bound <= max(cfg.abs_tol, cfg.rel_tol * |value|)``.  The relative
+    floor keeps large smooth integrals from chasing an absolute target below
+    double-precision resolution.  A panel whose value or error is not finite
+    raises :class:`DomainError`; exceeding ``cfg.max_refine_depth`` raises
+    :class:`ConvergenceError`.
 
     Deterministic for fixed inputs.
     """
-    value, err, _ = _integrate_with_panels(f, iv, tol, cfg=cfg, rel_tol=rel_tol)
-    return value, err
-
-
-def _integrate_with_panels(
-    f: Callable[[float], float],
-    iv: Interval,
-    tol: float,
-    *,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    rel_tol: float | None = None,
-) -> tuple[float, float, int]:
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    floor = cfg.rel_tol if rel_tol is None else rel_tol
     panels = 0
 
     def recurse(a: float, b: float, budget: float, depth: int) -> tuple[float, float]:
         nonlocal panels
         panels += 1
         value, err = _gk15_panel(f, a, b)
-        if err <= budget or err <= floor * abs(value):
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise DomainError(
+                f"integrand not finite on the panel [{a!r}, {b!r}] (value {value!r}, error {err!r})"
+            )
+        if err <= budget or err <= cfg.rel_tol * abs(value):
             return value, err
         if depth >= cfg.max_refine_depth:
             raise ConvergenceError(
@@ -114,8 +102,8 @@ def _integrate_with_panels(
         right = recurse(m, b, 0.5 * budget, depth + 1)
         return left[0] + right[0], left[1] + right[1]
 
-    value, err = recurse(iv.a, iv.b, tol, 0)
-    return value, err, panels
+    value, err = recurse(iv.a, iv.b, cfg.abs_tol, 0)
+    return SeriesResult(value, panels, err)
 
 
 def diff_ref(f: Callable[[float], float], x: float, order: int) -> float:

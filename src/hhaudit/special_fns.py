@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import replace
 
 from .core import (
     ConvergenceError,
@@ -23,6 +22,7 @@ from .core import (
     DomainError,
     Interval,
     PreconditionError,
+    SeriesResult,
     ToleranceConfig,
     BoundReport,
     extend,
@@ -30,16 +30,7 @@ from .core import (
     require_positive_pair,
     require_positive_widening,
 )
-from .oracle import _integrate_with_panels, diff_ref
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """A truncated evaluation: value, terms (or panels) used, and a bound on the truncation error."""
-
-    value: float
-    terms_used: int
-    tail_bound: float
+from .oracle import diff_ref, integrate_ref
 
 
 def log_gamma(x: float) -> float:
@@ -145,16 +136,14 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
         arg = -x * math.cosh(t) + _log_cosh(p * t)
         return math.exp(arg) if arg > -745.0 else 0.0
 
-    value, err, panels = _integrate_with_panels(
-        integrand, Interval(0.0, T), half_tol, cfg=cfg, rel_tol=1e-15
-    )
-    total_bound = tail + err
+    body = integrate_ref(integrand, Interval(0.0, T), replace(cfg, abs_tol=half_tol, rel_tol=1e-15))
+    total_bound = tail + body.tail_bound
     if total_bound > cfg.abs_tol:
         raise ConvergenceError(
             f"second-kind integral error bound {total_bound!r} exceeds abs_tol "
             f"(p={p!r}, x={x!r}; the value is too large for an absolute target)"
         )
-    return SeriesResult(value, panels, total_bound)
+    return SeriesResult(body.value, body.terms_used, total_bound)
 
 
 def _check_q_x(q: float, x: float) -> None:

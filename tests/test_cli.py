@@ -52,6 +52,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--a", "0")
         assert code == 2
 
+    def test_overflowing_mean_integral_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
+        assert (code, out) == (2, "")
+        assert "not finite on the panel [1e+200, 2e+200]" in err
+
+    def test_overflowing_mean_integral_guards_out_every_target_of_all(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--target", "all", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"checked": 13, "satisfied": 0, "violated": 0, "guarded_out": 13}
+
     def test_integrate_guard_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--fn", "log(x)", "--a", "0.1", "--b", "1", "--err", "1e-4")
         assert code == 2

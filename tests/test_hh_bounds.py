@@ -16,7 +16,6 @@ from hhaudit.hh_bounds import (
     mean_integral,
     second_order_bounds,
     three_point_check,
-    uniform_bound_remarks,
 )
 from conftest import CONVEX_BATTERY, draw_interval
 
@@ -196,6 +195,11 @@ class TestSecondOrder:
         assert sb.rhs_min == min(sb.rhs_k3, sb.rhs_k4, sb.rhs_k5, sb.rhs_k6)
         assert sb.lhs <= sb.rhs_min
 
+    def test_k4_gamma_ratio_closed_form(self):
+        # |f''| = 2, (b-a)^2 = 4, p = q = 2: K4 = 2 * 4 * (sqrt(pi) G(3) / (2 G(7/2)))^(1/2) * 2
+        sb = second_order_bounds(parse("x^2"), Interval(0.0, 2.0), 2.0)
+        assert math.isclose(sb.rhs_k4, 16.0 * math.sqrt(8.0 / 15.0), rel_tol=1e-12)
+
 
 class TestBatterySweep:
     def test_tally_is_complete_and_violations_only_reported(self):
@@ -223,25 +227,6 @@ class TestBatterySweep:
         assert total == 25 * 5 * 4 * 2
         # violations of printed bounds are findings, not test failures
         assert tally["pass"] > 0
-
-
-class TestRemarks:
-    def test_first_component(self):
-        first, _ = uniform_bound_remarks(2.0, Interval(0.0, 1.0), 2.0)
-        assert abs(first - 2.0 / 3.0) <= 1e-12
-
-    def test_zero_K(self):
-        assert uniform_bound_remarks(0.0, Interval(0.0, 5.0), 3.0) == (0.0, 0.0)
-
-    def test_second_component_gamma_values(self):
-        _, second = uniform_bound_remarks(1.0, Interval(0.0, 2.0), 2.0)
-        assert math.isclose(second, 2.0 * math.sqrt(8.0 / 15.0), rel_tol=1e-12)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            uniform_bound_remarks(-1.0, Interval(0.0, 1.0), 2.0)
-        with pytest.raises(ValueError):
-            uniform_bound_remarks(1.0, Interval(0.0, 1.0), 1.0)
 
 
 def test_mean_integral_matches_closed_form():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from hhaudit.core import ConvergenceError, Interval, ToleranceConfig
+from hhaudit.core import ConvergenceError, DomainError, Interval, ToleranceConfig
 from hhaudit.exprlang import parse
-from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, diff_ref, integrate_ref
+from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK, diff_ref, integrate_ref
 
 
 def test_weights_sum_to_two():
@@ -15,18 +15,17 @@ def test_weights_sum_to_two():
 
 class TestIntegrateRef:
     def test_square(self):
-        value, err = integrate_ref(parse("x^2"), Interval(0.0, 2.0), 1e-12)
-        assert abs(value - 8.0 / 3.0) <= 1e-12
-        assert err <= 1e-12
+        res = integrate_ref(parse("x^2"), Interval(0.0, 2.0))
+        assert abs(res.value - 8.0 / 3.0) <= 1e-12
+        assert res.tail_bound <= 1e-12
 
     def test_constant_exact(self):
-        value, _ = integrate_ref(lambda x: 3.5, Interval(-1.0, 4.0), 1e-12)
-        assert value == 3.5 * 5.0
+        assert integrate_ref(lambda x: 3.5, Interval(-1.0, 4.0)).value == 3.5 * 5.0
 
     def test_exponential(self):
-        value, err = integrate_ref(parse("exp(x)"), Interval(0.0, 1.0), 1e-12)
-        assert abs(value - (math.e - 1.0)) <= 1e-12
-        assert err <= 1e-12
+        res = integrate_ref(parse("exp(x)"), Interval(0.0, 1.0))
+        assert abs(res.value - (math.e - 1.0)) <= 1e-12
+        assert res.tail_bound <= 1e-12
 
     def test_polynomials_up_to_degree_five_exact(self):
         rng = random.Random(11)
@@ -42,31 +41,48 @@ class TestIntegrateRef:
                 exact = sum(
                     c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs)
                 )
-                value, _ = integrate_ref(poly, Interval(a, b), 1e-12)
+                value = integrate_ref(poly, Interval(a, b)).value
                 assert abs(value - exact) <= 1e-13 * max(1.0, abs(exact))
 
     def test_additive_over_subdivision(self):
         f = parse("exp(x)*x^2")
         tol = 1e-12
-        whole, _ = integrate_ref(f, Interval(0.0, 2.0), tol)
-        left, _ = integrate_ref(f, Interval(0.0, 0.7), tol)
-        right, _ = integrate_ref(f, Interval(0.7, 2.0), tol)
+        whole = integrate_ref(f, Interval(0.0, 2.0)).value
+        left = integrate_ref(f, Interval(0.0, 0.7)).value
+        right = integrate_ref(f, Interval(0.7, 2.0)).value
         assert abs(whole - (left + right)) <= 2.0 * tol * max(1.0, abs(whole))
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            integrate_ref(parse("x"), Interval(0.0, 1.0), 0.0)
-
     def test_kink_exhausts_depth(self):
-        cfg = ToleranceConfig(max_refine_depth=8)
+        cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-16, max_refine_depth=8)
         with pytest.raises(ConvergenceError):
-            integrate_ref(
-                lambda x: math.sqrt(abs(x - 1.0 / 3.0)), Interval(0.0, 1.0), 1e-15, cfg=cfg, rel_tol=1e-16
-            )
+            integrate_ref(lambda x: math.sqrt(abs(x - 1.0 / 3.0)), Interval(0.0, 1.0), cfg)
 
     def test_deterministic(self):
         f = parse("cosh(x)")
-        assert integrate_ref(f, Interval(0.0, 3.0), 1e-12) == integrate_ref(f, Interval(0.0, 3.0), 1e-12)
+        assert integrate_ref(f, Interval(0.0, 3.0)) == integrate_ref(f, Interval(0.0, 3.0))
+
+    def test_honours_cfg_abs_tol(self):
+        f, iv = parse("sqrt(x)"), Interval(0.01, 4.0)
+        loose = integrate_ref(f, iv, ToleranceConfig(abs_tol=1e-6))
+        assert loose.terms_used < integrate_ref(f, iv).terms_used
+        assert loose.tail_bound <= 1e-6
+
+    def test_infinite_kronrod_node_rejected(self):
+        # a node of the K15 rule that G7 does not share: K15 is inf, G7 finite
+        node = 0.5 - 0.5 * _XGK[0]
+        with pytest.raises(DomainError, match=r"not finite on the panel \[0\.0, 1\.0\]"):
+            integrate_ref(lambda x: math.inf if x == node else 1.0, Interval(0.0, 1.0))
+
+    def test_overflowing_integrand_rejected_at_once(self):
+        calls = []
+
+        def square(x):
+            calls.append(x)
+            return x * x
+
+        with pytest.raises(DomainError, match="not finite on the panel"):
+            integrate_ref(square, Interval(1e200, 2e200))
+        assert len(calls) == 15
 
 
 class TestDiffRef:

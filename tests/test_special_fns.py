@@ -245,3 +245,10 @@ class TestQDigammaPropChecks:
 def test_series_result_fields():
     sr = SeriesResult(1.0, 3, 1e-15)
     assert (sr.value, sr.terms_used, sr.tail_bound) == (1.0, 3, 1e-15)
+
+
+def test_series_result_lives_in_core():
+    from hhaudit import core, oracle
+
+    assert SeriesResult is core.SeriesResult
+    assert isinstance(oracle.integrate_ref(lambda x: 1.0, core.Interval(0.0, 1.0)), SeriesResult)

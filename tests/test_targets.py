@@ -131,7 +131,7 @@ def test_prop5_check_is_the_true_error_against_the_certificate():
     f = parse("cosh(x)")
     partition = Partition.uniform(Interval(1.0, 2.0), 4)
     report = prop5_check(f, partition, 2.0)
-    integral, _ = integrate_ref(f, Interval(1.0, 2.0), 1e-12)
+    integral = integrate_ref(f, Interval(1.0, 2.0)).value
     assert report.label == "prop5" and report.satisfied
     assert report.lhs == abs(integral - midpoint_T2(f, partition))
     assert report.rhs == midpoint_error_bound(f, partition, 2.0)
