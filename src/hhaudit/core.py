@@ -97,26 +97,25 @@ class Interval:
 
 @dataclass(frozen=True)
 class ExtendedInterval:
-    """Widened interval [(3a-b)/2, (3b-a)/2]: same midpoint, twice the width."""
+    """Widened interval [(3a-b)/2, (3b-a)/2]: same midpoint, twice the width.
+    Build it with :func:`extend`, which checks lo < mid < hi."""
 
     lo: float
     hi: float
     mid: float
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.mid < self.hi:
-            raise ValueError(
-                f"extended interval needs lo < mid < hi, got ({self.lo!r}, {self.mid!r}, {self.hi!r})"
-            )
+
+def widen(a: float, b: float) -> tuple[float, float]:
+    """(lo, hi) = ((3a-b)/2, (3b-a)/2); ValueError unless lo < (a+b)/2 < hi in floating point."""
+    lo, hi, mid = (3.0 * a - b) / 2.0, (3.0 * b - a) / 2.0, (a + b) / 2.0
+    if not lo < mid < hi:
+        raise ValueError(f"extended interval needs lo < mid < hi, got ({lo!r}, {mid!r}, {hi!r})")
+    return lo, hi
 
 
 def extend(iv: Interval) -> ExtendedInterval:
     """Widen [a, b] to the interval on which all bound hypotheses live."""
-    return ExtendedInterval(
-        (3.0 * iv.a - iv.b) / 2.0,
-        (3.0 * iv.b - iv.a) / 2.0,
-        (iv.a + iv.b) / 2.0,
-    )
+    return ExtendedInterval(*widen(iv.a, iv.b), (iv.a + iv.b) / 2.0)
 
 
 def conjugate_exponent(q: float) -> float:

@@ -1,12 +1,16 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
 by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16
-pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull."""
+pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  The
+certificate, T1 and T2 are flat passes over ``partition.points`` that build no object
+per panel; a refinement level costs two f' evaluations per panel."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator
 
 from .core import (
@@ -22,6 +26,7 @@ from .core import (
     require_convex,
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
+    widen,
 )
 from .exprlang import Expr, fn_label
 from .hh_bounds import min_first_order_constant
@@ -39,11 +44,15 @@ class Partition:
     points: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.points) < 2:
+        pts = self.points
+        if len(pts) < 2:
             raise ValueError("partition needs at least two points")
-        for left, right in zip(self.points, self.points[1:]):
+        if math.isfinite(pts[0]) and math.isfinite(pts[-1]) and all(map(operator.lt, pts, pts[1:])):
+            return
+        for left, right in zip(pts, pts[1:]):
             if not (math.isfinite(left) and left < right):
                 raise ValueError(f"partition points must be finite and strictly increasing, got {left!r} >= {right!r}")
+        raise ValueError(f"partition points must be finite, got {pts[-1]!r} as the last point")
 
     @classmethod
     def uniform(cls, iv: Interval, m: int) -> "Partition":
@@ -61,12 +70,11 @@ class Partition:
         return zip(self.points, self.points[1:])
 
     def bisected(self) -> "Partition":
-        pts: list[float] = []
-        for left, right in self.panels():
-            pts.append(left)
-            pts.append(0.5 * (left + right))
-        pts.append(self.points[-1])
-        return Partition(tuple(pts))
+        pts = self.points
+        finer = [0.0] * (2 * len(pts) - 1)
+        finer[::2] = pts
+        finer[1::2] = [0.5 * (left + right) for left, right in self.panels()]
+        return Partition(tuple(finer))
 
 
 @dataclass(frozen=True)
@@ -80,8 +88,8 @@ class QuadratureResult:
 
 def trapezoid_T1(f, partition: Partition) -> float:
     total = 0.0
-    for left, right in partition.panels():
-        total += 0.5 * (f(left) + f(right)) * (right - left)
+    for (left, f_left), (right, f_right) in pairwise(zip(partition.points, map(f, partition.points))):
+        total += 0.5 * (f_left + f_right) * (right - left)
     return total
 
 
@@ -129,10 +137,10 @@ def midpoint_error_bound(
     kconst = min_first_order_constant(q)
     total = 0.0
     for i, (left, right) in enumerate(partition.panels()):
+        lo, hi = widen(left, right)
         try:
-            ext = extend(Interval(left, right))
-            d_lo = abs(jet1(ext.lo)[1])
-            d_hi = abs(jet1(ext.hi)[1])
+            d_lo = abs(jet1(lo)[1])
+            d_hi = abs(jet1(hi)[1])
         except DomainError as exc:
             raise DomainError(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
         total += (right - left) ** 2 * (d_lo**q + d_hi**q) ** (1.0 / q)
@@ -154,8 +162,8 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
     mid_sum = 0.0
     max_sum = 0.0
     for left, right in partition.panels():
-        ext = extend(Interval(left, right))
-        flo, fhi = f(ext.lo), f(ext.hi)
+        lo, hi = widen(left, right)
+        flo, fhi = f(lo), f(hi)
         dx = right - left
         mid_sum += dx * abs(flo + fhi) / 2.0
         max_sum += dx * max(abs(flo), abs(fhi))
@@ -188,27 +196,30 @@ def adaptive_midpoint(
     """Bisect a uniform partition until the midpoint certificate fits ``target``
     (positive and finite).
 
-    The |f'|^q convexity guard runs once on the widened full interval, which
-    contains every panel's widened interval at every refinement level.  Depth
-    or panel-count exhaustion returns the best partition so far flagged
-    ``certified=False``.
+    Each level costs one pass of two f' evaluations per panel; T1 and T2 then
+    cost 2N + 1 evaluations of f on the final N panels.  The |f'|^q convexity
+    guard runs once on the widened full interval, which contains every panel's
+    widened interval at every refinement level.  Depth or panel-count
+    exhaustion, or a next level below float resolution, returns the last
+    partition flagged ``certified=False``.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
     require_exponent(q)
     require_convex(derivative_power(f, 1, q), extend(iv), 32, cfg, f"|f'|^q (q = {q!r})")
     partition = Partition.uniform(iv, 1)
+    bound = midpoint_error_bound(f, partition, q, cfg, guard="none")
     depth = 0
-    certified = False
-    while True:
-        bound = midpoint_error_bound(f, partition, q, cfg, guard="none")
-        if bound <= target:
-            certified = True
+    while not bound <= target and depth < cfg.max_refine_depth and 2 * partition.panel_count <= _PANEL_CAP:
+        try:
+            finer = partition.bisected()
+            finer_bound = midpoint_error_bound(f, finer, q, cfg, guard="none")
+        except DomainError:
+            raise
+        except ValueError:  # the next level is below float resolution
             break
-        if depth >= cfg.max_refine_depth or 2 * partition.panel_count > _PANEL_CAP:
-            break
-        partition = partition.bisected()
+        partition, bound = finer, finer_bound
         depth += 1
     t2 = midpoint_T2(f, partition)
     t1 = trapezoid_T1(f, partition)
-    return QuadratureResult(t1, t2, bound, partition, certified)
+    return QuadratureResult(t1, t2, bound, partition, bound <= target)

@@ -61,6 +61,9 @@ CASES: dict[str, list[str]] = {
     },
     "prop2_random": ["verify", "--target", "prop2", "--trials", "40", "--seed", "3"],
     "integrate_exp":["integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-3"],
+    "integrate_exp_panel_cap": ["integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-6"],
+    "integrate_square_q2": ["integrate", "--fn", "x^2", "--a", "1", "--b", "2", "--err", "1e-3",
+                            "--q", "2"],
     "special_besselK": ["special", "besselK", "--p", "0.5", "--x", "1"],
     "script_audit_battery": ["scripts/audit_battery.py", "--trials", "20", "--seed", "0"],
 }

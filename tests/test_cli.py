@@ -155,6 +155,14 @@ class TestIntegrate:
         doc = json.loads(out)
         assert abs(doc["t2"] - 12.5) <= 1e-12
 
+    @pytest.mark.parametrize("b, err", [("1.0000000000000004", "1e-40"), ("1.0000000000000002", "1e-300")])
+    def test_refinement_below_float_resolution_is_uncertified(self, capsys, b, err):
+        code, out, _ = run_cli(capsys, "integrate", "--fn", "x", "--a", "1", "--b", b, "--err", err)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["certified"] is False
+        assert doc["panels"] == 1
+
 
 class TestSpecial:
     def test_norm_i(self, capsys):

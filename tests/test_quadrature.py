@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from hhaudit import quadrature
 from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig
 from hhaudit.exprlang import parse
 from hhaudit.oracle import integrate_ref
@@ -30,6 +31,10 @@ class TestPartition:
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
             Partition((0.0, 0.0, 1.0))
+
+    def test_rejects_an_infinite_last_point(self):
+        with pytest.raises(ValueError, match="got inf as the last point"):
+            Partition((0.0, 1.0, math.inf))
 
 
 class TestCompositeRules:
@@ -170,3 +175,53 @@ class TestAdaptiveMidpoint:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
             adaptive_midpoint(parse("x"), Interval(0.0, 1.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("b, panels", [
+        (1.0000000000000002, 1),  # the next midpoint rounds onto an endpoint
+        (1.0000000000000004, 1),  # the next level's panels cannot be widened
+        (1.0000000000000009, 2),
+    ])
+    def test_refinement_stops_at_float_resolution(self, b, panels):
+        res = adaptive_midpoint(parse("x"), Interval(1.0, b), 1e-40, 1.0)
+        assert not res.certified
+        assert res.partition.panel_count == panels
+        assert res.e2_bound > 1e-40
+        assert res.t2 == res.t1 == midpoint_T2(parse("x"), res.partition)
+
+    def test_level_zero_that_cannot_be_widened_raises(self):
+        with pytest.raises(ValueError, match="extended interval needs lo < mid < hi"):
+            adaptive_midpoint(parse("x"), Interval(1.0000000000000002, 1.0000000000000004), 1e-40, 1.0)
+
+    @pytest.mark.parametrize("fn, b, target, cfg, panels", [
+        ("exp(x)", 2.0, 1e-3, ToleranceConfig(), 4096),
+        ("x^2", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
+        ("x^2", 1.0, 10.0, ToleranceConfig(), 1),
+    ])
+    def test_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
+        """One certificate pass per level at two f' evaluations per panel, then
+        N + 1 evaluations of f for T1 and N for T2."""
+        f = parse(fn)
+        calls = {0: 0, 1: 0}
+        for order in calls:
+            evaluator = f.compiled(order)
+
+            def counted(x, order=order, evaluator=evaluator):
+                calls[order] += 1
+                return evaluator(x)
+
+            f._evaluators[order] = counted
+        levels = []
+        bound = quadrature.midpoint_error_bound
+
+        def per_level(g, partition, *args, **kwargs):
+            levels.append((partition.panel_count, calls[1]))
+            return bound(g, partition, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "midpoint_error_bound", per_level)
+        res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
+        assert res.partition.panel_count == panels
+        assert [n for n, _ in levels] == [1 << k for k in range(panels.bit_length())]
+        guard = levels[0][1]  # the convexity guard on the widened hull runs before level 0
+        assert guard > 0
+        assert calls[1] - guard == 2 * sum(n for n, _ in levels)
+        assert calls[0] == 2 * panels + 1
