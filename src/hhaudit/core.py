@@ -13,6 +13,7 @@ raises the same error from every module: the convexity guard, 1 <= q < inf,
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -190,6 +191,12 @@ def _probe(fn: Callable[[float], float], x: float) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_pairs(n: int) -> tuple[tuple[float, float], ...]:
+    rng = random.Random(0)
+    return tuple((rng.random(), rng.random()) for _ in range(n))
+
+
 def sample_convexity(
     f: Callable[[float], float],
     iv: AnyInterval,
@@ -198,7 +205,8 @@ def sample_convexity(
     cfg: ToleranceConfig = DEFAULT_TOL,
     label: str = "convexity",
 ) -> BoundReport:
-    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` random pairs (seed 0).
+    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` random pairs (seed 0):
+    the first 2n values u of ``Random(0).random()``, put at ``lo + (hi - lo) * u`` as ``uniform`` does.
 
     The five structural points (endpoints, midpoint, quarter points) are
     evaluated first so that domain holes surface as :class:`DomainError`
@@ -214,12 +222,11 @@ def sample_convexity(
     lo, hi = _span(iv)
     for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
         _probe(f, x)
-    rng = random.Random(0)
     worst = -math.inf
     worst_at = lo
-    for _ in range(n):
-        x = rng.uniform(lo, hi)
-        y = rng.uniform(lo, hi)
+    for u, v in _unit_pairs(n):
+        x = lo + (hi - lo) * u
+        y = lo + (hi - lo) * v
         mid = 0.5 * (x + y)
         gap = _probe(f, mid) - 0.5 * (_probe(f, x) + _probe(f, y))
         if gap > worst:

@@ -13,8 +13,8 @@ right-associative and binds tighter than unary minus.  Implicit
 multiplication ("2x") is not recognized.
 
 Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., ch. 13), compiled once per tree and order: :meth:`Expr.compiled` emits
-straight-line Python for f, f', ..., f^(k) on first use.  ``f(x)`` runs the value
+2nd ed., ch. 13), compiled once per process per distinct tree and order: :meth:`Expr.compiled`
+emits straight-line Python for f, f', ..., f^(k) on first use.  ``f(x)`` runs the value
 variant and the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet`
 computes f'''.  Truncation drops operations but changes none, so it is bit-exact.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -50,20 +51,33 @@ class Expr:
         """The evaluator of f and its first ``order`` derivatives (0 <= order <= 3).
 
         Order 0 returns f(x); order k >= 1 returns the tuple (f(x), ..., f^(k)(x)).
-        Each order is compiled on first use and kept on this node, outside its
-        equality and hash.
+        Each order is kept on this node, outside its equality and hash, and in a
+        process cache of the last 64 evaluators keyed by the node's ``repr``, which
+        unlike ``==``, ``hash`` and :func:`to_text` tells ``Const(-0.0)`` from ``Const(0.0)``.
         """
         try:
             return self._evaluators[order]
         except (AttributeError, KeyError):
             if order not in (0, 1, 2, 3):
                 raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}") from None
-        fn = self.__dict__.setdefault("_evaluators", {})[order] = _compile(self, order)
-        return fn
+        if "_evaluators" not in vars(self):
+            self.__dict__.update(_evaluators={}, _repr=repr(self))
+        key = (self._repr, order)
+        fn = _CACHE.get(key)
+        if fn is None:
+            fn = _CACHE[key] = _compile(self, order)
+            if len(_CACHE) > _CACHE_SIZE:
+                _CACHE.popitem(last=False)
+        return self._evaluators.setdefault(order, fn)
 
     def __getstate__(self) -> dict[str, Any]:
-        # compiled functions cannot be pickled; an unpickled node compiles again on use
-        return {k: v for k, v in vars(self).items() if k != "_evaluators"}
+        # compiled functions cannot be pickled; an unpickled node fetches them again on use
+        return {k: v for k, v in vars(self).items() if k not in ("_evaluators", "_repr")}
+
+
+def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
+    """A parsed expression's compiled value variant, resolved once; any other callable as it is."""
+    return f.compiled(0) if isinstance(f, Expr) else f
 
 
 @dataclass(frozen=True)
@@ -368,6 +382,8 @@ _CUT = _Src("<cut>")
 # every name generated code reads: constants are float reprs, so inf and nan too
 _GLOBALS: dict[str, Any] = {"DomainError": DomainError, "inf": math.inf, "nan": math.nan,
                             **{name: getattr(math, name) for name in ("exp", "log", "sqrt", "sinh", "cosh")}}
+_CACHE: OrderedDict[tuple[str, int], Callable[[float], Any]] = OrderedDict()
+_CACHE_SIZE = 64
 
 
 class _Emitter:

@@ -43,7 +43,7 @@ from .core import (
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
-from .exprlang import Expr, fn_label
+from .exprlang import Expr, evaluator, fn_label
 from .oracle import integrate_ref
 from .special_fns import log_gamma
 
@@ -173,7 +173,7 @@ class Instance:
 
     def _guard_f(self, widened: bool) -> None:
         self._once("f widened" if widened else "f",
-                   lambda: require_convex(self.f, self.ext if widened else self.iv, 32, self.cfg, "f"))
+                   lambda: require_convex(evaluator(self.f), self.ext if widened else self.iv, 32, self.cfg, "f"))
 
     def _guard_derivative(self, order: int) -> None:
         require_exponent(self.q)

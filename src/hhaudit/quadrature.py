@@ -28,7 +28,7 @@ from .core import (
     sample_convexity,  # unused here; hhbench's self-tests read this binding
     widen,
 )
-from .exprlang import Expr, fn_label
+from .exprlang import Expr, evaluator, fn_label
 from .hh_bounds import min_first_order_constant
 from .oracle import integrate_ref
 
@@ -88,12 +88,13 @@ class QuadratureResult:
 
 def trapezoid_T1(f, partition: Partition) -> float:
     total = 0.0
-    for (left, f_left), (right, f_right) in pairwise(zip(partition.points, map(f, partition.points))):
+    for (left, f_left), (right, f_right) in pairwise(zip(partition.points, map(evaluator(f), partition.points))):
         total += 0.5 * (f_left + f_right) * (right - left)
     return total
 
 
 def midpoint_T2(f, partition: Partition) -> float:
+    f = evaluator(f)
     total = 0.0
     for left, right in partition.panels():
         total += f(0.5 * (left + right)) * (right - left)
@@ -154,7 +155,8 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
     """
     if not callable(f):
         raise TypeError("f must be callable")
-    _guard_panels(f, partition, "f", cfg)
+    fx = evaluator(f)
+    _guard_panels(fx, partition, "f", cfg)
     iv = Interval(partition.points[0], partition.points[-1])
     integral = integrate_ref(f, iv, cfg).value
     t2 = midpoint_T2(f, partition)
@@ -163,7 +165,7 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
     max_sum = 0.0
     for left, right in partition.panels():
         lo, hi = widen(left, right)
-        flo, fhi = f(lo), f(hi)
+        flo, fhi = fx(lo), fx(hi)
         dx = right - left
         mid_sum += dx * abs(flo + fhi) / 2.0
         max_sum += dx * max(abs(flo), abs(fhi))

@@ -227,3 +227,22 @@ def test_repeated_calls_in_one_process_match_separate_processes(capsys):
         alone = subprocess.run([sys.executable, "-m", "hhaudit", *argv], capture_output=True, text=True)
         assert got == (alone.returncode, alone.stdout, alone.stderr), argv
     assert [code for code, _, _ in in_process] == [2, 0, 2, 1, 0, 0]
+
+
+def test_a_repeated_verify_call_compiles_nothing(capsys, monkeypatch):
+    # every evaluator of a function already seen in this process comes from the cache
+    from hhaudit import exprlang
+
+    sources = []
+
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
+    exprlang._CACHE.clear()
+    argv = ("verify", "--target", "all", "--fn", "exp(x)+x^4", "--trials", "3", "--seed", "5", "--q", "2")
+    first = run_cli(capsys, *argv)
+    assert len(sources) == 3  # f, (f, f') and (f, f', f'')
+    assert run_cli(capsys, *argv) == first
+    assert len(sources) == 3

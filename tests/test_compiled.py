@@ -1,8 +1,14 @@
-"""The compiled evaluators against the recursive jet interpreter in ``jet_oracle``."""
+"""The compiled evaluators against the recursive jet interpreter in ``jet_oracle``,
+and the process cache that serves them to equal trees."""
 
+import dataclasses
+import gc
 import math
 import pickle
 import struct
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +120,7 @@ def test_parse_compiles_nothing_and_evaluation_compiles_each_order_once(monkeypa
         return compile(source, *args)
 
     monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
+    exprlang._CACHE.clear()
     text = "x^(1/3) + exp(x)^2^0.5 - sqrt(x)^-(2*3)"
     e = parse(text)
     assert sources == []
@@ -122,6 +129,10 @@ def test_parse_compiles_nothing_and_evaluation_compiles_each_order_once(monkeypa
     assert len(sources) == 1
     e.compiled(2)(2.0)
     e.compiled(2)(3.0)
+    assert len(sources) == 2
+    # the same text parsed again is served from the process cache
+    twin = parse(text)
+    assert twin(2.0) == e(2.0) and twin.compiled(2)(3.0) == e.compiled(2)(3.0)
     assert len(sources) == 2
     # the compiled functions stay outside equality, hashing and pickling
     assert e == parse(text) and hash(e) == hash(parse(text))
@@ -132,3 +143,101 @@ def test_parse_compiles_nothing_and_evaluation_compiles_each_order_once(monkeypa
 def test_compiled_rejects_orders_above_three():
     with pytest.raises(ValueError, match="order"):
         parse("x").compiled(4)
+
+
+def _rebuilt(e):
+    """A new tree equal to ``e`` that shares no node with it."""
+    fields = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
+    return type(e)(**{k: _rebuilt(v) if isinstance(v, exprlang.Expr) else v for k, v in fields.items()})
+
+
+def _outcome(fn, x):
+    try:
+        value = fn(x)
+    except (DomainError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return _bits(value if isinstance(value, tuple) else (value,))
+
+
+def _assert_served_like_uncached(tree, points):
+    for order in range(4):
+        served, uncached = tree.compiled(order), exprlang._compile(tree, order)
+        for x in points:
+            assert _outcome(served, x) == _outcome(uncached, x), (tree, order, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_EXPRS, x=_POINTS)
+def test_an_equal_tree_is_served_the_cached_evaluator_bitwise(e, x):
+    # strategies may hand out a node that compiled long ago and was evicted since,
+    # so the warm-up runs on a copy
+    warm = [_rebuilt(e).compiled(order) for order in range(4)]
+    fresh = _rebuilt(e)
+    assert fresh == e and fresh is not e
+    assert [fresh.compiled(order) for order in range(4)] == warm
+    _assert_served_like_uncached(fresh, [x, 1.0, -0.0])
+
+
+@pytest.mark.parametrize("tree, twin", [
+    (Const(-0.0), Const(0.0)),
+    (Pow(Var(), -0.0), Pow(Var(), 0.0)),
+    (BinOp("*", Var(), Const(-0.0)), BinOp("*", Var(), Const(0.0))),
+    (Neg(Neg(Const(-0.0))), Neg(Neg(Const(0.0)))),
+])
+def test_the_sign_of_a_zero_constant_keys_its_own_evaluator(tree, twin):
+    # equal and hashed alike, yet they compute zeros of opposite sign
+    assert tree == twin and hash(tree) == hash(twin)
+    for order in range(4):
+        twin.compiled(order)
+        assert tree.compiled(order) is not twin.compiled(order)
+    _assert_served_like_uncached(tree, [2.0, -2.0, 0.0, -0.0, math.inf])
+    _assert_served_like_uncached(twin, [2.0, -2.0, 0.0, -0.0, math.inf])
+    assert _bits([Const(-0.0)(1.0)]) == _bits([-0.0])
+
+
+def test_nan_constants_share_one_evaluator():
+    first, second = Const(float("nan")), Const(float("nan"))
+    assert first.compiled(1) is second.compiled(1)
+    _assert_served_like_uncached(second, [0.0, 1.0])
+    assert math.isnan(second(1.0))
+
+
+def test_the_cache_stays_at_its_cap_and_holds_no_tree():
+    exprlang._CACHE.clear()
+    trees = [parse(f"x^2 + {k}") for k in range(exprlang._CACHE_SIZE + 10)]
+    refs = [weakref.ref(tree) for tree in trees]
+    for tree in trees:
+        tree(1.0)
+    assert len(exprlang._CACHE) == exprlang._CACHE_SIZE
+    # the oldest were evicted, the newest are kept
+    assert (trees[0]._repr, 0) not in exprlang._CACHE
+    assert (trees[-1]._repr, 0) in exprlang._CACHE
+    del trees, tree
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_threads_compiling_distinct_functions_keep_the_cache_whole():
+    # more threads than cores, switching often: eviction must neither raise nor lose its cap
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(60):
+                assert parse(f"x^2 + {k}.{i}")(2.0) == 4.0 + float(f"{k}.{i}")
+        except Exception as exc:  # reported through the list below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(exprlang._CACHE) == exprlang._CACHE_SIZE
