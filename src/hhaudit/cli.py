@@ -9,8 +9,9 @@ integral and the bounds run once; a failed guard counts in ``guarded_out`` per t
 Output is a single JSON document per invocation (sorted keys, so a fixed
 command and seed produce byte-identical output); ``--pretty`` switches to a
 human-readable table.  Exit codes: 0 when no inequality violation was found,
-1 when at least one violation finding was recorded, 2 on usage, domain or
-parameter errors.
+1 when at least one violation finding was recorded, 2 on usage, parse, domain or
+parameter errors, reported as one ``error:`` line.  :func:`main` catches them
+all: an uncaught exception would exit 1 with a traceback, the code of a finding.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .core import (
     Interval,
     PreconditionError,
     ToleranceConfig,
+    _probe,
     config_from_env,
     extend,
 )
-from .exprlang import parse
+from .exprlang import MAX_DEPTH, parse
 from .hh_bounds import TARGETS, Instance
 from .means import means_proposition_check
 from .quadrature import Partition, adaptive_midpoint, prop4_check, prop5_check
@@ -45,7 +47,7 @@ from .special_fns import (
     qdigamma_prop_checks,
 )
 
-_GRAMMAR_HELP = """\
+_GRAMMAR_HELP = f"""\
 function grammar (--fn):
   expr   := term (('+' | '-') term)*
   term   := unary (('*' | '/') unary)*
@@ -53,11 +55,13 @@ function grammar (--fn):
   power  := atom ('^' unary)?        exponent must be constant (no x^x)
   atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 functions: exp log sqrt sinh cosh abs; no implicit multiplication ("2x").
+at most {MAX_DEPTH} levels deep: each enclosing pair of parentheses, call, minus
+sign, '^' and binary operator adds a level, so a sum of n terms is n deep.
 
 random mode: when --a/--b are omitted, each trial draws a ~ U(0.5, 5) and
 width ~ U(0.1, 2) from the seeded generator, redrawing until the function is
-defined on the widened interval; guard failures of individual checks are
-tallied as guarded_out.
+defined, without overflow or NaN, on the widened interval; guard failures of
+individual checks are tallied as guarded_out.
 
 environment: HH_TOL overrides the absolute comparison tolerance (default 1e-12).
 """
@@ -88,7 +92,7 @@ def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interva
         ext = extend(iv)
         try:
             for x in (ext.lo, iv.a, ext.mid, iv.b, ext.hi):
-                expr(x)
+                _probe(expr, x)  # overflow and NaN redraw like a domain hole
         except DomainError:
             continue
         return iv

@@ -10,13 +10,16 @@ Grammar (this is also the CLI's function-input format)::
 
 Functions: ``exp``, ``log``, ``sqrt``, ``sinh``, ``cosh``, ``abs``.  ``^`` is
 right-associative and binds tighter than unary minus.  Implicit
-multiplication ("2x") is not recognized.
+multiplication ("2x") is not recognized.  Text nested deeper than
+:data:`MAX_DEPTH` levels is a :class:`ParseError`.
 
 Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 13), compiled once per process per distinct tree and order: :meth:`Expr.compiled`
 emits straight-line Python for f, f', ..., f^(k) on first use.  ``f(x)`` runs the value
 variant and the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet`
 computes f'''.  Truncation drops operations but changes none, so it is bit-exact.
+A numeric exponent is kept as it is; a computed one, such as ``1/3``, is folded
+to its compiled value at 0, which is the only compiling that parsing does.
 """
 
 from __future__ import annotations
@@ -39,10 +42,8 @@ class ParseError(ValueError):
 
 
 class Expr:
-    """Base class for AST nodes.  Nodes are callable as plain float functions.
-
-    Each node type computes its jet through an :class:`_Emitter` in ``_emit``.
-    """
+    """Base class for AST nodes, callable as plain float functions; each node type
+    emits its jet through an :class:`_Emitter` in ``_emit``."""
 
     def __call__(self, x: float) -> float:
         return self.compiled(0)(x)
@@ -153,8 +154,8 @@ class Call(Expr):
         if name in ("log", "sqrt"):
             out.check(v <= 0.0, f"{name} of nonpositive argument at x = %r (arg = %r)", out.x, v)
             if name == "log":
-                return out.compose([out.call("log", v), 1.0 / v, -1.0 / v**2, 2.0 / v**3], g)
-            s = out.let(out.call("sqrt", v))
+                return out.compose([_Src(f"log({v})"), 1.0 / v, -1.0 / v**2, 2.0 / v**3], g)
+            s = out.let(_Src(f"sqrt({v})"))
             return out.compose([s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)], g)
         if name == "abs":
             out.check(v == 0.0, "abs is not differentiable at 0 (x = %r)", out.x)
@@ -195,83 +196,93 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The deepest text the parser accepts: each pair of parentheses, call, minus sign, '^' and binary
+# operator around a token is a level.  At the default recursion limit, CPython 3.10 and 3.11 fail near
+# 195 levels in parse, 198 in == and hash, 330 in repr and compiled(3); 100 leaves half the stack.
+MAX_DEPTH = 100
+
+
 def _contains_var(e: Expr) -> bool:
     return isinstance(e, Var) or any(isinstance(c, Expr) and _contains_var(c) for c in vars(e).values())
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each method returns a node and the nesting
+    depth of its text, so that a tree too deep to evaluate is a :class:`ParseError`."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # unary() calls in progress, each a level of the depth
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def take(self, ops: str) -> _Token | None:
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
 
     def expect_op(self, op: str) -> None:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
+        if not self.take(op):
             raise ParseError(f"expected {op!r}, found {tok.text!r}" if tok.kind != "end" else f"expected {op!r}, found end of input", tok.offset)
-        self.advance()
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+    def within(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
+        return depth
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+    def expr(self, ops: str = "+-") -> tuple[Expr, int]:
+        """A sum of terms, or with ``ops`` "*/" a term: a product of unaries."""
+        node, depth = self.expr("*/") if ops == "+-" else self.unary()
+        while tok := self.take(ops):
+            right, right_depth = self.expr("*/") if ops == "+-" else self.unary()
+            node, depth = BinOp(tok.text, node, right), self.within(1 + max(depth, right_depth), tok)
+        return node, depth
 
-    def unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self) -> tuple[Expr, int]:
+        # every cycle of the recursion passes through here, so this bounds the parser's own stack
+        self.nesting = self.within(self.nesting + 1, self.peek())
+        minus = self.take("-")
+        node, depth = self.unary() if minus else self.power()
+        self.nesting -= 1
+        return (Neg(node), self.within(depth + 1, minus)) if minus else (node, depth)
 
-    def power(self) -> Expr:
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.advance()
-            exponent = self.unary()
+    def power(self) -> tuple[Expr, int]:
+        node, depth = self.atom()
+        if caret := self.take("^"):
+            exponent, exponent_depth = self.unary()
             if _contains_var(exponent):
                 raise ParseError("exponent must be constant (no x in exponent)", caret.offset)
             try:
-                value = exponent._emit(_Emitter(3, 0.0)).v0
-            except DomainError as exc:
+                value = exponent.value if isinstance(exponent, Const) else exponent.compiled(0)(0.0)
+            except (DomainError, OverflowError) as exc:
                 raise ParseError(f"invalid constant exponent: {exc}", caret.offset) from None
-            node = Pow(node, value)
-        return node
+            node, depth = Pow(node, value), self.within(1 + max(depth, exponent_depth), caret)
+        return node, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
+            self.pos += 1
+            return Const(float(tok.text)), 1
         if tok.kind == "name":
-            self.advance()
+            self.pos += 1
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), self.within(depth + 1, tok)
             raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
+        if self.take("("):
+            node, depth = self.expr()
             self.expect_op(")")
-            return node
+            return node, self.within(depth + 1, tok)
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.offset)
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
@@ -282,18 +293,21 @@ def parse(text: str) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(text)
-    tree = parser.expr()
+    tree, _ = parser.expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.offset)
     return tree
 
 
+def _number(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
+
+
 def to_text(e: Expr) -> str:
     """Render an AST back to parseable text (fully parenthesized)."""
     if isinstance(e, Const):
-        v = e.value
-        return str(int(v)) if v.is_integer() and abs(v) < 1e15 else repr(v)
+        return _number(e.value)
     if isinstance(e, Var):
         return "x"
     if isinstance(e, Neg):
@@ -301,9 +315,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, BinOp):
         return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
     if isinstance(e, Pow):
-        exp = e.exponent
-        exp_text = str(int(exp)) if float(exp).is_integer() and abs(exp) < 1e15 else repr(exp)
-        return f"({to_text(e.base)}^{exp_text})"
+        return f"({to_text(e.base)}^{_number(e.exponent)})"
     if isinstance(e, Call):
         return f"{e.name}({to_text(e.arg)})"
     raise TypeError(f"not an Expr node: {type(e).__name__}")
@@ -335,15 +347,9 @@ class Jet3:
 
     def __mul__(self, other: "Jet3") -> "Jet3":
         # Leibniz rule through third order
-        return Jet3(
-            self.v0 * other.v0,
-            self.v1 * other.v0 + self.v0 * other.v1,
-            self.v2 * other.v0 + 2.0 * self.v1 * other.v1 + self.v0 * other.v2,
-            self.v3 * other.v0
-            + 3.0 * self.v2 * other.v1
-            + 3.0 * self.v1 * other.v2
-            + self.v0 * other.v3,
-        )
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self, other
+        return Jet3(a0 * b0, a1 * b0 + a0 * b1, a2 * b0 + 2.0 * a1 * b1 + a0 * b2,
+                    a3 * b0 + 3.0 * a2 * b1 + 3.0 * a1 * b2 + a0 * b3)
 
     def __iter__(self):
         return iter((self.v0, self.v1, self.v2, self.v3))
@@ -387,25 +393,20 @@ _CACHE_SIZE = 64
 
 
 class _Emitter:
-    """Runs a tree's :class:`Jet3` arithmetic on source operands or on floats.
+    """Emits a tree's :class:`Jet3` arithmetic as Python source: the statements computing
+    the coefficients up to ``order``, in the order the jet arithmetic takes, so a
+    truncated variant runs a subsequence of the full variant's float operations."""
 
-    With ``x`` a :class:`_Src` it records the statements computing the
-    coefficients up to ``order`` in the order the jet arithmetic takes, so a
-    truncated variant runs a subsequence of the full variant's float operations.
-    With ``x`` a float it computes the jet, which is how the parser folds a
-    constant exponent without compiling anything.
-    """
-
-    def __init__(self, order: int, x: Any):
-        self.order, self.x, self.text = order, x, isinstance(x, _Src)
+    def __init__(self, order: int):
+        self.order, self.x = order, _Src("x")
         self.lines: list[str] = []
 
-    def lit(self, c: float) -> Any:
-        return _Src(_operand(c, 0)) if self.text else c
+    def lit(self, c: float) -> _Src:
+        return _Src(_operand(c, 0))
 
-    def let(self, v: Any) -> Any:
-        """Bind computed source to a new temporary; names, literals and floats pass."""
-        if not isinstance(v, _Src) or (v.prec == 9 and "(" not in v):
+    def let(self, v: _Src) -> _Src:
+        """Bind computed source to a new temporary; names and literals pass."""
+        if v.prec == 9 and "(" not in v:
             return v
         name = _Src(f"t{len(self.lines)}")
         self.lines.append(f"{name} = {v}")
@@ -413,36 +414,21 @@ class _Emitter:
 
     def jet(self, j: Jet3) -> Jet3:
         """Bind the coefficients of ``j`` up to ``order``, lowest first, and cut the rest."""
-        if not self.text:
-            return j
         return Jet3(*(self.let(v) if k <= self.order else _CUT for k, v in enumerate(j)))
 
-    def check(self, failed: Any, message: str, *args: Any) -> None:
+    def check(self, failed: _Src, message: str, *args: _Src) -> None:
         """Raise ``DomainError(message % args)`` where ``failed`` holds."""
-        if isinstance(failed, _Src):
-            args_text = ", ".join(_operand(a, 0) for a in args)
-            self.lines += [f"if {failed}:", f"    raise DomainError({message!r} % ({args_text},))"]
-        elif failed:
-            raise DomainError(message % args)
+        args_text = ", ".join(_operand(a, 0) for a in args)
+        self.lines += [f"if {failed}:", f"    raise DomainError({message!r} % ({args_text},))"]
 
-    def guarded(self, names: list[str], v: Any, message: str) -> list[Any]:
+    def guarded(self, names: list[str], v: _Src, message: str) -> list[_Src]:
         """The math functions ``names`` at ``v``; overflow raises ``DomainError(message % (x, v))``."""
-        if not self.text:
-            try:
-                return [getattr(math, name)(v) for name in names]
-            except OverflowError:
-                raise DomainError(message % (self.x, v)) from None
         temps = [_Src(f"t{len(self.lines)}_{name}") for name in names]
         self.lines += ["try:", f"    {', '.join(temps)} = {', '.join(f'{name}({v})' for name in names)}",
                        "except OverflowError:", f"    raise DomainError({message!r} % (x, {v})) from None"]
         return temps
 
-    def call(self, name: str, v: Any) -> Any:
-        return _Src(f"{name}({v})") if self.text else getattr(math, name)(v)
-
-    def pick(self, cond: Any, a: Jet3, b: Jet3) -> Jet3:
-        if not self.text:
-            return a if cond else b
+    def pick(self, cond: _Src, a: Jet3, b: Jet3) -> Jet3:
         return Jet3(*(_Src(f"{_operand(p, 2)} if {cond} else {_operand(q, 2)}", 1) for p, q in zip(a, b)))
 
     def compose(self, u: list[Any], g: Jet3) -> Jet3:
@@ -471,7 +457,7 @@ class _Emitter:
 
 
 def _compile(e: Expr, order: int) -> Callable[[float], Any]:
-    out = _Emitter(order, _Src("x"))
+    out = _Emitter(order)
     coeffs = ", ".join(list(e._emit(out))[: order + 1])
     body = "".join(f"    {line}\n" for line in out.lines)
     namespace: dict[str, Any] = {}

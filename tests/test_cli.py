@@ -62,6 +62,14 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["counts"] == {"checked": 13, "satisfied": 0, "violated": 0, "guarded_out": 13}
 
+    @pytest.mark.parametrize("fn, offset", [("(" * 200 + "x" + ")" * 200, 100), ("+".join(["x"] * 340), 199)],
+                             ids=["parentheses", "sum"])
+    def test_too_deep_fn_exits_two(self, capsys, fn, offset):
+        # nested parentheses overflowed the parser's stack, a long sum that of repr and the emitter
+        code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", fn, "--a", "1", "--b", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: expression nested deeper than 100 levels (offset {offset})\n"
+
     def test_integrate_guard_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--fn", "log(x)", "--a", "0.1", "--b", "1", "--err", "1e-4")
         assert code == 2
@@ -101,6 +109,26 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--trials", "5", "--seed", "1")
         _, out2, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--trials", "5", "--seed", "2")
         assert out1 != out2
+
+    def test_computed_exponent_with_overflowing_derivatives(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^log(1e200)", "--a", "1", "--b", "2")
+        assert code == 0
+        assert json.loads(out)["counts"]["satisfied"] == 2
+
+    def test_random_mode_redraws_where_f_overflows(self, capsys):
+        # x^600.5 overflows for x above about 3.26; such a draw used to end the run with exit 2
+        code, out, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^600.5", "--trials", "3", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"checked": 6, "satisfied": 6, "violated": 0, "guarded_out": 0}
+
+    def test_random_mode_redraws_where_f_is_nan(self, capsys):
+        # inf - inf from x >= 1.8 on: such a draw was taken, then guarded out on every target
+        code, out, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "1e308*x-1e308*x",
+                               "--trials", "3", "--seed", "1")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["counts"] == {"checked": 6, "satisfied": 6, "violated": 0, "guarded_out": 0}
+        assert all(r["inputs"]["b"] < 1.8 for r in doc["reports"])
 
     def test_trial_index_recorded(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--trials", "3", "--seed", "0")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hhaudit.core import DomainError
 from hhaudit.exprlang import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -80,6 +81,36 @@ class TestParse:
             again = parse(to_text(e))
             for x in (0.5, 1.25, 2.0):
                 assert math.isclose(e(x), again(x), rel_tol=1e-15)
+
+
+# texts nested d levels deep, and the offset at which one level more is rejected
+_DEEP = {
+    "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1), lambda d: d - 1),
+    "sum": (lambda d: "+".join(["x"] * d), lambda d: 2 * d - 3),
+    "calls": (lambda d: "sqrt(" * (d - 1) + "x" + ")" * (d - 1), lambda d: 5 * (d - 1)),
+    "minus signs": (lambda d: "-" * (d - 1) + "x", lambda d: d - 1),
+    "computed exponent": (lambda d: "x^(" + "+".join(["1"] * (d - 2)) + ")", lambda d: 1),
+    # a long sum under one more construct: only the construct's own check can fire
+    **{f"sum under {prefix}": (lambda d, prefix=prefix, levels=levels: prefix + "+".join(["x"] * (d - levels)) + ")",
+                               lambda d: 0)
+       for prefix, levels in (("(", 1), ("sqrt(", 1), ("-(", 2))},
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP)
+def test_a_text_at_the_depth_limit_evaluates(shape):
+    text, _ = _DEEP[shape]
+    e, twin = parse(text(MAX_DEPTH)), parse(text(MAX_DEPTH))
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin) and to_text(e)
+    assert all(math.isfinite(v) for v in eval_jet(e, 1.5))
+
+
+@pytest.mark.parametrize("shape", _DEEP)
+def test_a_text_one_level_deeper_is_a_parse_error(shape):
+    text, offset = _DEEP[shape]
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+        parse(text(MAX_DEPTH + 1))
+    assert exc.value.offset == offset(MAX_DEPTH + 1)
 
 
 class TestJets:
