@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=2, help="order of the generalized log mean for prop1 (default 2)")
     v.add_argument("--p", type=float, default=2.0, help="Bessel order for prop6/prop7 (default 2)")
     v.add_argument("--qbase", type=float, default=0.5, help="q of the q-digamma for prop8/prop9 (default 0.5)")
-    v.add_argument("--panels", type=int, default=1, help="uniform panels for prop4/prop5 (default 1)")
+    v.add_argument("--panels", type=int, default=1, help="uniform panels for prop4/prop5, 1 to 65536 (default 1)")
     v.add_argument("--trials", type=int, default=1, help="random intervals to draw when --a/--b omitted")
     v.add_argument("--seed", type=int, default=0, help="seed for random mode (default 0)")
     v.add_argument("--pretty", action="store_true", help="table output instead of JSON")

@@ -14,12 +14,13 @@ multiplication ("2x") is not recognized.  Text nested deeper than
 :data:`MAX_DEPTH` levels is a :class:`ParseError`.
 
 Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
-2nd ed., ch. 13), compiled once per process per distinct tree and order: :meth:`Expr.compiled`
-emits straight-line Python for f, f', ..., f^(k) on first use.  ``f(x)`` runs the value
+2nd ed., ch. 13), compiled once per process per tree shape and order: :meth:`Expr.compiled`
+emits straight-line Python for f, f', ..., f^(k) on first use, with the tree's constants
+as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value
 variant and the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet`
 computes f'''.  Truncation drops operations but changes none, so it is bit-exact.
-A numeric exponent is kept as it is; a computed one, such as ``1/3``, is folded
-to its compiled value at 0, which is the only compiling that parsing does.
+A numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``,
+is folded to its compiled value at 0, which is the only compiling that parsing does.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ class Expr:
         """The evaluator of f and its first ``order`` derivatives (0 <= order <= 3).
 
         Order 0 returns f(x); order k >= 1 returns the tuple (f(x), ..., f^(k)(x)).
-        Each order is kept on this node, outside its equality and hash, and in a
-        process cache of the last 64 evaluators keyed by the node's ``repr``, which
-        unlike ``==``, ``hash`` and :func:`to_text` tells ``Const(-0.0)`` from ``Const(0.0)``.
+        Each order is kept on this node, outside its equality and hash.  A process
+        cache of the last 64 compiled factories is keyed by the node's shape: its
+        :func:`to_text` with each constant a placeholder.  The factory takes the
+        constants, in the order :func:`to_text` renders them, and returns the evaluator.
         """
         try:
             return self._evaluators[order]
@@ -62,18 +64,19 @@ class Expr:
             if order not in (0, 1, 2, 3):
                 raise ValueError(f"order must be 0, 1, 2 or 3, got {order!r}") from None
         if "_evaluators" not in vars(self):
-            self.__dict__.update(_evaluators={}, _repr=repr(self))
-        key = (self._repr, order)
-        fn = _CACHE.get(key)
-        if fn is None:
-            fn = _CACHE[key] = _compile(self, order)
+            consts: list[float] = []
+            self.__dict__.update(_evaluators={}, _consts=consts, _shape=to_text(self, lambda v: consts.append(v) or "c"))
+        key = (self._shape, order)
+        make = _CACHE.get(key)
+        if make is None:
+            make = _CACHE[key] = _compile(self, order)
             if len(_CACHE) > _CACHE_SIZE:
                 _CACHE.popitem(last=False)
-        return self._evaluators.setdefault(order, fn)
+        return self._evaluators.setdefault(order, make(*self._consts))
 
     def __getstate__(self) -> dict[str, Any]:
         # compiled functions cannot be pickled; an unpickled node fetches them again on use
-        return {k: v for k, v in vars(self).items() if k not in ("_evaluators", "_repr")}
+        return {k: v for k, v in vars(self).items() if k not in ("_evaluators", "_consts", "_shape")}
 
 
 def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -86,7 +89,7 @@ class Const(Expr):
     value: float
 
     def _emit(self, out: _Emitter) -> Jet3:
-        return out.jet(Jet3(*map(out.lit, (self.value, 0.0, 0.0, 0.0))))
+        return out.jet(Jet3(out.const(), *map(out.lit, (0.0, 0.0, 0.0))))
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,9 @@ class _Parser:
             if _contains_var(exponent):
                 raise ParseError("exponent must be constant (no x in exponent)", caret.offset)
             try:
-                value = exponent.value if isinstance(exponent, Const) else exponent.compiled(0)(0.0)
+                value = (exponent.value if isinstance(exponent, Const)
+                         else -exponent.operand.value if isinstance(exponent, Neg) and isinstance(exponent.operand, Const)
+                         else exponent.compiled(0)(0.0))
             except (DomainError, OverflowError) as exc:
                 raise ParseError(f"invalid constant exponent: {exc}", caret.offset) from None
             node, depth = Pow(node, value), self.within(1 + max(depth, exponent_depth), caret)
@@ -304,20 +309,20 @@ def _number(v: float) -> str:
     return str(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
 
 
-def to_text(e: Expr) -> str:
-    """Render an AST back to parseable text (fully parenthesized)."""
+def to_text(e: Expr, const: Callable[[float], str] = _number) -> str:
+    """Render an AST back to parseable text (fully parenthesized); ``const`` renders each constant."""
     if isinstance(e, Const):
-        return _number(e.value)
+        return const(e.value)
     if isinstance(e, Var):
         return "x"
     if isinstance(e, Neg):
-        return f"-({to_text(e.operand)})"
+        return f"-({to_text(e.operand, const)})"
     if isinstance(e, BinOp):
-        return f"({to_text(e.left)} {e.op} {to_text(e.right)})"
+        return f"({to_text(e.left, const)} {e.op} {to_text(e.right, const)})"
     if isinstance(e, Pow):
-        return f"({to_text(e.base)}^{_number(e.exponent)})"
+        return f"({to_text(e.base, const)}^{_number(e.exponent)})"
     if isinstance(e, Call):
-        return f"{e.name}({to_text(e.arg)})"
+        return f"{e.name}({to_text(e.arg, const)})"
     raise TypeError(f"not an Expr node: {type(e).__name__}")
 
 
@@ -385,10 +390,10 @@ _Src.__neg__ = lambda a: _CUT if a is _CUT else _Src(f"-{_operand(a, 6)}", 6)  #
 
 # a coefficient above the compiled order: arithmetic on it is skipped, and emitting it is a SyntaxError
 _CUT = _Src("<cut>")
-# every name generated code reads: constants are float reprs, so inf and nan too
+# every name generated code reads: literals are float reprs, so inf and nan too
 _GLOBALS: dict[str, Any] = {"DomainError": DomainError, "inf": math.inf, "nan": math.nan,
                             **{name: getattr(math, name) for name in ("exp", "log", "sqrt", "sinh", "cosh")}}
-_CACHE: OrderedDict[tuple[str, int], Callable[[float], Any]] = OrderedDict()
+_CACHE: OrderedDict[tuple[str, int], Callable[..., Callable[[float], Any]]] = OrderedDict()
 _CACHE_SIZE = 64
 
 
@@ -400,9 +405,15 @@ class _Emitter:
     def __init__(self, order: int):
         self.order, self.x = order, _Src("x")
         self.lines: list[str] = []
+        self.consts: list[str] = []
 
     def lit(self, c: float) -> _Src:
         return _Src(_operand(c, 0))
+
+    def const(self) -> _Src:
+        """The name of the tree's next constant, an argument of the factory."""
+        self.consts.append(f"c{len(self.consts)}")
+        return _Src(self.consts[-1])
 
     def let(self, v: _Src) -> _Src:
         """Bind computed source to a new temporary; names and literals pass."""
@@ -456,14 +467,16 @@ class _Emitter:
         return result
 
 
-def _compile(e: Expr, order: int) -> Callable[[float], Any]:
+def _compile(e: Expr, order: int) -> Callable[..., Callable[[float], Any]]:
+    """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator."""
     out = _Emitter(order)
     coeffs = ", ".join(list(e._emit(out))[: order + 1])
-    body = "".join(f"    {line}\n" for line in out.lines)
+    body = "".join(f"        {line}\n" for line in out.lines)
     namespace: dict[str, Any] = {}
-    # names come from fixed lists and every constant is a float repr, so the source is safe to run
-    exec(compile(f"def jet(x):\n{body}    return {coeffs}\n", "<exprlang>", "exec"), _GLOBALS, namespace)
-    return namespace["jet"]
+    # names come from fixed lists and every literal is a float repr, so the source is safe to run
+    exec(compile(f"def make({', '.join(out.consts)}):\n    def jet(x):\n{body}        return {coeffs}\n    return jet\n",
+                 "<exprlang>", "exec"), _GLOBALS, namespace)
+    return namespace["make"]
 
 
 def eval_jet(e: Expr, x: float) -> Jet3:

@@ -33,7 +33,7 @@ from .hh_bounds import min_first_order_constant
 from .oracle import integrate_ref
 
 # every refinement doubles the panel count, so a runtime/memory cap is needed
-# long before max_refine_depth = 40 could be reached
+# long before max_refine_depth = 40 could be reached; a uniform partition has the same cap
 _PANEL_CAP = 1 << 16
 
 
@@ -56,8 +56,8 @@ class Partition:
 
     @classmethod
     def uniform(cls, iv: Interval, m: int) -> "Partition":
-        if m < 1:
-            raise ValueError(f"need at least one panel, got m = {m}")
+        if not 1 <= m <= _PANEL_CAP:
+            raise ValueError(f"need 1 to {_PANEL_CAP} panels, got m = {m}")
         pts = [iv.a + iv.width * i / m for i in range(m + 1)]
         pts[0], pts[-1] = iv.a, iv.b
         return cls(tuple(pts))

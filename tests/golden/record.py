@@ -66,6 +66,7 @@ CASES: dict[str, list[str]] = {
                             "--q", "2"],
     "special_besselK": ["special", "besselK", "--p", "0.5", "--x", "1"],
     "script_audit_battery": ["scripts/audit_battery.py", "--trials", "20", "--seed", "0"],
+    "script_k2_shift_scan": ["scripts/k2_shift_scan.py"],
 }
 
 

@@ -52,6 +52,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--a", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("panels", ["0", "65537", "3000000"])
+    def test_panels_outside_the_cap_exit_two(self, capsys, panels):
+        # a partition beyond integrate's 65,536-panel cap once ran for minutes
+        code, out, err = run_cli(capsys, "verify", "--target", "prop5", "--fn", "x^2", "--a", "1", "--b", "2",
+                                 "--panels", panels)
+        assert (code, out) == (2, "")
+        assert err == f"error: need 1 to 65536 panels, got m = {panels}\n"
+
     def test_overflowing_mean_integral_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
         assert (code, out) == (2, "")

@@ -1,5 +1,5 @@
 """The compiled evaluators against the recursive jet interpreter in ``jet_oracle``,
-and the process cache that serves them to equal trees."""
+and the process cache that serves their factories to trees of one shape."""
 
 import dataclasses
 import gc
@@ -9,6 +9,7 @@ import struct
 import sys
 import threading
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,9 +58,7 @@ def _bits(values):
     return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
 
 
-@settings(max_examples=400, deadline=None)
-@given(e=_EXPRS, x=_POINTS)
-def test_every_order_matches_the_interpreter_bitwise(e, x):
+def _assert_matches_interpreter(e, x):
     try:
         want = tuple(jet_oracle.eval_jet(e, x))
     except DomainError as exc:
@@ -79,6 +78,65 @@ def test_every_order_matches_the_interpreter_bitwise(e, x):
         assert _bits((got,) if order == 0 else got) == _bits(want[: order + 1])
     assert _bits([e(x)]) == _bits(want[:1])
     assert _bits(eval_jet(e, x)) == _bits(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(e=_EXPRS, x=_POINTS)
+def test_every_order_matches_the_interpreter_bitwise(e, x):
+    _assert_matches_interpreter(e, x)
+
+
+# signed zeros, nan, infinities, subnormals, extremes and negatives
+_WILD_CONSTANTS = st.one_of(
+    st.sampled_from((0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308,
+                     1e300, -1e300, 1e-300, -1e-300, -1.0, -2.5)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _count_constants(e):
+    return isinstance(e, Const) + sum(_count_constants(v) for v in vars(e).values() if isinstance(v, exprlang.Expr))
+
+
+def _compiling_into(sources):
+    """Patch ``exprlang``'s ``compile`` to record each source it compiles."""
+    def counting_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+    return mock.patch.object(exprlang, "compile", counting_compile, create=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_EXPRS, data=st.data(), xs=st.lists(_POINTS, min_size=1, max_size=3))
+def test_a_tree_of_a_compiled_shape_compiles_nothing_and_matches_the_interpreter(e, data, xs):
+    n = _count_constants(e)
+    values = iter(data.draw(st.lists(_WILD_CONSTANTS, min_size=n, max_size=n)))
+    twin = _rebuilt(e, lambda _: next(values))
+    # the warm-up runs on a copy, since the strategy's node may have been evicted long ago
+    warm = [_rebuilt(e).compiled(order) for order in range(4)]
+    with _compiling_into(served := []):
+        evaluators = [twin.compiled(order) for order in range(4)]
+    assert served == []
+    assert [fn.__code__ for fn in evaluators] == [fn.__code__ for fn in warm]
+    with _compiling_into(sources := []):
+        for tree in (e, twin):
+            for order in range(4):
+                exprlang._compile(tree, order)
+    assert sources[4:] == sources[:4]
+    for x in xs:
+        _assert_matches_interpreter(twin, x)
+
+
+def test_a_shift_sweep_compiles_one_source_per_order():
+    # scripts/k2_shift_scan.py's family: each shift is a new function of one shape
+    exprlang._CACHE.clear()
+    with _compiling_into(sources := []):
+        for i in range(200):
+            c = 8.0 * i / 199
+            f = parse(f"x^2 - {c!r}")
+            assert _bits([f(1.5)]) == _bits([2.25 - c])
+            assert _bits(f.compiled(2)(1.5)) == _bits([2.25 - c, 3.0, 2.0])
+    assert len(sources) == 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,9 +198,12 @@ def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monk
 
     monkeypatch.setattr(exprlang, "compile", counting_compile, raising=False)
     exprlang._CACHE.clear()
-    for numeric in ("x^2", "exp(x)+x^4", "x*log(x)", "1/x", "0.5*x^2+1.25*exp(0.75*x)", "(x^2.5)^3"):
+    for numeric in ("x^2", "exp(x)+x^4", "x*log(x)", "1/x", "0.5*x^2+1.25*exp(0.75*x)", "(x^2.5)^3",
+                    "x^-2", "x^-0.5"):
         parse(numeric)
     assert sources == []
+    # a negated number is folded as it is, bitwise like its compiled value
+    assert _bits([parse("x^-2").exponent, parse("x^-0").exponent]) == _bits([-2.0, -0.0])
     # 1/3, 2^0.5 and -(2*3) compile once each, at order 0
     text = "x^(1/3) + exp(x)^2^0.5 - sqrt(x)^-(2*3)"
     e = parse(text)
@@ -168,10 +229,13 @@ def test_compiled_rejects_orders_above_three():
         parse("x").compiled(4)
 
 
-def _rebuilt(e):
-    """A new tree equal to ``e`` that shares no node with it."""
+def _rebuilt(e, const=lambda v: v):
+    """A new tree equal to ``e`` that shares no node with it, or with each constant's
+    value v replaced by ``const(v)``, in rendering order."""
+    if isinstance(e, Const):
+        return Const(const(e.value))
     fields = {f.name: getattr(e, f.name) for f in dataclasses.fields(e)}
-    return type(e)(**{k: _rebuilt(v) if isinstance(v, exprlang.Expr) else v for k, v in fields.items()})
+    return type(e)(**{k: _rebuilt(v, const) if isinstance(v, exprlang.Expr) else v for k, v in fields.items()})
 
 
 def _outcome(fn, x):
@@ -184,7 +248,7 @@ def _outcome(fn, x):
 
 def _assert_served_like_uncached(tree, points):
     for order in range(4):
-        served, uncached = tree.compiled(order), exprlang._compile(tree, order)
+        served, uncached = tree.compiled(order), exprlang._compile(tree, order)(*tree._consts)
         for x in points:
             assert _outcome(served, x) == _outcome(uncached, x), (tree, order, x)
 
@@ -197,7 +261,8 @@ def test_an_equal_tree_is_served_the_cached_evaluator_bitwise(e, x):
     warm = [_rebuilt(e).compiled(order) for order in range(4)]
     fresh = _rebuilt(e)
     assert fresh == e and fresh is not e
-    assert [fresh.compiled(order) for order in range(4)] == warm
+    # each tree binds its own constants to the one compiled code of its shape
+    assert [fresh.compiled(order).__code__ for order in range(4)] == [fn.__code__ for fn in warm]
     _assert_served_like_uncached(fresh, [x, 1.0, -0.0])
 
 
@@ -208,33 +273,38 @@ def test_an_equal_tree_is_served_the_cached_evaluator_bitwise(e, x):
     (Neg(Neg(Const(-0.0))), Neg(Neg(Const(0.0)))),
 ])
 def test_the_sign_of_a_zero_constant_keys_its_own_evaluator(tree, twin):
-    # equal and hashed alike, yet they compute zeros of opposite sign
+    # equal and hashed alike, yet they compute zeros of opposite sign: they share the
+    # code of their shape, and each evaluator is bound to its own tree's constants
     assert tree == twin and hash(tree) == hash(twin)
     for order in range(4):
         twin.compiled(order)
         assert tree.compiled(order) is not twin.compiled(order)
-    _assert_served_like_uncached(tree, [2.0, -2.0, 0.0, -0.0, math.inf])
-    _assert_served_like_uncached(twin, [2.0, -2.0, 0.0, -0.0, math.inf])
+        assert tree.compiled(order).__code__ is twin.compiled(order).__code__
+    for e in (tree, twin):
+        _assert_served_like_uncached(e, [2.0, -2.0, 0.0, -0.0, math.inf])
+        for x in (2.0, -2.0, 0.0, -0.0, math.inf):
+            _assert_matches_interpreter(e, x)
     assert _bits([Const(-0.0)(1.0)]) == _bits([-0.0])
 
 
 def test_nan_constants_share_one_evaluator():
     first, second = Const(float("nan")), Const(float("nan"))
-    assert first.compiled(1) is second.compiled(1)
+    assert first.compiled(1).__code__ is second.compiled(1).__code__
     _assert_served_like_uncached(second, [0.0, 1.0])
     assert math.isnan(second(1.0))
 
 
 def test_the_cache_stays_at_its_cap_and_holds_no_tree():
     exprlang._CACHE.clear()
-    trees = [parse(f"x^2 + {k}") for k in range(exprlang._CACHE_SIZE + 10)]
+    # x^k + k has one shape per k: an exponent is part of the shape, a constant is not
+    trees = [parse(f"x^{k} + {k}") for k in range(exprlang._CACHE_SIZE + 10)]
     refs = [weakref.ref(tree) for tree in trees]
     for tree in trees:
         tree(1.0)
     assert len(exprlang._CACHE) == exprlang._CACHE_SIZE
     # the oldest were evicted, the newest are kept
-    assert (trees[0]._repr, 0) not in exprlang._CACHE
-    assert (trees[-1]._repr, 0) in exprlang._CACHE
+    assert (trees[0]._shape, 0) not in exprlang._CACHE
+    assert (trees[-1]._shape, 0) in exprlang._CACHE
     del trees, tree
     gc.collect()
     assert all(ref() is None for ref in refs)
@@ -247,7 +317,11 @@ def test_threads_compiling_distinct_functions_keep_the_cache_whole():
     def work(k):
         try:
             for i in range(60):
-                assert parse(f"x^2 + {k}.{i}")(2.0) == 4.0 + float(f"{k}.{i}")
+                # 360 shapes, one per exponent, cycle through the 64 places of the cache
+                f, n, c = parse(f"x^{60 * k + i} + {k}.{i}"), 60 * k + i, float(f"{k}.{i}")
+                # at x = 2 the shape shows (2^n absorbs c once n >= 54); at x = 1 the constant does
+                assert f(2.0) == 2.0**n + c
+                assert f(1.0) == 1.0 + c
         except Exception as exc:  # reported through the list below
             errors.append(exc)
 
