@@ -13,12 +13,11 @@ import sys
 
 from hhaudit.core import Interval
 from hhaudit.exprlang import parse
-from hhaudit.hh_bounds import abs_half_check
+from hhaudit.hh_bounds import Instance
 
 
 def margin(c: float, iv: Interval) -> float:
-    report = abs_half_check(parse(f"x^2 - {c!r}"), iv)
-    return report.margin
+    return Instance(parse(f"x^2 - {c!r}"), iv).abs_half().margin
 
 
 def main() -> int:

@@ -48,8 +48,8 @@ class ToleranceConfig:
     max_refine_depth: int = 40
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be finite and positive, got abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
         if self.max_series_terms <= 0 or self.max_refine_depth <= 0:
             raise ValueError("budget caps must be positive")
 
@@ -211,7 +211,8 @@ def sample_convexity(
     The five structural points (endpoints, midpoint, quarter points) are
     evaluated first so that domain holes surface as :class:`DomainError`
     naming the failing point rather than as spurious convexity verdicts; for
-    an extended interval the quarter points are the base endpoints a and b.
+    an extended interval the quarter points equal the base endpoints a and b
+    up to rounding.
 
     The report's ``lhs`` is the worst observed gap
     ``f((x+y)/2) - (f(x)+f(y))/2``; convexity is "satisfied" when that gap

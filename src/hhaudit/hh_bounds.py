@@ -45,7 +45,6 @@ from .core import (
 )
 from .exprlang import Expr, evaluator, fn_label
 from .oracle import integrate_ref
-from .special_fns import log_gamma
 
 K1 = 0.125
 
@@ -114,7 +113,7 @@ class SecondOrderBounds:
 
 def _gamma_ratio_power(p: float) -> float:
     """(sqrt(pi) Gamma(p+1) / (2 Gamma(p+3/2)))^(1/p)."""
-    log_ratio = 0.5 * math.log(math.pi) + log_gamma(p + 1.0) - math.log(2.0) - log_gamma(p + 1.5)
+    log_ratio = 0.5 * math.log(math.pi) + math.lgamma(p + 1.0) - math.log(2.0) - math.lgamma(p + 1.5)
     return math.exp(log_ratio / p)
 
 

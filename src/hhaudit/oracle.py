@@ -1,4 +1,4 @@
-"""Reference integration and differentiation, independent of the audited rules.
+"""Reference integration, independent of the audited rules.
 
 :func:`integrate_ref` is the one adaptive Gauss-Kronrod (G7/K15) integrator,
 used as the ground truth for every integral left-hand side and identity
@@ -7,9 +7,7 @@ residual and for the Laplace-type integral of ``bessel_K``.  It aims at the
 returns a :class:`SeriesResult` (value, panels used, error estimate).  It
 deliberately belongs to a different rule family than the midpoint/trapezoid
 sums in :mod:`hhaudit.quadrature`, so certificate audits are never
-self-confirming.  :func:`diff_ref` supplies 5-point central finite differences
-used only to cross-check jet evaluation and the closed-form derivative
-identities; it never enters a bound formula.
+self-confirming.
 """
 
 from __future__ import annotations
@@ -105,20 +103,3 @@ def integrate_ref(
     value, err = recurse(iv.a, iv.b, cfg.abs_tol, 0)
     return SeriesResult(value, panels, err)
 
-
-def diff_ref(f: Callable[[float], float], x: float, order: int) -> float:
-    """5-point central finite difference of ``f`` at ``x``, order 1 or 2.
-
-    The second-order stencil uses a wider step than the first-order one:
-    second differences lose ~eps/h^2 to cancellation, so a 1e-5 step cannot
-    deliver 1e-6 accuracy there.
-    """
-    if order == 1:
-        h = 1e-5 * max(1.0, abs(x))
-        return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
-    if order == 2:
-        h = 1e-3 * max(1.0, abs(x))
-        return (
-            -f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x) + 16.0 * f(x - h) - f(x - 2 * h)
-        ) / (12.0 * h * h)
-    raise ValueError(f"derivative order must be 1 or 2, got {order!r}")

@@ -154,7 +154,7 @@ class TestVerify:
     def test_prop6_and_prop8(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--target", "prop6", "--p", "0.5", "--a", "1", "--b", "2")
         assert code == 0
-        assert {r["label"] for r in json.loads(out)["reports"]} == {"prop6.i1", "prop6.i11", "prop6.mm"}
+        assert {r["label"] for r in json.loads(out)["reports"]} == {"prop6.i1", "prop6.i11"}
         code, out, _ = run_cli(capsys, "verify", "--target", "prop8", "--qbase", "0.5", "--a", "1", "--b", "2")
         assert code == 0
 
@@ -236,6 +236,14 @@ class TestEnvOverride:
         monkeypatch.setenv("HH_TOL", "not-a-number")
         code, _, _ = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--a", "0", "--b", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["inf", "1e309"])
+    def test_infinite_hh_tol_exits_two(self, capsys, monkeypatch, raw):
+        # an infinite slack would mark the known k2 finding satisfied
+        monkeypatch.setenv("HH_TOL", raw)
+        code, out, err = run_cli(capsys, "verify", "--target", "k2", "--fn", "x^2-5", "--a", "0", "--b", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: tolerances must be finite and positive, got abs_tol=inf, rel_tol=1e-10\n"
 
 
 def test_module_entry_point_runs():

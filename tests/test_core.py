@@ -101,7 +101,9 @@ class TestToleranceConfig:
         assert cfg.max_series_terms == 500
         assert cfg.max_refine_depth == 40
 
-    @pytest.mark.parametrize("kwargs", [{"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_series_terms": 0}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_series_terms": 0}, {"abs_tol": math.inf}]
+    )
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             ToleranceConfig(**kwargs)

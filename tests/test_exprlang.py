@@ -19,7 +19,7 @@ from hhaudit.exprlang import (
     parse,
     to_text,
 )
-from hhaudit.oracle import diff_ref
+from conftest import mp_function
 
 
 class TestParse:
@@ -170,7 +170,7 @@ class TestJets:
         assert math.isclose(j.v2, math.sinh(0.7), rel_tol=1e-15)
 
 
-# templates paired with a safe x-range for the finite-difference stencil
+# templates paired with an x-range inside their domain
 _TEMPLATES = (
     ("{c}*x^2 + {d}*x + 1", (-2.0, 2.0)),
     ("{c}*x^3 - {d}*x", (-2.0, 2.0)),
@@ -191,10 +191,18 @@ def _close(a, b, rel, floor=1e-8):
     return abs(a - b) <= rel * max(abs(a), abs(b), floor)
 
 
-def _agrees(jet_val, fd_val, f_scale, rel=1e-6):
-    # finite-difference roundoff scales with |f|, so tiny derivatives of
-    # large functions need an absolute floor alongside the relative check
-    return abs(jet_val - fd_val) <= rel * max(abs(jet_val), abs(fd_val)) + 1e-8 * max(1.0, abs(f_scale))
+def _agrees(jet_val, ref_val, f_scale, rel=1e-6):
+    # rounding in a jet's sums scales with the size of their terms, which |f|
+    # stands for, so tiny derivatives of large functions need an absolute
+    # floor alongside the relative check
+    return abs(jet_val - ref_val) <= rel * max(abs(jet_val), abs(ref_val)) + 1e-8 * max(1.0, abs(f_scale))
+
+
+def _mp_derivatives(text, x):
+    """f, f', f'' of ``text`` at ``x`` by mpmath's finite differences at 40 digits, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(40):
+        return [float(d) for d in mpmath.diffs(mp_function(text), mpmath.mpf(x), 2)]
 
 
 class TestAgainstFiniteDifferences:
@@ -207,11 +215,11 @@ class TestAgainstFiniteDifferences:
                 d=round(rng.uniform(-2.0, 2.0), 3),
                 p=round(rng.uniform(0.8, 2.5), 3),
             )
-            e = parse(text)
             x = rng.uniform(xlo, xhi)
-            jet = eval_jet(e, x)
-            assert _agrees(jet.v1, diff_ref(e, x, 1), jet.v0), (text, x)
-            assert _agrees(jet.v2, diff_ref(e, x, 2), jet.v0), (text, x)
+            jet = eval_jet(parse(text), x)
+            _, d1, d2 = _mp_derivatives(text, x)
+            assert _agrees(jet.v1, d1, jet.v0), (text, x)
+            assert _agrees(jet.v2, d2, jet.v0), (text, x)
 
     def test_linearity(self):
         rng = random.Random(55)
@@ -238,8 +246,9 @@ class TestAgainstFiniteDifferences:
             assert _close(jp.v1, conv.v1, 1e-12)
             assert _close(jp.v2, conv.v2, 1e-12)
             assert _close(jp.v3, conv.v3, 1e-12)
-            assert _close(jp.v1, diff_ref(product, x, 1), 1e-6)
-            assert _close(jp.v2, diff_ref(product, x, 2), 1e-6)
+            _, d1, d2 = _mp_derivatives("exp(x) * (x^2 + 1)", x)
+            assert _close(jp.v1, d1, 1e-6)
+            assert _close(jp.v2, d2, 1e-6)
 
     @given(x=st.floats(-3.0, 3.0))
     def test_polynomial_jets_match_closed_form(self, x):

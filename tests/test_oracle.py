@@ -5,7 +5,7 @@ import pytest
 
 from hhaudit.core import ConvergenceError, DomainError, Interval, ToleranceConfig
 from hhaudit.exprlang import parse
-from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK, diff_ref, integrate_ref
+from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK, integrate_ref
 
 
 def test_weights_sum_to_two():
@@ -84,17 +84,3 @@ class TestIntegrateRef:
             integrate_ref(square, Interval(1e200, 2e200))
         assert len(calls) == 15
 
-
-class TestDiffRef:
-    def test_cubic_first_derivative(self):
-        assert abs(diff_ref(parse("x^3"), 2.0, 1) - 12.0) <= 1e-6
-
-    def test_affine_second_derivative(self):
-        assert abs(diff_ref(parse("2*x - 7"), 0.3, 2)) <= 1e-6
-
-    def test_exp_second_derivative_at_zero(self):
-        assert abs(diff_ref(parse("exp(x)"), 0.0, 2) - 1.0) <= 1e-6
-
-    def test_rejects_other_orders(self):
-        with pytest.raises(ValueError):
-            diff_ref(parse("x"), 0.0, 3)

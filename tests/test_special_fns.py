@@ -24,6 +24,7 @@ from hhaudit.special_fns import (
     q_digamma_deriv,
     qdigamma_prop_checks,
 )
+from conftest import normalized_I_identity
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -202,10 +203,12 @@ class TestBesselPropChecks:
         assert math.isclose(i1.lhs, i11.lhs, rel_tol=1e-10)
         assert math.isclose(i1.rhs, i11.rhs, rel_tol=1e-10)
 
-    def test_derivative_identity_fd(self):
-        for p in (-0.5, 0.5, 1.0, 2.5):
-            reports = {r.label: r for r in bessel_prop_checks(p, 1.0, 2.5)}
-            assert reports["prop6.mm"].satisfied
+    def test_derivative_identity_against_mpmath(self):
+        # prop6.i1 writes nI_p' as x nI_{p+1} / (2(p+1)); see conftest for the bound
+        for p in (-0.5, 0.0, 0.5, 1.0, 2.5):
+            for x in (0.1, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0):
+                gap, allowed = normalized_I_identity(p, x)
+                assert gap <= allowed, (p, x, gap, allowed)
 
     def test_second_kind_ratio_bound(self):
         reports = {r.label: r for r in bessel_prop_checks(2.0, 1.0, 1.5)}
