@@ -8,10 +8,10 @@ integral and the bounds run once; a failed guard counts in ``guarded_out`` per t
 
 Output is a single JSON document per invocation (sorted keys, so a fixed
 command and seed produce byte-identical output); ``--pretty`` switches to a
-human-readable table.  Exit codes: 0 when no inequality violation was found,
-1 when at least one violation finding was recorded, 2 on usage, parse, domain or
-parameter errors, reported as one ``error:`` line.  :func:`main` catches them
-all: an uncaught exception would exit 1 with a traceback, the code of a finding.
+human-readable table.  Exit codes: 0 when no violation was found, 1 when at least
+one violation finding was recorded, 2 on usage, parse, domain or parameter errors,
+reported as one ``error:`` line, 3 when ``integrate`` ends uncertified.  :func:`main`
+catches them all: an uncaught exception would exit 1 with a traceback, a finding's code.
 """
 
 from __future__ import annotations
@@ -60,10 +60,12 @@ sign, '^' and binary operator adds a level, so a sum of n terms is n deep.
 
 random mode: when --a/--b are omitted, each trial draws a ~ U(0.5, 5) and
 width ~ U(0.1, 2) from the seeded generator, redrawing until the function is
-defined, without overflow or NaN, on the widened interval; guard failures of
-individual checks are tallied as guarded_out.
+defined, without overflow or NaN, on the widened interval; guard failures and
+series or integrals that do not converge are tallied as guarded_out.
 
 environment: HH_TOL overrides the absolute comparison tolerance (default 1e-12).
+
+exit codes: 0 ok, 1 violation finding, 2 error, 3 integrate ended uncertified.
 """
 
 # verify's targets: name -> (needs --fn, run(inst, iv, args, cfg) -> the reports of one
@@ -130,8 +132,8 @@ def cmd_verify(args, cfg: ToleranceConfig):
         for target in targets:
             try:
                 checks = _TARGETS[target][1](inst, iv, args, cfg)
-            except (DomainError, PreconditionError):
-                if not tolerant and trial is None:
+            except (DomainError, PreconditionError, ConvergenceError) as exc:
+                if trial is None and not (tolerant and isinstance(exc, ValueError)):
                     raise
                 guarded_out += 1
                 continue
@@ -179,8 +181,9 @@ def cmd_integrate(args, cfg: ToleranceConfig):
         "target_error": args.err,
         "panels": result.partition.panel_count,
         "certified": result.certified,
+        "certificate_order": result.order,
     }
-    return doc, 0
+    return doc, (0 if result.certified else 3)
 
 
 def cmd_special(args, cfg: ToleranceConfig):
@@ -267,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     v.set_defaults(run=cmd_verify)
 
-    i = sub.add_parser("integrate", help="certified adaptive midpoint integration")
+    i = sub.add_parser("integrate", help="certified adaptive midpoint integration; exits 3 uncertified")
     i.add_argument("--fn", required=True)
     i.add_argument("--a", type=float, required=True)
     i.add_argument("--b", type=float, required=True)

@@ -262,6 +262,15 @@ def derivative_power(f, order: int, q: float) -> Callable[[float], float]:
     return lambda x: abs(jet(x)[order]) ** q
 
 
+def require_derivative_convex(f, order: int, q: float, region: AnyInterval, cfg: ToleranceConfig) -> None:
+    """The order-``order`` derivative bounds' hypothesis: |f^(order)|^q convex on ``region`` (32 pairs)
+    and, at order 2, ``f.twice_differentiable()``, since f'' = 0 off a kink samples as convex."""
+    what = "|f" + "'" * order + f"|^q (q = {q!r})"
+    if order == 2 and not f.twice_differentiable():
+        raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
+    require_convex(derivative_power(f, order, q), region, 32, cfg, what)
+
+
 def require_exponent(q: float) -> None:
     """The power-mean/Hoelder exponent of every derivative bound: 1 <= q < inf (NaN fails)."""
     if not 1.0 <= q < math.inf:

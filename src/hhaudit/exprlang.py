@@ -74,6 +74,12 @@ class Expr:
                 _CACHE.popitem(last=False)
         return self._evaluators.setdefault(order, make(*self._consts))
 
+    def twice_differentiable(self) -> bool:
+        """Whether f is known to be C^2 where defined: no ``abs``, the one function with a kink, in the
+        shape text that :meth:`compiled` caches.  Conservative: abs(x - 3) fails even on [0, 2]."""
+        self.compiled(0)
+        return "abs(" not in self._shape
+
     def __getstate__(self) -> dict[str, Any]:
         # compiled functions cannot be pickled; an unpickled node fetches them again on use
         return {k: v for k, v in vars(self).items() if k not in ("_evaluators", "_consts", "_shape")}

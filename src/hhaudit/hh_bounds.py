@@ -36,10 +36,10 @@ from .core import (
     PreconditionError,
     ToleranceConfig,
     conjugate_exponent,
-    derivative_power,
     extend,
     make_report,
     require_convex,
+    require_derivative_convex,
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
@@ -176,9 +176,7 @@ class Instance:
 
     def _guard_derivative(self, order: int) -> None:
         require_exponent(self.q)
-        what = "|f" + "'" * order + "|^q"
-        self._once(what, lambda: require_convex(
-            derivative_power(self.f, order, self.q), self.ext, 32, self.cfg, f"{what} (q = {self.q!r})"))
+        self._once(f"order {order}", lambda: require_derivative_convex(self.f, order, self.q, self.ext, self.cfg))
 
     def _f_at(self, point: str) -> float:
         """f at the widened interval's "lo", "mid" or "hi"."""

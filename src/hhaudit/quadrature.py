@@ -2,11 +2,20 @@
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
 by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16
 pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  The
-certificate, T1 and T2 are flat passes over ``partition.points`` that build no object
-per panel; a refinement level costs two f' evaluations per panel."""
+certificates, T1 and T2 are flat passes over ``partition.points`` that build no object
+per panel.
+
+The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
+convex and is O(h).  The second-order one needs f in C^2 and g = |f''|^q convex: on a
+panel [l, r] of width h, int f - h f(m) = int K f'' with the midpoint rule's Peano
+kernel K = (t - l)^2/2 on [l, m], (r - t)^2/2 on [m, r], and int K = h^3/24 (Davis &
+Rabinowitz, *Methods of Numerical Integration*).  The power mean with weights K, then
+the chord of g (K is symmetric about m), give |int f - h f(m)| <= (h^3/24) ((g(l) +
+g(r))/2)^(1/q): O(h^2) in sum, and an equality for quadratics."""
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,6 +33,7 @@ from .core import (
     extend,
     make_report,
     require_convex,
+    require_derivative_convex,
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
     widen,
@@ -84,6 +94,7 @@ class QuadratureResult:
     e2_bound: float
     partition: Partition
     certified: bool = True
+    order: int = 1  # of the certificate: 2 from |f''|^q, 1 from |f'|^q
 
 
 def trapezoid_T1(f, partition: Partition) -> float:
@@ -188,6 +199,25 @@ def prop5_check(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = 
     return make_report("prop5", abs(integral - midpoint_T2(f, partition)), bound, inputs, cfg)
 
 
+def _second_order_certificate(partition: Partition, jet2, q: float) -> float:
+    """The second-order bound of the module docstring over the panels, plus T2's rounding
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): on N panels of [a, b],
+    the products, widths and sum err by gamma_(N+1) sum |f(m)| dx, and rounded midpoints
+    move each term by dx u max(|a|, |b|) sup|f'|.  g is below its end values on a panel,
+    so sup|f'| <= D = max|f'(x_i)| + h max|f''(x_i)| and sup|f| <= max|f(x_i)| + h D over
+    the grid points x_i.  c = 2 (N + 8) u covers those, and the truncation sum's own
+    rounding.  The error of each evaluation of f is out of scope."""
+    pts = partition.points
+    v0, v1, v2 = zip(*map(jet2, pts))
+    g = [abs(d2) ** q for d2 in v2]
+    trunc = math.fsum((r - l) ** 3 * (0.5 * (gl + gr)) ** (1.0 / q) for l, r, gl, gr in zip(pts, pts[1:], g, g[1:]))
+    h = max(map(operator.sub, pts[1:], pts))
+    slope = max(map(abs, v1)) + h * max(map(abs, v2))
+    c = 2.0 * (partition.panel_count + 8) * 2.0**-53
+    size = max(map(abs, v0)) + (max(abs(pts[0]), abs(pts[-1])) + h) * slope
+    return (1.0 + c) * trunc / 24.0 + c * (pts[-1] - pts[0]) * size
+
+
 def adaptive_midpoint(
     f: Expr,
     iv: Interval,
@@ -198,30 +228,44 @@ def adaptive_midpoint(
     """Bisect a uniform partition until the midpoint certificate fits ``target``
     (positive and finite).
 
-    Each level costs one pass of two f' evaluations per panel; T1 and T2 then
-    cost 2N + 1 evaluations of f on the final N panels.  The |f'|^q convexity
-    guard runs once on the widened full interval, which contains every panel's
-    widened interval at every refinement level.  Depth or panel-count
-    exhaustion, or a next level below float resolution, returns the last
-    partition flagged ``certified=False``.
+    The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
+    which holds every panel) selects the second-order certificate.  Bisection keeps the
+    old points bit for bit, so a level evaluates the (f, f', f'') jet at its new points
+    only: N + 1 jets for N final panels, whose f values T1 reuses.  Where that guard
+    raises PreconditionError, the first-order certificate runs under the |f'|^q guard at
+    two f' evaluations per panel and level, and T1 costs N + 1 evaluations of f.  T2
+    costs N.  ``order`` records which.  Depth or panel-count exhaustion, or a next level
+    below float resolution (at first order also one whose panels cannot be widened),
+    returns the last partition flagged ``certified=False``.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
     require_exponent(q)
-    require_convex(derivative_power(f, 1, q), extend(iv), 32, cfg, f"|f'|^q (q = {q!r})")
+    try:
+        require_derivative_convex(f, 2, q, extend(iv), cfg)
+    except PreconditionError:
+        require_derivative_convex(f, 1, q, extend(iv), cfg)
+        partition, bound = _refine(iv, target, cfg, lambda p: midpoint_error_bound(f, p, q, cfg, guard="none"))
+        return QuadratureResult(trapezoid_T1(f, partition), midpoint_T2(f, partition), bound, partition, bound <= target)
+    jet2 = functools.lru_cache(maxsize=None)(f.compiled(2))
+    partition, bound = _refine(iv, target, cfg, lambda p: _second_order_certificate(p, jet2, q))
+    t1 = trapezoid_T1(lambda x: jet2(x)[0], partition)
+    return QuadratureResult(t1, midpoint_T2(f, partition), bound, partition, bound <= target, 2)
+
+
+def _refine(iv: Interval, target: float, cfg: ToleranceConfig, certify) -> tuple[Partition, float]:
+    """Bisect from one panel while ``certify(partition)`` exceeds ``target``."""
     partition = Partition.uniform(iv, 1)
-    bound = midpoint_error_bound(f, partition, q, cfg, guard="none")
+    bound = certify(partition)
     depth = 0
     while not bound <= target and depth < cfg.max_refine_depth and 2 * partition.panel_count <= _PANEL_CAP:
         try:
             finer = partition.bisected()
-            finer_bound = midpoint_error_bound(f, finer, q, cfg, guard="none")
+            finer_bound = certify(finer)
         except DomainError:
             raise
         except ValueError:  # the next level is below float resolution
             break
         partition, bound = finer, finer_bound
         depth += 1
-    t2 = midpoint_T2(f, partition)
-    t1 = trapezoid_T1(f, partition)
-    return QuadratureResult(t1, t2, bound, partition, bound <= target)
+    return partition, bound

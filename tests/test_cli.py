@@ -163,6 +163,32 @@ class TestVerify:
         assert code == 2
         assert "p > 1" in err
 
+    def test_random_prop7_counts_a_stalled_integral_as_guarded_out(self, capsys):
+        # trial 10 draws [0.6145..., 1.7431...], where bessel_K(3, 0.0502) misses its absolute target
+        code, out, _ = run_cli(capsys, "verify", "--target", "prop7", "--p", "2", "--trials", "40", "--seed", "1")
+        assert code == 0
+        counts = json.loads(out)["counts"]
+        assert counts["checked"] == 40 and counts["guarded_out"] == 2
+
+    def test_fixed_prop7_stalled_integral_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--target", "prop7", "--p", "2",
+                                 "--a", "0.6145063744705737", "--b", "1.7431900727782172")
+        assert (code, out) == (2, "")
+        assert "second-kind integral error bound" in err
+
+    def test_second_order_target_on_an_abs_kink_exits_two(self, capsys):
+        # f'' = 0 off the kink samples as convex; unguarded, thm4 compares lhs 0.31 with rhs 0
+        code, out, err = run_cli(capsys, "verify", "--target", "thm4", "--fn", "abs(x-1.3)", "--a", "1", "--b", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: |f''|^q (q = 1.0) bounds need f twice differentiable, and f contains abs\n"
+
+    def test_all_guards_out_the_second_order_targets_of_an_abs_kink(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--target", "all", "--fn", "abs(x-1.3)", "--trials", "5", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["counts"]["guarded_out"] == 5 * 7  # thm4-thm7 and cor2 need f'', thm3 and cor1 q > 1
+        assert not {"thm4", "thm5", "thm6", "thm7", "cor2"} & {r["label"] for r in doc["reports"]}
+
     def test_lemma_targets(self, capsys):
         for target in ("lemma1", "lemma2"):
             code, out, _ = run_cli(capsys, "verify", "--target", target, "--fn", "exp(x)", "--a", "0", "--b", "1")
@@ -191,13 +217,15 @@ class TestIntegrate:
         doc = json.loads(out)
         assert abs(doc["t2"] - 12.5) <= 1e-12
 
-    @pytest.mark.parametrize("b, err", [("1.0000000000000004", "1e-40"), ("1.0000000000000002", "1e-300")])
-    def test_refinement_below_float_resolution_is_uncertified(self, capsys, b, err):
+    @pytest.mark.parametrize("b, err, panels", [("1.0000000000000004", "1e-40", 2), ("1.0000000000000002", "1e-300", 1)])
+    def test_refinement_below_float_resolution_is_uncertified(self, capsys, b, err, panels):
+        # the second-order certificate needs no widened panel, so bisection goes on
+        # until a midpoint rounds onto an endpoint
         code, out, _ = run_cli(capsys, "integrate", "--fn", "x", "--a", "1", "--b", b, "--err", err)
-        assert code == 0
+        assert code == 3
         doc = json.loads(out)
         assert doc["certified"] is False
-        assert doc["panels"] == 1
+        assert doc["panels"] == panels
 
 
 class TestSpecial:

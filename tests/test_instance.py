@@ -127,3 +127,10 @@ def test_audit_battery_script_honours_hh_tol():
     guarded = [int(next(line for line in out.splitlines() if line.startswith("thm2")).split()[3])
                for out in (default, loose)]
     assert guarded[1] < guarded[0]
+
+
+def test_second_order_bounds_need_f_twice_differentiable():
+    inst = Instance(parse("abs(x-1.3)"), Interval(1.0, 2.0))
+    with pytest.raises(core.PreconditionError, match="twice differentiable"):
+        inst.second_order()
+    assert inst.first_order().rhs_min > 0.0  # |f'|^q = 1 is convex, and the first-order bounds need no f''

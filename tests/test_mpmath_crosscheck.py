@@ -1,4 +1,5 @@
-"""The reference integrator and bessel_K against an independent 40-digit path (mpmath).
+"""The reference integrator, bessel_K and the certified midpoint rule against an
+independent 40-digit path (mpmath).
 
 mpmath is a test-only dependency; the package itself imports only the standard
 library (see ``test_stdlib_only.py``).
@@ -8,11 +9,12 @@ import random
 
 import pytest
 
-from hhaudit.core import DEFAULT_TOL, ConvergenceError
+from hhaudit.core import DEFAULT_TOL, ConvergenceError, Interval
 from hhaudit.exprlang import parse
 from hhaudit.oracle import integrate_ref
+from hhaudit.quadrature import adaptive_midpoint
 from hhaudit.special_fns import bessel_K
-from conftest import draw_interval
+from conftest import draw_interval, draw_narrow_interval
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -80,4 +82,58 @@ def test_bessel_K_within_its_tail_bound(digits40):
     # K_4(0.3) ~ 6e3: its absolute target of 1e-12 is below what a 1e-15
     # relative floor delivers, so bessel_K refuses rather than return it
     assert stalled == [(4.0, 0.3)]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("text", list(BATTERY))
+def test_second_order_panel_bound(text, q, digits40):
+    """On one panel [l, r], |int f - h f(m)| <= (h^3/24) ((g(l) + g(r))/2)^(1/q) with
+    g = |f''|^q, an equality for x^2; the runtime's one-panel certificate adds only
+    T2's rounding to it."""
+    f, exact = parse(text), BATTERY[text]
+    rng = random.Random(24)
+    for _ in range(20):
+        iv = draw_narrow_interval(rng)
+        res = adaptive_midpoint(f, iv, 1e300, q)
+        assert res.order == 2 and res.partition.panel_count == 1
+        left, right = mpf(iv.a), mpf(iv.b)
+        h = right - left
+        error = abs(mpmath.quad(exact, [left, right]) - h * exact((left + right) / 2))
+        g = [abs(mpmath.diff(exact, x, 2)) ** q for x in (left, right)]
+        bound = h**3 / 24 * ((g[0] + g[1]) / 2) ** (1 / q)
+        assert error <= bound * (1 + mpf(10) ** -30), (text, iv)
+        assert abs(mpf(res.t2) - mpmath.quad(exact, [left, right])) <= res.e2_bound, (text, iv)
+        assert res.e2_bound >= bound, (text, iv)
+        if text == "x^2":
+            assert abs(error - bound) <= mpf(10) ** -30 * bound
+            assert res.e2_bound <= error * (1 + 1e-6), iv
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("text", list(BATTERY))
+def test_adaptive_midpoint_within_its_certificate(text, q, digits40):
+    f, exact = parse(text), BATTERY[text]
+    rng = random.Random(13)
+    certified = 0
+    for _ in range(4):
+        iv = draw_narrow_interval(rng)
+        ref = mpmath.quad(exact, [mpf(iv.a), mpf(iv.b)])
+        for target in (1e-3, 1e-5, 1e-7):
+            res = adaptive_midpoint(f, iv, target, q)
+            assert res.order == 2
+            assert abs(mpf(res.t2) - ref) <= res.e2_bound, (text, iv, target)
+            certified += res.certified
+    assert certified >= 8
+
+
+def test_abs_kink_stays_first_order(digits40):
+    # f'' = 0 off the kink passes a sampled |f''| guard; a second-order certificate
+    # of 0 would accept a t2 far from 0.29
+    kink = 1.3
+    exact = mpmath.quad(lambda t: abs(t - mpf(kink)), [1, mpf(kink), 2])
+    for target in (1e-2, 1e-3, 1e-4):
+        res = adaptive_midpoint(parse("abs(x-1.3)"), Interval(1.0, 2.0), target)
+        assert res.certified and res.order == 1
+        assert abs(mpf(res.t2) - exact) <= res.e2_bound
+    assert abs(exact - mpf("0.29")) < 1e-15
 

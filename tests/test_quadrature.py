@@ -178,31 +178,29 @@ class TestAdaptiveMidpoint:
 
     @pytest.mark.parametrize("b, panels", [
         (1.0000000000000002, 1),  # the next midpoint rounds onto an endpoint
-        (1.0000000000000004, 1),  # the next level's panels cannot be widened
-        (1.0000000000000009, 2),
+        (1.0000000000000004, 2),  # the second-order certificate widens no panel
+        (1.0000000000000009, 4),
     ])
     def test_refinement_stops_at_float_resolution(self, b, panels):
         res = adaptive_midpoint(parse("x"), Interval(1.0, b), 1e-40, 1.0)
-        assert not res.certified
+        assert not res.certified and res.order == 2
         assert res.partition.panel_count == panels
         assert res.e2_bound > 1e-40
         assert res.t2 == res.t1 == midpoint_T2(parse("x"), res.partition)
+
+    def test_first_order_refinement_stops_where_panels_cannot_be_widened(self):
+        res = adaptive_midpoint(parse("abs(x+9)"), Interval(1.0, 1.0000000000000004), 1e-40, 1.0)
+        assert not res.certified and res.order == 1
+        assert res.partition.panel_count == 1
 
     def test_level_zero_that_cannot_be_widened_raises(self):
         with pytest.raises(ValueError, match="extended interval needs lo < mid < hi"):
             adaptive_midpoint(parse("x"), Interval(1.0000000000000002, 1.0000000000000004), 1e-40, 1.0)
 
-    @pytest.mark.parametrize("fn, b, target, cfg, panels", [
-        ("exp(x)", 2.0, 1e-3, ToleranceConfig(), 4096),
-        ("x^2", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
-        ("x^2", 1.0, 10.0, ToleranceConfig(), 1),
-    ])
-    def test_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
-        """One certificate pass per level at two f' evaluations per panel, then
-        N + 1 evaluations of f for T1 and N for T2."""
-        f = parse(fn)
-        calls = {0: 0, 1: 0}
-        for order in calls:
+    @staticmethod
+    def _count_evaluations(f, orders):
+        calls = dict.fromkeys(orders, 0)
+        for order in orders:
             evaluator = f.compiled(order)
 
             def counted(x, order=order, evaluator=evaluator):
@@ -210,6 +208,47 @@ class TestAdaptiveMidpoint:
                 return evaluator(x)
 
             f._evaluators[order] = counted
+        return calls
+
+    @pytest.mark.parametrize("fn, b, target, cfg, panels", [
+        ("exp(x)", 2.0, 1e-3, ToleranceConfig(), 64),
+        ("x^2", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
+        ("x^2", 1.0, 10.0, ToleranceConfig(), 1),
+    ])
+    def test_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
+        """Second order: one (f, f', f'') jet per grid point over the whole run, N + 1
+        after the guard and none of f' alone; T1 reuses the jets' f values and T2
+        evaluates f N times."""
+        f = parse(fn)
+        calls = self._count_evaluations(f, (0, 1, 2))
+        levels = []
+        certificate = quadrature._second_order_certificate
+
+        def per_level(partition, *args):
+            levels.append((partition.panel_count, calls[2]))
+            return certificate(partition, *args)
+
+        monkeypatch.setattr(quadrature, "_second_order_certificate", per_level)
+        res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
+        assert res.order == 2 and res.partition.panel_count == panels
+        assert [n for n, _ in levels] == [1 << k for k in range(panels.bit_length())]
+        guard = levels[0][1]  # the |f''|^q guard on the widened hull runs before level 0
+        assert guard > 0
+        assert calls[2] - guard == panels + 1
+        assert calls[1] == 0
+        assert calls[0] == panels
+        assert res.t1 == trapezoid_T1(parse(fn), res.partition)
+
+    @pytest.mark.parametrize("fn, b, target, cfg, panels", [
+        ("exp(x)+abs(x+9)", 2.0, 1e-3, ToleranceConfig(), 8192),
+        ("x^2+abs(x+9)", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
+        ("x^2+abs(x+9)", 1.0, 10.0, ToleranceConfig(), 1),
+    ])
+    def test_first_order_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
+        """With abs in f: one certificate pass per level at two f' evaluations per
+        panel, then N + 1 evaluations of f for T1 and N for T2."""
+        f = parse(fn)
+        calls = self._count_evaluations(f, (0, 1))
         levels = []
         bound = quadrature.midpoint_error_bound
 
@@ -219,9 +258,34 @@ class TestAdaptiveMidpoint:
 
         monkeypatch.setattr(quadrature, "midpoint_error_bound", per_level)
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
-        assert res.partition.panel_count == panels
+        assert res.order == 1 and res.partition.panel_count == panels
         assert [n for n, _ in levels] == [1 << k for k in range(panels.bit_length())]
-        guard = levels[0][1]  # the convexity guard on the widened hull runs before level 0
+        guard = levels[0][1]  # the |f'|^q guard on the widened hull runs before level 0
         assert guard > 0
         assert calls[1] - guard == 2 * sum(n for n, _ in levels)
         assert calls[0] == 2 * panels + 1
+
+    def test_exp_to_1e_8_certifies_in_under_1e5_evaluations(self):
+        f = parse("exp(x)")
+        calls = self._count_evaluations(f, (0, 1, 2, 3))
+        res = adaptive_midpoint(f, Interval(0.0, 2.0), 1e-8)
+        assert res.certified and res.order == 2
+        assert sum(calls.values()) < 1e5
+        assert abs(res.t2 - (math.e**2 - 1.0)) <= res.e2_bound
+
+    def test_affine_certifies_at_one_panel(self):
+        # f'' = 0, so only T2's rounding is left in the certificate
+        res = adaptive_midpoint(parse("x"), Interval(0.7, 2.1), 1e-6)
+        assert res.certified and res.partition.panel_count == 1
+        assert 0.0 < res.e2_bound < 1e-12
+
+    def test_abs_kink_falls_back_to_first_order(self):
+        res = adaptive_midpoint(parse("abs(x-1.3)"), Interval(1.0, 2.0), 1e-3)
+        assert res.certified and res.order == 1
+        assert abs(res.t2 - 0.29) <= res.e2_bound
+
+    def test_concave_second_derivative_falls_back_to_first_order(self):
+        # f' = 2.5 x^1.5 is convex, f'' = 3.75 x^0.5 is not
+        res = adaptive_midpoint(parse("x^2.5"), Interval(1.0, 2.0), 1e-3)
+        assert res.certified and res.order == 1
+        assert abs(res.t2 - (2.0**3.5 - 1.0) / 3.5) <= res.e2_bound
