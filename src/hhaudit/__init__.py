@@ -7,8 +7,8 @@ Library layout:
   sampling;
 * :mod:`hhaudit.exprlang` - the one-variable function grammar and
   forward-mode jet evaluation (f, f', f'', f''');
-* :mod:`hhaudit.oracle` - the one adaptive Gauss-Kronrod reference
-  integrator;
+* :mod:`hhaudit.oracle` - the one adaptive refinement loop and the
+  Gauss-Kronrod reference integrator;
 * :mod:`hhaudit.hh_bounds` - the inequality battery (classical bound, lemma
   identities, three-point bounds, first/second-derivative constants);
 * :mod:`hhaudit.means` - special means and their proposition checks;

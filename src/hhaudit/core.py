@@ -30,7 +30,7 @@ class PreconditionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine exhausted its term or depth budget before reaching tolerance."""
+    """An iterative routine exhausted its term or panel budget before reaching tolerance."""
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,11 @@ class ToleranceConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_series_terms: int = 500
-    max_refine_depth: int = 40
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise ValueError(f"tolerances must be finite and positive, got abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
-        if self.max_series_terms <= 0 or self.max_refine_depth <= 0:
+        if self.max_series_terms <= 0:
             raise ValueError("budget caps must be positive")
 
 

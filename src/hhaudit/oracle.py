@@ -1,17 +1,16 @@
-"""Reference integration, independent of the audited rules.
+"""Adaptive refinement and reference integration, independent of the audited rules.
 
-:func:`integrate_ref` is the one adaptive Gauss-Kronrod (G7/K15) integrator,
-used as the ground truth for every integral left-hand side and identity
-residual and for the Laplace-type integral of ``bessel_K``.  It aims at the
-``abs_tol`` and ``rel_tol`` of the :class:`ToleranceConfig` it is given and
-returns a :class:`SeriesResult` (value, panels used, error estimate).  It
-deliberately belongs to a different rule family than the midpoint/trapezoid
-sums in :mod:`hhaudit.quadrature`, so certificate audits are never
-self-confirming.
+:func:`refine` is the one refinement loop, with the panel rule as an argument.
+:func:`integrate_ref` runs it with the Gauss-Kronrod (G7/K15) rule: the ground truth for
+every integral left-hand side and identity residual and for the Laplace-type integral of
+``bessel_K``.  The certified midpoint rule of :mod:`hhaudit.quadrature` runs it with its
+certificate shares.  The rules stay of different families, so certificate audits are
+never self-confirming.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable
 
@@ -46,6 +45,8 @@ _WG = (
 )
 _WG_CENTER = 0.4179591836734693877551020
 
+PANEL_CAP = 1 << 16  # refinement adds one panel per split, so this is the only budget
+
 
 def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One G7/K15 panel: returns (K15 value, |K15 - G7|)."""
@@ -63,43 +64,60 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return half * resk, abs(half * (resk - resg))
 
 
-def integrate_ref(
-    f: Callable[[float], float], iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL
-) -> SeriesResult:
+def refine(rule, a: float, b: float, stop):
+    """The one adaptive loop, in the style of QUADPACK's QAG (Piessens et al., 1983).
+
+    ``rule(left, right)`` returns a panel's (value, err).  A heap of (-err, left, right,
+    value) pops the worst panel, bisects it and evaluates only the two children, until
+    ``stop(sum of values, sum of errs, heap)`` holds on running sums and then on exact
+    ones, at ``PANEL_CAP`` panels, or at float resolution, where a half of the worst panel
+    could not be split again.  Returns the panels (left, right, value, err) in order and
+    the exact sums.
+    """
+    value, err = rule(a, b)
+    heap = [(-err, a, b, value)]
+    done = stop(value, err, heap)  # on one panel the sums are exact
+    while not done and len(heap) < PANEL_CAP:
+        worst, left, right, part = heap[0]
+        mid = 0.5 * (left + right)
+        if not left < 0.5 * (left + mid) < mid < 0.5 * (mid + right) < right:
+            break  # a rule's nodes collapse onto the ends of a narrower panel
+        (lv, le), (rv, re) = rule(left, mid), rule(mid, right)
+        heapq.heapreplace(heap, (-le, left, mid, lv))
+        heapq.heappush(heap, (-re, mid, right, rv))
+        value += lv + rv - part
+        err += le + re + worst
+        if stop(value, err, heap):
+            value, err = math.fsum(p[3] for p in heap), -math.fsum(p[0] for p in heap)
+            done = stop(value, err, heap)
+    if not done:
+        value, err = math.fsum(p[3] for p in heap), -math.fsum(p[0] for p in heap)
+    return sorted((left, right, part, -worst) for worst, left, right, part in heap), value, err
+
+
+def integrate_ref(f: Callable[[float], float], iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Integrate ``f`` over ``iv`` adaptively: the value, the panels used and the error estimate.
 
-    Panels are bisected until the per-panel Gauss/Kronrod discrepancy fits the
-    proportional share of ``cfg.abs_tol``; the summed estimate satisfies
-    ``tail_bound <= max(cfg.abs_tol, cfg.rel_tol * |value|)``.  The relative
-    floor keeps large smooth integrals from chasing an absolute target below
-    double-precision resolution.  A panel whose value or error is not finite
-    raises :class:`DomainError`; exceeding ``cfg.max_refine_depth`` raises
-    :class:`ConvergenceError`.
-
-    Deterministic for fixed inputs.
+    :func:`refine` with the G7/K15 rule, whose error is |K15 - G7|, until ``tail_bound <=
+    max(cfg.abs_tol, cfg.rel_tol * |value|)``; the relative floor keeps large smooth
+    integrals from chasing an absolute target below double-precision resolution.  A panel
+    whose value or error is not finite raises :class:`DomainError`.  The cap, float
+    resolution and the rounding floor, where the worst error is below the unit roundoff
+    of the value, raise :class:`ConvergenceError`.  Deterministic for fixed inputs.
     """
-    panels = 0
 
-    def recurse(a: float, b: float, budget: float, depth: int) -> tuple[float, float]:
-        nonlocal panels
-        panels += 1
+    def rule(a: float, b: float) -> tuple[float, float]:
         value, err = _gk15_panel(f, a, b)
         if not (math.isfinite(value) and math.isfinite(err)):
-            raise DomainError(
-                f"integrand not finite on the panel [{a!r}, {b!r}] (value {value!r}, error {err!r})"
-            )
-        if err <= budget or err <= cfg.rel_tol * abs(value):
-            return value, err
-        if depth >= cfg.max_refine_depth:
-            raise ConvergenceError(
-                f"reference integration stalled on [{a!r}, {b!r}] at depth "
-                f"{cfg.max_refine_depth} (panel error ~ {err!r})"
-            )
-        m = 0.5 * (a + b)
-        left = recurse(a, m, 0.5 * budget, depth + 1)
-        right = recurse(m, b, 0.5 * budget, depth + 1)
-        return left[0] + right[0], left[1] + right[1]
+            raise DomainError(f"integrand not finite on the panel [{a!r}, {b!r}] (value {value!r}, error {err!r})")
+        return value, err
 
-    value, err = recurse(iv.a, iv.b, cfg.abs_tol, 0)
-    return SeriesResult(value, panels, err)
+    def fits(value: float, err: float) -> bool:
+        return err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
+    panels, value, err = refine(rule, iv.a, iv.b, lambda v, e, heap: fits(v, e) or -heap[0][0] <= 2.0**-53 * abs(v))
+    if not fits(value, err):
+        raise ConvergenceError(
+            f"reference integration stalled on [{iv.a!r}, {iv.b!r}] at {len(panels)} panels (error estimate {err!r})"
+        )
+    return SeriesResult(value, len(panels), err)

@@ -1,9 +1,8 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
-by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16
-pairs per panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  The
-certificates, T1 and T2 are flat passes over ``partition.points`` that build no object
-per panel.
+by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16 pairs per
+panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the
+certificates are flat passes over ``partition.points``; refinement is :mod:`hhaudit.oracle`'s.
 
 The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
 convex and is O(h).  The second-order one needs f in C^2 and g = |f''|^q convex: on a
@@ -15,7 +14,6 @@ g(r))/2)^(1/q): O(h^2) in sum, and an equality for quadratics."""
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,11 +38,7 @@ from .core import (
 )
 from .exprlang import Expr, evaluator, fn_label
 from .hh_bounds import min_first_order_constant
-from .oracle import integrate_ref
-
-# every refinement doubles the panel count, so a runtime/memory cap is needed
-# long before max_refine_depth = 40 could be reached; a uniform partition has the same cap
-_PANEL_CAP = 1 << 16
+from .oracle import PANEL_CAP, integrate_ref, refine
 
 
 @dataclass(frozen=True)
@@ -66,8 +60,8 @@ class Partition:
 
     @classmethod
     def uniform(cls, iv: Interval, m: int) -> "Partition":
-        if not 1 <= m <= _PANEL_CAP:
-            raise ValueError(f"need 1 to {_PANEL_CAP} panels, got m = {m}")
+        if not 1 <= m <= PANEL_CAP:
+            raise ValueError(f"need 1 to {PANEL_CAP} panels, got m = {m}")
         pts = [iv.a + iv.width * i / m for i in range(m + 1)]
         pts[0], pts[-1] = iv.a, iv.b
         return cls(tuple(pts))
@@ -78,13 +72,6 @@ class Partition:
 
     def panels(self) -> Iterator[tuple[float, float]]:
         return zip(self.points, self.points[1:])
-
-    def bisected(self) -> "Partition":
-        pts = self.points
-        finer = [0.0] * (2 * len(pts) - 1)
-        finer[::2] = pts
-        finer[1::2] = [0.5 * (left + right) for left, right in self.panels()]
-        return Partition(tuple(finer))
 
 
 @dataclass(frozen=True)
@@ -121,42 +108,23 @@ def _guard_panels(fn, partition: Partition, what: str, cfg: ToleranceConfig) -> 
             raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
 
 
-def midpoint_error_bound(
-    f: Expr,
-    partition: Partition,
-    q: float,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    *,
-    guard: str = "panel",
-) -> float:
-    """Certified bound on the composite midpoint error from |f'|^q convexity.
+def _first_order_term(jet1, q: float, left: float, right: float) -> float:
+    """(dx)^2 (|f'(lo*)|^q + |f'(hi*)|^q)^(1/q) with lo*/hi* from the panel's widened interval."""
+    lo, hi = widen(left, right)
+    return (right - left) ** 2 * (abs(jet1(lo)[1]) ** q + abs(jet1(hi)[1]) ** q) ** (1.0 / q)
 
-    Per panel the first-derivative bound contributes
-    ``(dx)^2 (|f'(lo*)|^q + |f'(hi*)|^q)^(1/q)`` with lo*/hi* from that
-    panel's widened interval; the combined constant is 1/8 at q = 1 and
-    min{1/8, derived Hoelder constant} for q > 1.
 
-    ``guard`` selects where the convexity hypothesis is sampled: "panel"
-    (each panel's widened interval, failures name the panel index) or "none"
-    (caller has already guarded a superset).
-    """
+def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Certified bound on the composite midpoint error from |f'|^q convexity, sampled on
+    each panel's widened interval: the sum of :func:`_first_order_term` times 1/8 at q = 1
+    and min{1/8, derived Hoelder constant} for q > 1."""
     require_exponent(q)
-    if guard not in ("panel", "none"):
-        raise ValueError(f"guard must be 'panel' or 'none', got {guard!r}")
-    if guard == "panel":
-        _guard_panels(derivative_power(f, 1, q), partition, f"|f'|^q (q = {q!r})", cfg)
+    _guard_panels(derivative_power(f, 1, q), partition, f"|f'|^q (q = {q!r})", cfg)
     jet1 = f.compiled(1)
-    kconst = min_first_order_constant(q)
     total = 0.0
-    for i, (left, right) in enumerate(partition.panels()):
-        lo, hi = widen(left, right)
-        try:
-            d_lo = abs(jet1(lo)[1])
-            d_hi = abs(jet1(hi)[1])
-        except DomainError as exc:
-            raise DomainError(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
-        total += (right - left) ** 2 * (d_lo**q + d_hi**q) ** (1.0 / q)
-    return kconst * total
+    for left, right in partition.panels():
+        total += _first_order_term(jet1, q, left, right)
+    return min_first_order_constant(q) * total
 
 
 def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
@@ -199,73 +167,87 @@ def prop5_check(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = 
     return make_report("prop5", abs(integral - midpoint_T2(f, partition)), bound, inputs, cfg)
 
 
-def _second_order_certificate(partition: Partition, jet2, q: float) -> float:
+def _rounding(n: int, a: float, b: float, h: float, f0: float, f1: float, f2: float) -> tuple[float, float]:
+    """(c, rounding term) of the certificate below, from h and the largest |f|, |f'|, |f''|."""
+    c = 2.0 * (n + 8) * 2.0**-53
+    return c, c * (b - a) * (f0 + (max(abs(a), abs(b)) + h) * (f1 + h * f2))
+
+
+def _second_order_certificate(partition: Partition, at, q: float) -> float:
     """The second-order bound of the module docstring over the panels, plus T2's rounding
     (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): on N panels of [a, b],
     the products, widths and sum err by gamma_(N+1) sum |f(m)| dx, and rounded midpoints
     move each term by dx u max(|a|, |b|) sup|f'|.  g is below its end values on a panel,
     so sup|f'| <= D = max|f'(x_i)| + h max|f''(x_i)| and sup|f| <= max|f(x_i)| + h D over
     the grid points x_i.  c = 2 (N + 8) u covers those, and the truncation sum's own
-    rounding.  The error of each evaluation of f is out of scope."""
+    rounding.  The error of each evaluation of f is out of scope.  ``at(x)`` is (f, f', f'', g)."""
     pts = partition.points
-    v0, v1, v2 = zip(*map(jet2, pts))
-    g = [abs(d2) ** q for d2 in v2]
+    v0, v1, v2, g = zip(*map(at, pts))
     trunc = math.fsum((r - l) ** 3 * (0.5 * (gl + gr)) ** (1.0 / q) for l, r, gl, gr in zip(pts, pts[1:], g, g[1:]))
     h = max(map(operator.sub, pts[1:], pts))
-    slope = max(map(abs, v1)) + h * max(map(abs, v2))
-    c = 2.0 * (partition.panel_count + 8) * 2.0**-53
-    size = max(map(abs, v0)) + (max(abs(pts[0]), abs(pts[-1])) + h) * slope
-    return (1.0 + c) * trunc / 24.0 + c * (pts[-1] - pts[0]) * size
+    c, rounding = _rounding(partition.panel_count, pts[0], pts[-1], h, *(max(map(abs, v)) for v in (v0, v1, v2)))
+    return (1.0 + c) * trunc / 24.0 + rounding
 
 
 def adaptive_midpoint(
-    f: Expr,
-    iv: Interval,
-    target: float,
-    q: float = 1.0,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    f: Expr, iv: Interval, target: float, q: float = 1.0, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> QuadratureResult:
-    """Bisect a uniform partition until the midpoint certificate fits ``target``
-    (positive and finite).
+    """Refine the midpoint rule on ``iv`` until its certificate fits ``target`` (positive and
+    finite), in the loop of :func:`integrate_ref` with a panel's certificate share as its error.
 
     The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
-    which holds every panel) selects the second-order certificate.  Bisection keeps the
-    old points bit for bit, so a level evaluates the (f, f', f'') jet at its new points
-    only: N + 1 jets for N final panels, whose f values T1 reuses.  Where that guard
-    raises PreconditionError, the first-order certificate runs under the |f'|^q guard at
-    two f' evaluations per panel and level, and T1 costs N + 1 evaluations of f.  T2
-    costs N.  ``order`` records which.  Depth or panel-count exhaustion, or a next level
-    below float resolution (at first order also one whose panels cannot be widened),
-    returns the last partition flagged ``certified=False``.
+    which holds every panel) selects the second-order share, (h^3/24)((g(l) + g(r))/2)^(1/q)
+    from the (f, f', f'') jet at grid points only: N + 1 jets for N final panels, whose f
+    values T1 reuses; ``e2_bound`` is :func:`_second_order_certificate` of the partition.
+    Its rounding term grows with N, so refinement also stops where no split can shrink it.
+    Where that guard raises PreconditionError, the |f'|^q guard runs and the share is prop5's
+    term, at two f' evaluations per panel; T1 costs N + 1 evaluations of f.  T2 costs N.
+    ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after the
+    panel cap, float resolution or the rounding floor stopped refinement short of it.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
     require_exponent(q)
+    a, b = iv.a, iv.b
     try:
         require_derivative_convex(f, 2, q, extend(iv), cfg)
     except PreconditionError:
         require_derivative_convex(f, 1, q, extend(iv), cfg)
-        partition, bound = _refine(iv, target, cfg, lambda p: midpoint_error_bound(f, p, q, cfg, guard="none"))
+        jet1, kconst = f.compiled(1), min_first_order_constant(q)
+        panels, _, bound = refine(
+            lambda l, r: (0.0, kconst * _first_order_term(jet1, q, l, r)), a, b, lambda _, e, heap: e <= target
+        )
+        partition = Partition((a, *(p[1] for p in panels)))
         return QuadratureResult(trapezoid_T1(f, partition), midpoint_T2(f, partition), bound, partition, bound <= target)
-    jet2 = functools.lru_cache(maxsize=None)(f.compiled(2))
-    partition, bound = _refine(iv, target, cfg, lambda p: _second_order_certificate(p, jet2, q))
-    t1 = trapezoid_T1(lambda x: jet2(x)[0], partition)
+    jet2, grid, peaks, failed = f.compiled(2), {}, [0.0, 0.0, 0.0], [0]
+
+    def at(x: float) -> tuple[float, float, float, float]:
+        """(f, f', f'', g) at a grid point, evaluated once; ``peaks`` tracks |f|, |f'|, |f''|."""
+        point = grid.get(x)
+        if point is None:
+            jet = jet2(x)
+            point = grid[x] = (*jet, abs(jet[2]) ** q)
+            peaks[:] = map(max, peaks, map(abs, jet))
+        return point
+
+    def share(l: float, r: float) -> tuple[float, float]:
+        return 0.0, (r - l) ** 3 * (0.5 * (at(l)[3] + at(r)[3])) ** (1.0 / q)  # 24 times the share
+
+    def stop(_, trunc: float, heap) -> bool:
+        # the floor test is sound at the mean width; a fit is confirmed at the widest, once per n/8 at most
+        n = len(heap)
+        c, rounding = _rounding(n, a, b, (b - a) / n, *peaks)
+        if (1.0 + 2.0 * c) * -heap[0][0] / 24.0 <= rounding / (n + 8):
+            return True  # the rounding term grows by more per panel than any split saves
+        if (1.0 + c) * trunc / 24.0 + rounding > target or 8 * n < 9 * failed[0]:
+            return False
+        c, rounding = _rounding(n, a, b, max(p[2] - p[1] for p in heap), *peaks)
+        if (1.0 + c) * trunc / 24.0 + rounding <= target:
+            return True
+        failed[0] = n
+        return False
+
+    partition = Partition((a, *(p[1] for p in refine(share, a, b, stop)[0])))
+    bound = _second_order_certificate(partition, at, q)
+    t1 = trapezoid_T1(lambda x: at(x)[0], partition)
     return QuadratureResult(t1, midpoint_T2(f, partition), bound, partition, bound <= target, 2)
-
-
-def _refine(iv: Interval, target: float, cfg: ToleranceConfig, certify) -> tuple[Partition, float]:
-    """Bisect from one panel while ``certify(partition)`` exceeds ``target``."""
-    partition = Partition.uniform(iv, 1)
-    bound = certify(partition)
-    depth = 0
-    while not bound <= target and depth < cfg.max_refine_depth and 2 * partition.panel_count <= _PANEL_CAP:
-        try:
-            finer = partition.bisected()
-            finer_bound = certify(finer)
-        except DomainError:
-            raise
-        except ValueError:  # the next level is below float resolution
-            break
-        partition, bound = finer, finer_bound
-        depth += 1
-    return partition, bound

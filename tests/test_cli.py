@@ -217,10 +217,9 @@ class TestIntegrate:
         doc = json.loads(out)
         assert abs(doc["t2"] - 12.5) <= 1e-12
 
-    @pytest.mark.parametrize("b, err, panels", [("1.0000000000000004", "1e-40", 2), ("1.0000000000000002", "1e-300", 1)])
+    @pytest.mark.parametrize("b, err, panels", [("1.0000000000000004", "1e-40", 1), ("1.0000000000000002", "1e-300", 1)])
     def test_refinement_below_float_resolution_is_uncertified(self, capsys, b, err, panels):
-        # the second-order certificate needs no widened panel, so bisection goes on
-        # until a midpoint rounds onto an endpoint
+        # f'' = 0: only T2's rounding is left, and no split can shrink it
         code, out, _ = run_cli(capsys, "integrate", "--fn", "x", "--a", "1", "--b", b, "--err", err)
         assert code == 3
         doc = json.loads(out)

@@ -99,7 +99,6 @@ class TestToleranceConfig:
         assert cfg.abs_tol == 1e-12
         assert cfg.rel_tol == 1e-10
         assert cfg.max_series_terms == 500
-        assert cfg.max_refine_depth == 40
 
     @pytest.mark.parametrize(
         "kwargs", [{"abs_tol": 0.0}, {"rel_tol": -1.0}, {"max_series_terms": 0}, {"abs_tol": math.inf}]

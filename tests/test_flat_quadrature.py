@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadrature_oracle as oracle
-from hhaudit.core import DomainError
+from hhaudit.core import DomainError, Interval
 from hhaudit.exprlang import parse
-from hhaudit.quadrature import Partition, midpoint_error_bound, trapezoid_T1
+from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
 
 _FUNCTIONS = {text: parse(text) for text in ("x^2", "x^3", "exp(x)", "cosh(x)", "log(x)", "x*log(x)", "1/x")}
 _SCALES = st.sampled_from((1.0, 1e-300, 1e300, 1e-8, 1e8))
@@ -71,35 +71,22 @@ def test_partition_checks_match_the_oracle(pts):
         assert got == want
 
 
-@settings(max_examples=300, deadline=None)
-@given(pts=_points(), levels=st.integers(1, 4))
-def test_bisection_matches_the_oracle(pts, levels):
-    pair = _both(pts)
-    assume(pair is not None and math.isfinite(pts[-1]))
-    new, old = pair
-    for _ in range(levels):
-        want, got = _outcome(old.bisected), _outcome(new.bisected)
-        assert got == want
-        if want[0] != "ok":
-            return
-        new, old = new.bisected(), old.bisected()
-
-
 @settings(max_examples=400, deadline=None)
 @given(pts=_points(), fn=st.sampled_from(sorted(_FUNCTIONS)), q=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
-       guard=st.sampled_from(("none", "none", "none", "panel")), levels=st.integers(0, 2))
-def test_midpoint_error_bound_and_trapezoid_match_the_oracle(pts, fn, q, guard, levels):
+       levels=st.integers(0, 2))
+def test_midpoint_error_bound_and_trapezoid_match_the_oracle(pts, fn, q, levels):
     pair = _both(pts)
     assume(pair is not None and math.isfinite(pts[-1]))
-    new, old = pair
+    _, old = pair
     for _ in range(levels):
         try:
-            new, old = new.bisected(), old.bisected()
+            old = old.bisected()
         except ValueError:
             break
+    new = Partition(old.points)
     f = _FUNCTIONS[fn]
-    want = _outcome(oracle.midpoint_error_bound, f, old, q, guard=guard)
-    assert _outcome(midpoint_error_bound, f, new, q, guard=guard) == want
+    want = _outcome(oracle.midpoint_error_bound, f, old, q, guard="panel")
+    assert _outcome(midpoint_error_bound, f, new, q) == want
     assert _outcome(trapezoid_T1, f, new) == _outcome(oracle.trapezoid_T1, f, old)
 
 
@@ -114,12 +101,26 @@ def test_midpoint_error_bound_and_trapezoid_match_the_oracle(pts, fn, q, guard, 
 ])
 def test_named_failures_match_the_oracle(fn, pts, error, message):
     f = parse(fn)
-    want = _outcome(oracle.midpoint_error_bound, f, oracle.Partition(pts), 1.0, guard="none")
-    assert _outcome(midpoint_error_bound, f, Partition(pts), 1.0, guard="none") == want
+    want = _outcome(oracle.midpoint_error_bound, f, oracle.Partition(pts), 1.0, guard="panel")
+    assert _outcome(midpoint_error_bound, f, Partition(pts), 1.0) == want
     if error is None:
         assert want[0] == "ok"
     else:
         assert want[0] is error and want[1].startswith(message)
+
+
+@pytest.mark.parametrize("fn, b, q, target", [
+    ("abs(x+9)+exp(x)", 2.0, 1.0, 1e-2),
+    ("abs(x+9)+x^3", 3.0, 2.0, 1e-2),
+    ("abs(x-1.3)", 2.0, 1.5, 1e-3),
+])
+def test_adaptive_first_order_shares_match_the_oracle(fn, b, q, target):
+    """The first-order adaptive certificate is the sum of the unguarded per-panel bounds."""
+    f = parse(fn)
+    res = adaptive_midpoint(f, Interval(1.0, b), target, q)
+    assert res.order == 1 and res.partition.panel_count > 1
+    shares = [oracle.midpoint_error_bound(f, oracle.Partition(panel), q, guard="none") for panel in res.partition.panels()]
+    assert res.e2_bound == math.fsum(shares)
 
 
 @pytest.mark.parametrize("pts", [(0.0, math.nan, 1.0), (math.nan, 1.0), (0.0, 1.0, math.nan), (-math.inf, 0.0),

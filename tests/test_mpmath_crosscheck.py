@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from hhaudit import special_fns
 from hhaudit.core import DEFAULT_TOL, ConvergenceError, Interval
 from hhaudit.exprlang import parse
 from hhaudit.oracle import integrate_ref
@@ -41,6 +42,16 @@ def digits40():
 
 @pytest.mark.parametrize("text", list(BATTERY))
 def test_integrate_ref_meets_its_target(text, digits40):
+    """Each value lies within the target, and within its tail_bound up to rounding.
+
+    The tail_bound |K15 - G7| is itself at rounding level on these smooth integrands,
+    so the check adds, to first order in the unit roundoff u: 4u |f| for evaluating f,
+    30u for the 15 weighted terms of a panel and u for the sum over panels, all on
+    int |f| <= (b - a) max(|f(a)|, |f(b)|); and the nodes, each placed within 3u b of
+    its exact value, which moves the sum by at most 3u b int |f'| = 3u b |f(b) - f(a)|.
+    On [0.5, inf) every battery function is monotone and |f| is largest at an end of
+    the interval (x log x changes sign at 1), so the endpoint forms hold.
+    """
     f, exact = parse(text), BATTERY[text]
     rng = random.Random(2017)
     for _ in range(100):
@@ -48,7 +59,11 @@ def test_integrate_ref_meets_its_target(text, digits40):
         res = integrate_ref(f, iv)
         ref = mpmath.quad(exact, [mpf(iv.a), mpf(iv.b)])
         target = max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * abs(res.value))
-        assert abs(mpf(res.value) - ref) <= target, (text, iv)
+        error = abs(mpf(res.value) - ref)
+        assert error <= target, (text, iv)
+        ends = exact(mpf(iv.a)), exact(mpf(iv.b))
+        rounding = UNIT_ROUNDOFF * (35 * iv.width * max(map(abs, ends)) + 3 * iv.b * abs(ends[1] - ends[0]))
+        assert error <= res.tail_bound + rounding, (text, iv)
 
 
 def _rounding_bound(p: float, x: float, panels: int, value: float) -> float:
@@ -67,7 +82,17 @@ def _rounding_bound(p: float, x: float, panels: int, value: float) -> float:
     return UNIT_ROUNDOFF * (30 * panels * value + evaluation)
 
 
-def test_bessel_K_within_its_tail_bound(digits40):
+def test_bessel_K_within_its_tail_bound(digits40, monkeypatch):
+    """bessel_K within its total bound, and its integral over [0, T] within the
+    reference integrator's tail_bound, up to the same rounding."""
+    bodies = []
+
+    def integrate(f, iv, cfg):
+        body = integrate_ref(f, iv, cfg)
+        bodies.append((iv.b, body))
+        return body
+
+    monkeypatch.setattr(special_fns, "integrate_ref", integrate)
     stalled = []
     for p in (0.0, 0.5, 1.0, 2.0, 2.5, 4.0):
         for x in (0.3, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0):
@@ -79,9 +104,14 @@ def test_bessel_K_within_its_tail_bound(digits40):
             ref = mpmath.besselk(p, x)
             allowed = res.tail_bound + _rounding_bound(p, x, res.terms_used, res.value)
             assert abs(mpf(res.value) - ref) <= allowed, (p, x)
+            T, body = bodies[-1]
+            exact = mpmath.quad(lambda t: mpmath.exp(-x * mpmath.cosh(t)) * mpmath.cosh(p * t), [0, mpf(T)])
+            allowed = body.tail_bound + _rounding_bound(p, x, body.terms_used, body.value)
+            assert abs(mpf(body.value) - exact) <= allowed, (p, x)
     # K_4(0.3) ~ 6e3: its absolute target of 1e-12 is below what a 1e-15
     # relative floor delivers, so bessel_K refuses rather than return it
     assert stalled == [(4.0, 0.3)]
+    assert len(bodies) == 6 * 8
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

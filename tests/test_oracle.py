@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hhaudit.core import ConvergenceError, DomainError, Interval, ToleranceConfig
+from hhaudit import oracle
+from hhaudit.core import DEFAULT_TOL, ConvergenceError, DomainError, Interval, ToleranceConfig
 from hhaudit.exprlang import parse
 from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK, integrate_ref
 
@@ -53,9 +54,54 @@ class TestIntegrateRef:
         assert abs(whole - (left + right)) <= 2.0 * tol * max(1.0, abs(whole))
 
     def test_kink_exhausts_depth(self):
-        cfg = ToleranceConfig(abs_tol=1e-15, rel_tol=1e-16, max_refine_depth=8)
+        # an integrable singularity at sqrt(2), which no float and so no node hits: the
+        # panel around it keeps the largest error until a half would be too narrow to split
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / math.sqrt(abs(x * x - 2.0))
+
+        with pytest.raises(ConvergenceError, match=r"stalled on \[1\.0, 2\.0\] at \d+ panels"):
+            integrate_ref(f, Interval(1.0, 2.0))
+        assert len(calls) <= 15 * (2 * 100 + 1)  # under 100 splits
+
+    def test_rounding_floor_raises(self):
+        # below the unit roundoff of the value, the K15 - G7 estimates are noise
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 / (1.0 + x * x)
+
         with pytest.raises(ConvergenceError):
-            integrate_ref(lambda x: math.sqrt(abs(x - 1.0 / 3.0)), Interval(0.0, 1.0), cfg)
+            integrate_ref(f, Interval(0.0, 1.0), ToleranceConfig(abs_tol=1e-300, rel_tol=1e-300))
+        assert len(calls) <= 15 * (2 * 20 + 1)
+
+    @pytest.mark.parametrize("f, exact", [
+        (math.sqrt, 2.0 / 3.0),
+        (lambda x: math.sqrt(x) * math.log(x), -4.0 / 9.0),
+    ])
+    def test_endpoint_singularity_within_its_tail_bound(self, f, exact):
+        # a global error budget: halving each panel's budget per bisection never met it
+        res = integrate_ref(f, Interval(0.0, 1.0))
+        assert res.terms_used < 100
+        assert abs(res.value - exact) <= res.tail_bound <= DEFAULT_TOL.rel_tol * abs(res.value)
+
+    def test_splits_only_the_worst_panel(self, monkeypatch):
+        # exp(40x) puts its error at the right end, so only the panels there are split
+        evaluated = []
+        gk15 = oracle._gk15_panel
+
+        def panel(f, a, b):
+            evaluated.append((a, b))
+            return gk15(f, a, b)
+
+        monkeypatch.setattr(oracle, "_gk15_panel", panel)
+        res = integrate_ref(lambda x: math.exp(40.0 * x), Interval(0.0, 1.0))
+        assert abs(res.value - (math.exp(40.0) - 1.0) / 40.0) <= res.tail_bound
+        assert res.terms_used == 5 and len(evaluated) == 2 * 5 - 1  # each panel evaluated once
+        assert evaluated[1::2] == [(0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 0.9375)]
 
     def test_deterministic(self):
         f = parse("cosh(x)")

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import pytest
 
 from hhaudit import quadrature
-from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig
+from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, extend, require_derivative_convex
 from hhaudit.exprlang import parse
-from hhaudit.oracle import integrate_ref
+from hhaudit.oracle import PANEL_CAP, integrate_ref
 from hhaudit.quadrature import (
     Partition,
     adaptive_midpoint,
@@ -23,10 +24,6 @@ class TestPartition:
         p = Partition.uniform(Interval(0.0, 1.0), 4)
         assert p.points == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert p.panel_count == 4
-
-    def test_bisected(self):
-        p = Partition((0.0, 1.0)).bisected()
-        assert p.points == (0.0, 0.5, 1.0)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -113,11 +110,9 @@ class TestMidpointErrorBound:
 
     def test_refinement_monotone_for_monotone_derivative(self):
         f = parse("exp(x)")
-        p = Partition.uniform(Interval(0.0, 1.0), 1)
-        previous = midpoint_error_bound(f, p, 1.0)
-        for _ in range(6):
-            p = p.bisected()
-            current = midpoint_error_bound(f, p, 1.0)
+        previous = midpoint_error_bound(f, Partition.uniform(Interval(0.0, 1.0), 1), 1.0)
+        for k in range(1, 7):
+            current = midpoint_error_bound(f, Partition.uniform(Interval(0.0, 1.0), 2**k), 1.0)
             assert current <= previous + 1e-15
             previous = current
 
@@ -162,11 +157,21 @@ class TestAdaptiveMidpoint:
         assert abs(oracle_value - (math.e**2 - 1.0)) <= 1e-11
 
     def test_depth_exhaustion_flagged(self):
-        cfg = ToleranceConfig(max_refine_depth=4)
-        res = adaptive_midpoint(parse("x^2"), Interval(0.0, 1.0), 1e-9, 1.0, cfg)
-        assert not res.certified
+        # the first-order certificate is O(h): 1e-9 lies beyond the panel cap
+        res = adaptive_midpoint(parse("exp(x)+abs(x+9)"), Interval(0.0, 2.0), 1e-9)
+        assert not res.certified and res.order == 1
         assert res.e2_bound > 1e-9
-        assert res.partition.panel_count == 16
+        assert res.partition.panel_count == PANEL_CAP
+        assert abs(res.t2 - (math.e**2 - 1.0 + 20.0)) <= res.e2_bound
+
+    def test_target_below_the_rounding_floor_stops_at_once(self):
+        # f'' = 0: only T2's rounding is left, and it grows with every panel
+        start = time.perf_counter()
+        res = adaptive_midpoint(parse("x"), Interval(1.0, 2.0), 1e-20)
+        assert time.perf_counter() - start < 0.01
+        assert not res.certified and res.order == 2
+        assert res.partition.panel_count == 1
+        assert 0.0 < res.e2_bound <= 1.0e-14
 
     def test_guard_failure_propagates(self):
         with pytest.raises(DomainError):
@@ -177,9 +182,9 @@ class TestAdaptiveMidpoint:
             adaptive_midpoint(parse("x"), Interval(0.0, 1.0), 0.0, 1.0)
 
     @pytest.mark.parametrize("b, panels", [
-        (1.0000000000000002, 1),  # the next midpoint rounds onto an endpoint
-        (1.0000000000000004, 2),  # the second-order certificate widens no panel
-        (1.0000000000000009, 4),
+        (1.0000000000000002, 1),  # f'' = 0: no split can shrink the rounding term
+        (1.0000000000000004, 1),
+        (1.0000000000000009, 1),
     ])
     def test_refinement_stops_at_float_resolution(self, b, panels):
         res = adaptive_midpoint(parse("x"), Interval(1.0, b), 1e-40, 1.0)
@@ -188,10 +193,16 @@ class TestAdaptiveMidpoint:
         assert res.e2_bound > 1e-40
         assert res.t2 == res.t1 == midpoint_T2(parse("x"), res.partition)
 
-    def test_first_order_refinement_stops_where_panels_cannot_be_widened(self):
-        res = adaptive_midpoint(parse("abs(x+9)"), Interval(1.0, 1.0000000000000004), 1e-40, 1.0)
+    @pytest.mark.parametrize("b, panels", [
+        # refinement stops where a half of 1 ulp could not be split again; a panel
+        # that holds a midpoint, as each half of a split does, can always be widened
+        (1.0000000000000004, 1),
+        (1.0000000000000009, 2),
+    ])
+    def test_first_order_refinement_stops_where_panels_cannot_be_widened(self, b, panels):
+        res = adaptive_midpoint(parse("abs(x+9)"), Interval(1.0, b), 1e-40, 1.0)
         assert not res.certified and res.order == 1
-        assert res.partition.panel_count == 1
+        assert res.partition.panel_count == panels
 
     def test_level_zero_that_cannot_be_widened_raises(self):
         with pytest.raises(ValueError, match="extended interval needs lo < mid < hi"):
@@ -211,58 +222,52 @@ class TestAdaptiveMidpoint:
         return calls
 
     @pytest.mark.parametrize("fn, b, target, cfg, panels", [
-        ("exp(x)", 2.0, 1e-3, ToleranceConfig(), 64),
-        ("x^2", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
+        ("exp(x)", 2.0, 1e-3, ToleranceConfig(), 33),
+        ("x^2", 1.0, 1e-5, ToleranceConfig(), 108),
         ("x^2", 1.0, 10.0, ToleranceConfig(), 1),
     ])
     def test_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
         """Second order: one (f, f', f'') jet per grid point over the whole run, N + 1
-        after the guard and none of f' alone; T1 reuses the jets' f values and T2
-        evaluates f N times."""
+        after the guard and none of f' alone, and one certificate pass, on the final
+        partition; T1 reuses the jets' f values and T2 evaluates f N times."""
+        guard = self._count_evaluations(g := parse(fn), (2,))
+        require_derivative_convex(g, 2, 1.0, extend(Interval(0.0, b)), cfg)  # the |f''|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1, 2))
-        levels = []
+        passes = []
         certificate = quadrature._second_order_certificate
 
-        def per_level(partition, *args):
-            levels.append((partition.panel_count, calls[2]))
+        def counted(partition, *args):
+            passes.append(partition)
             return certificate(partition, *args)
 
-        monkeypatch.setattr(quadrature, "_second_order_certificate", per_level)
+        monkeypatch.setattr(quadrature, "_second_order_certificate", counted)
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
         assert res.order == 2 and res.partition.panel_count == panels
-        assert [n for n, _ in levels] == [1 << k for k in range(panels.bit_length())]
-        guard = levels[0][1]  # the |f''|^q guard on the widened hull runs before level 0
-        assert guard > 0
-        assert calls[2] - guard == panels + 1
+        assert res.certified and passes == [res.partition]
+        assert guard[2] > 0
+        assert calls[2] - guard[2] == panels + 1
         assert calls[1] == 0
         assert calls[0] == panels
         assert res.t1 == trapezoid_T1(parse(fn), res.partition)
 
     @pytest.mark.parametrize("fn, b, target, cfg, panels", [
-        ("exp(x)+abs(x+9)", 2.0, 1e-3, ToleranceConfig(), 8192),
-        ("x^2+abs(x+9)", 1.0, 1e-9, ToleranceConfig(max_refine_depth=4), 16),
+        ("exp(x)+abs(x+9)", 2.0, 1e-3, ToleranceConfig(), 4195),
+        ("x^2+abs(x+9)", 1.0, 1e-9, ToleranceConfig(), PANEL_CAP),
         ("x^2+abs(x+9)", 1.0, 10.0, ToleranceConfig(), 1),
     ])
     def test_first_order_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
-        """With abs in f: one certificate pass per level at two f' evaluations per
-        panel, then N + 1 evaluations of f for T1 and N for T2."""
+        """With abs in f: two f' evaluations per panel evaluated, 2N - 1 panels for N
+        final ones, then N + 1 evaluations of f for T1 and N for T2."""
+        guard = self._count_evaluations(g := parse(fn), (1,))
+        require_derivative_convex(g, 1, 1.0, extend(Interval(0.0, b)), cfg)  # the |f'|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1))
-        levels = []
-        bound = quadrature.midpoint_error_bound
-
-        def per_level(g, partition, *args, **kwargs):
-            levels.append((partition.panel_count, calls[1]))
-            return bound(g, partition, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "midpoint_error_bound", per_level)
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
         assert res.order == 1 and res.partition.panel_count == panels
-        assert [n for n, _ in levels] == [1 << k for k in range(panels.bit_length())]
-        guard = levels[0][1]  # the |f'|^q guard on the widened hull runs before level 0
-        assert guard > 0
-        assert calls[1] - guard == 2 * sum(n for n, _ in levels)
+        assert res.certified == (panels < PANEL_CAP)
+        assert guard[1] > 0
+        assert calls[1] - guard[1] == 2 * (2 * panels - 1)
         assert calls[0] == 2 * panels + 1
 
     def test_exp_to_1e_8_certifies_in_under_1e5_evaluations(self):
