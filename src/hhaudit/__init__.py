@@ -2,9 +2,9 @@
 
 Library layout:
 
-* :mod:`hhaudit.core` - intervals, the widened-interval construction,
-  tolerances, truncated results (``SeriesResult``), bound reports, convexity
-  sampling;
+* :mod:`hhaudit.core` - the one interval type, ``Interval``, for the base and
+  the widened interval (:func:`extend`), tolerances, truncated results
+  (``SeriesResult``), bound reports, convexity sampling;
 * :mod:`hhaudit.exprlang` - the one-variable function grammar and
   forward-mode jet evaluation (f, f', f'', f''');
 * :mod:`hhaudit.oracle` - the one adaptive refinement loop and the
@@ -24,7 +24,6 @@ from .core import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
-    ExtendedInterval,
     Interval,
     PreconditionError,
     ToleranceConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DomainError",
     "Expr",
-    "ExtendedInterval",
     "Interval",
     "Jet3",
     "ParseError",

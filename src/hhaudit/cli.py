@@ -93,7 +93,7 @@ def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interva
             return iv
         ext = extend(iv)
         try:
-            for x in (ext.lo, iv.a, ext.mid, iv.b, ext.hi):
+            for x in (ext.a, iv.a, iv.midpoint, iv.b, ext.b):
                 _probe(expr, x)  # overflow and NaN redraw like a domain hole
         except DomainError:
             continue
@@ -131,7 +131,10 @@ def cmd_verify(args, cfg: ToleranceConfig):
         inst = Instance(expr, iv, args.q, cfg) if expr is not None else None
         for target in targets:
             try:
-                checks = _TARGETS[target][1](inst, iv, args, cfg)
+                try:
+                    checks = _TARGETS[target][1](inst, iv, args, cfg)
+                except OverflowError as exc:  # a closed form left the float range: a domain failure
+                    raise DomainError(f"{target}: a value overflowed ({exc})") from exc
             except (DomainError, PreconditionError, ConvergenceError) as exc:
                 if trial is None and not (tolerant and isinstance(exc, ValueError)):
                     raise

@@ -2,7 +2,10 @@
 bound reports, guards.
 
 Every inequality audited by this package is hypothesized on the widened
-interval ``[(3a-b)/2, (3b-a)/2]`` built from a base interval ``[a, b]``.  This
+interval ``[(3a-b)/2, (3b-a)/2]`` built from a base interval ``[a, b]``.  Both
+are an :class:`Interval`: :func:`widen` is the one float formula for the widened
+ends, and :func:`extend` builds the widened interval from it.  The two share
+their midpoint up to rounding; callers take it from the base interval.  This
 module owns that construction, the tolerance configuration shared by all
 numeric routines, the :class:`SeriesResult` that every series and the reference
 integrator return, and the comparison policy used to call a floating-point
@@ -18,7 +21,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable
 
 
 class DomainError(ValueError):
@@ -75,7 +78,7 @@ def config_from_env() -> ToleranceConfig:
 
 @dataclass(frozen=True)
 class Interval:
-    """Base interval [a, b] with a < b, both finite."""
+    """Interval [a, b] with a < b, both finite: a base interval, or a widened one from :func:`extend`."""
 
     a: float
     b: float
@@ -95,16 +98,6 @@ class Interval:
         return 0.5 * (self.a + self.b)
 
 
-@dataclass(frozen=True)
-class ExtendedInterval:
-    """Widened interval [(3a-b)/2, (3b-a)/2]: same midpoint, twice the width.
-    Build it with :func:`extend`, which checks lo < mid < hi."""
-
-    lo: float
-    hi: float
-    mid: float
-
-
 def widen(a: float, b: float) -> tuple[float, float]:
     """(lo, hi) = ((3a-b)/2, (3b-a)/2); ValueError unless lo < (a+b)/2 < hi in floating point."""
     lo, hi, mid = (3.0 * a - b) / 2.0, (3.0 * b - a) / 2.0, (a + b) / 2.0
@@ -113,9 +106,13 @@ def widen(a: float, b: float) -> tuple[float, float]:
     return lo, hi
 
 
-def extend(iv: Interval) -> ExtendedInterval:
-    """Widen [a, b] to the interval on which all bound hypotheses live."""
-    return ExtendedInterval(*widen(iv.a, iv.b), (iv.a + iv.b) / 2.0)
+def extend(iv: Interval) -> Interval:
+    """Widen [a, b] to the interval on which all bound hypotheses live, with the ends of
+    :func:`widen`; DomainError when an end overflows."""
+    lo, hi = widen(iv.a, iv.b)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"widened interval of [{iv.a!r}, {iv.b!r}] overflows: ({lo!r}, {hi!r})")
+    return Interval(lo, hi)
 
 
 def conjugate_exponent(q: float) -> float:
@@ -167,17 +164,6 @@ def make_report(
     )
 
 
-AnyInterval = Union[Interval, ExtendedInterval]
-
-
-def _span(iv: AnyInterval) -> tuple[float, float]:
-    if isinstance(iv, ExtendedInterval):
-        return iv.lo, iv.hi
-    if isinstance(iv, Interval):
-        return iv.a, iv.b
-    raise TypeError(f"expected Interval or ExtendedInterval, got {type(iv).__name__}")
-
-
 def _probe(fn: Callable[[float], float], x: float) -> float:
     try:
         value = fn(x)
@@ -198,20 +184,19 @@ def _unit_pairs(n: int) -> tuple[tuple[float, float], ...]:
 
 def sample_convexity(
     f: Callable[[float], float],
-    iv: AnyInterval,
+    iv: Interval,
     n: int,
     *,
     cfg: ToleranceConfig = DEFAULT_TOL,
     label: str = "convexity",
 ) -> BoundReport:
-    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` random pairs (seed 0):
-    the first 2n values u of ``Random(0).random()``, put at ``lo + (hi - lo) * u`` as ``uniform`` does.
+    """Probe midpoint convexity of ``f`` on ``iv`` at ``n`` random pairs (seed 0): the first
+    2n values u of ``Random(0).random()``, put at ``a + (b - a) * u`` as ``uniform`` does.
 
     The five structural points (endpoints, midpoint, quarter points) are
     evaluated first so that domain holes surface as :class:`DomainError`
     naming the failing point rather than as spurious convexity verdicts; for
-    an extended interval the quarter points equal the base endpoints a and b
-    up to rounding.
+    a widened interval the quarter points equal the base endpoints up to rounding.
 
     The report's ``lhs`` is the worst observed gap
     ``f((x+y)/2) - (f(x)+f(y))/2``; convexity is "satisfied" when that gap
@@ -219,7 +204,7 @@ def sample_convexity(
     """
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
-    lo, hi = _span(iv)
+    lo, hi = iv.a, iv.b
     for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
         _probe(f, x)
     worst = -math.inf
@@ -241,9 +226,9 @@ def sample_convexity(
 
 
 def require_convex(
-    fn: Callable[[float], float], region: AnyInterval, pairs: int, cfg: ToleranceConfig, what: str
+    fn: Callable[[float], float], region: Interval, pairs: int, cfg: ToleranceConfig, what: str
 ) -> None:
-    """The convexity guard: PreconditionError naming ``what``, the span and the worst
+    """The convexity guard: PreconditionError naming ``what``, the interval and the worst
     gap unless ``fn`` passes :func:`sample_convexity` at ``pairs`` pairs;
     a domain hole raises the probe's DomainError."""
     report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
@@ -261,7 +246,7 @@ def derivative_power(f, order: int, q: float) -> Callable[[float], float]:
     return lambda x: abs(jet(x)[order]) ** q
 
 
-def require_derivative_convex(f, order: int, q: float, region: AnyInterval, cfg: ToleranceConfig) -> None:
+def require_derivative_convex(f, order: int, q: float, region: Interval, cfg: ToleranceConfig) -> None:
     """The order-``order`` derivative bounds' hypothesis: |f^(order)|^q convex on ``region`` (32 pairs)
     and, at order 2, ``f.twice_differentiable()``, since f'' = 0 off a kink samples as convex."""
     what = "|f" + "'" * order + f"|^q (q = {q!r})"

@@ -31,7 +31,6 @@ from .core import (
     BoundReport,
     DEFAULT_TOL,
     DomainError,
-    ExtendedInterval,
     Interval,
     PreconditionError,
     ToleranceConfig,
@@ -138,8 +137,8 @@ class Instance:
 
     The battery's bounds share four hypotheses (f convex on [a, b]; f, |f'|^q
     and |f''|^q convex on the widened interval) and one left side, the mean
-    integral.  An instance computes each of those, f at the widened lo, mid
-    and hi, and the first- and second-order bounds at most once.  A
+    integral.  An instance computes each of those, f at the widened ends and
+    at the midpoint, and the first- and second-order bounds at most once.  A
     DomainError or PreconditionError is kept and raised again, as the same
     exception, to every later check that needs that piece.  Every report
     names f in its canonical form.
@@ -167,7 +166,7 @@ class Instance:
         return value
 
     @functools.cached_property
-    def ext(self) -> ExtendedInterval:
+    def ext(self) -> Interval:
         return extend(self.iv)
 
     def _guard_f(self, widened: bool) -> None:
@@ -179,8 +178,9 @@ class Instance:
         self._once(f"order {order}", lambda: require_derivative_convex(self.f, order, self.q, self.ext, self.cfg))
 
     def _f_at(self, point: str) -> float:
-        """f at the widened interval's "lo", "mid" or "hi"."""
-        return self._once(point, lambda: self.f(getattr(self.ext, point)))
+        """f at the widened interval's ends "lo" and "hi", or at "mid", the base midpoint."""
+        return self._once(point, lambda: self.f(
+            self.iv.midpoint if point == "mid" else self.ext.a if point == "lo" else self.ext.b))
 
     def mean(self) -> float:
         """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
@@ -262,8 +262,8 @@ class Instance:
         self._guard_derivative(1)
         lhs = abs(self.mean() - self._f_at("mid"))
         jet1 = self.f.compiled(1)
-        d_lo = abs(jet1(self.ext.lo)[1])
-        d_hi = abs(jet1(self.ext.hi)[1])
+        d_lo = abs(jet1(self.ext.a)[1])
+        d_hi = abs(jet1(self.ext.b)[1])
         s = d_lo**q + d_hi**q
         rhs_thm2 = (width / 8.0) * s ** (1.0 / q)
         if q > 1.0:
@@ -288,8 +288,8 @@ class Instance:
         mean = self.mean()
         lhs = abs(mean - (self._f_at("lo") + self._f_at("hi") + 2.0 * self._f_at("mid")) / 4.0)
         jet2 = self.f.compiled(2)
-        dd_lo = abs(jet2(self.ext.lo)[2])
-        dd_hi = abs(jet2(self.ext.hi)[2])
+        dd_lo = abs(jet2(self.ext.a)[2])
+        dd_hi = abs(jet2(self.ext.b)[2])
         w2 = self.iv.width**2
         avg_q = 0.5 * (dd_lo**q + dd_hi**q)
         rhs_k3 = (w2 / 3.0) * avg_q ** (1.0 / q)

@@ -1,56 +1,49 @@
 """Special means of positive reals and the propositions tying them to the bounds.
 
-Each proposition instantiates the three-point / first-derivative machinery at
-a concrete power function (x^n, 1/x^2, 1/x), so its two displays can be
-evaluated purely from closed-form means.  The first display inherits the
-fragile half-value form; the second is the combined first-order bound with
-min{1/8, derived Hoelder constant}.
+The arithmetic, geometric, logarithmic and generalized logarithmic means are
+one plain function each.  Each proposition instantiates the three-point /
+first-derivative machinery at a concrete power function (x^n, 1/x^2, 1/x), so
+its two displays can be evaluated purely from closed-form means.  The first
+display inherits the fragile half-value form; the second is the combined
+first-order bound with min{1/8, derived Hoelder constant}.  Both read the
+widened ends from :func:`hhaudit.core.widen` as floats, so an end that
+overflows enters the closed forms as inf rather than raising.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     BoundReport,
     DEFAULT_TOL,
     DomainError,
     ToleranceConfig,
-    extend,
-    Interval,
     make_report,
     require_exponent,
     require_positive_pair,
     require_positive_widening,
+    widen,
 )
 from .hh_bounds import min_first_order_constant
 
-_FAMILIES = ("arithmetic", "geometric", "logarithmic", "generalized_log")
+
+def arithmetic_mean(a: float, b: float) -> float:
+    """A(a, b) = (a + b)/2 of 0 < a < b."""
+    require_positive_pair(a, b)
+    return 0.5 * (a + b)
 
 
-@dataclass(frozen=True)
-class MeanKind:
-    family: str
-    n: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown mean family {self.family!r}")
-        if self.family == "generalized_log":
-            if self.n is None or self.n in (-1, 0):
-                raise ValueError(f"generalized log mean needs integer n not in {{-1, 0}}, got {self.n!r}")
-        elif self.n is not None:
-            raise ValueError(f"{self.family} mean takes no order parameter")
+def geometric_mean(a: float, b: float) -> float:
+    """G(a, b) = sqrt(ab) of 0 < a < b."""
+    require_positive_pair(a, b)
+    return math.sqrt(a * b)
 
 
-ARITHMETIC = MeanKind("arithmetic")
-GEOMETRIC = MeanKind("geometric")
-LOGARITHMIC = MeanKind("logarithmic")
-
-
-def generalized_log(n: int) -> MeanKind:
-    return MeanKind("generalized_log", n)
+def logarithmic_mean(a: float, b: float) -> float:
+    """L(a, b) = (b - a)/(ln b - ln a) of 0 < a < b."""
+    require_positive_pair(a, b)
+    return (b - a) / (math.log(b) - math.log(a))
 
 
 def _gen_log_power(n: int, a: float, b: float) -> float:
@@ -58,17 +51,13 @@ def _gen_log_power(n: int, a: float, b: float) -> float:
     return (b ** (n + 1) - a ** (n + 1)) / ((b - a) * (n + 1))
 
 
-def mean(kind: MeanKind, a: float, b: float) -> float:
-    """A, G, L, or L_n of 0 < a < b."""
+def generalized_log_mean(n: int, a: float, b: float) -> float:
+    """L_n(a, b) = [(b^(n+1) - a^(n+1)) / ((n + 1)(b - a))]^(1/n) of 0 < a < b, for an
+    integer n outside {-1, 0}."""
+    if n in (-1, 0):
+        raise ValueError(f"generalized log mean needs integer n not in {{-1, 0}}, got {n!r}")
     require_positive_pair(a, b)
-    if kind.family == "arithmetic":
-        return 0.5 * (a + b)
-    if kind.family == "geometric":
-        return math.sqrt(a * b)
-    if kind.family == "logarithmic":
-        return (b - a) / (math.log(b) - math.log(a))
-    assert kind.n is not None
-    return _gen_log_power(kind.n, a, b) ** (1.0 / kind.n)
+    return _gen_log_power(n, a, b) ** (1.0 / n)
 
 
 def means_proposition_check(
@@ -96,8 +85,7 @@ def means_proposition_check(
         raise DomainError(f"P1 needs integer n outside {{-1, 0}}, got {n!r}")
     if key in ("P2", "P3") or (key == "P1" and n < 0):
         require_positive_widening(a, b)
-    ext = extend(Interval(a, b))
-    lo, hi = ext.lo, ext.hi
+    lo, hi = widen(a, b)
     A = 0.5 * (a + b)
     kconst = min_first_order_constant(q)
     width = b - a

@@ -80,7 +80,7 @@ class QuadratureResult:
     t2: float
     e2_bound: float
     partition: Partition
-    certified: bool = True
+    certified: bool
     order: int = 1  # of the certificate: 2 from |f''|^q, 1 from |f'|^q
 
 
@@ -168,25 +168,15 @@ def prop5_check(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = 
 
 
 def _rounding(n: int, a: float, b: float, h: float, f0: float, f1: float, f2: float) -> tuple[float, float]:
-    """(c, rounding term) of the certificate below, from h and the largest |f|, |f'|, |f''|."""
+    """(c, rounding term) of the second-order certificate (1 + c) trunc/24 + rounding, for N = n
+    panels of [a, b] at most h wide, with f0, f1, f2 the largest |f|, |f'|, |f''| at the grid
+    points x_i.  T2's rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3): the products, widths and sum err by gamma_(N+1) sum |f(m)| dx, and rounded
+    midpoints move each term by dx u max(|a|, |b|) sup|f'|.  g is below its end values on a
+    panel, so sup|f'| <= D = f1 + h f2 and sup|f| <= f0 + h D.  c = 2 (N + 8) u covers those,
+    and the truncation sum's own rounding.  The error of each evaluation of f is out of scope."""
     c = 2.0 * (n + 8) * 2.0**-53
     return c, c * (b - a) * (f0 + (max(abs(a), abs(b)) + h) * (f1 + h * f2))
-
-
-def _second_order_certificate(partition: Partition, at, q: float) -> float:
-    """The second-order bound of the module docstring over the panels, plus T2's rounding
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): on N panels of [a, b],
-    the products, widths and sum err by gamma_(N+1) sum |f(m)| dx, and rounded midpoints
-    move each term by dx u max(|a|, |b|) sup|f'|.  g is below its end values on a panel,
-    so sup|f'| <= D = max|f'(x_i)| + h max|f''(x_i)| and sup|f| <= max|f(x_i)| + h D over
-    the grid points x_i.  c = 2 (N + 8) u covers those, and the truncation sum's own
-    rounding.  The error of each evaluation of f is out of scope.  ``at(x)`` is (f, f', f'', g)."""
-    pts = partition.points
-    v0, v1, v2, g = zip(*map(at, pts))
-    trunc = math.fsum((r - l) ** 3 * (0.5 * (gl + gr)) ** (1.0 / q) for l, r, gl, gr in zip(pts, pts[1:], g, g[1:]))
-    h = max(map(operator.sub, pts[1:], pts))
-    c, rounding = _rounding(partition.panel_count, pts[0], pts[-1], h, *(max(map(abs, v)) for v in (v0, v1, v2)))
-    return (1.0 + c) * trunc / 24.0 + rounding
 
 
 def adaptive_midpoint(
@@ -198,8 +188,10 @@ def adaptive_midpoint(
     The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
     which holds every panel) selects the second-order share, (h^3/24)((g(l) + g(r))/2)^(1/q)
     from the (f, f', f'') jet at grid points only: N + 1 jets for N final panels, whose f
-    values T1 reuses; ``e2_bound`` is :func:`_second_order_certificate` of the partition.
-    Its rounding term grows with N, so refinement also stops where no split can shrink it.
+    values T1 reuses.  ``e2_bound`` is :func:`_rounding`'s bound from what :func:`refine`
+    returns: trunc, the exact sum of the final shares, the widest final panel, and the peaks
+    of |f|, |f'|, |f''| over the grid points, the only points evaluated.  Its rounding term
+    grows with N, so refinement also stops where no split can shrink it.
     Where that guard raises PreconditionError, the |f'|^q guard runs and the share is prop5's
     term, at two f' evaluations per panel; T1 costs N + 1 evaluations of f.  T2 costs N.
     ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after the
@@ -247,7 +239,9 @@ def adaptive_midpoint(
         failed[0] = n
         return False
 
-    partition = Partition((a, *(p[1] for p in refine(share, a, b, stop)[0])))
-    bound = _second_order_certificate(partition, at, q)
+    panels, _, trunc = refine(share, a, b, stop)
+    c, rounding = _rounding(len(panels), a, b, max(r - l for l, r, _, _ in panels), *peaks)
+    bound = (1.0 + c) * trunc / 24.0 + rounding
+    partition = Partition((a, *(p[1] for p in panels)))
     t1 = trapezoid_T1(lambda x: at(x)[0], partition)
     return QuadratureResult(t1, midpoint_T2(f, partition), bound, partition, bound <= target, 2)

@@ -25,10 +25,10 @@ from .core import (
     SeriesResult,
     ToleranceConfig,
     BoundReport,
-    extend,
     make_report,
     require_positive_pair,
     require_positive_widening,
+    widen,
 )
 from .oracle import integrate_ref
 
@@ -216,7 +216,7 @@ def bessel_prop6(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TO
     """Three-point bounds for the normalized first-kind family (prop6.i1) and cosh
     (prop6.i11).  prop6.i1 writes nI_p'(x) as x nI_{p+1}(x) / (2(p+1)) (DLMF 10.29(ii))."""
     require_positive_pair(a, b)
-    ext = extend(Interval(a, b))
+    (lo, hi), mid = widen(a, b), 0.5 * (a + b)
     inputs = {"p": p, "a": a, "b": b}
 
     def nI(order: float, x: float) -> float:
@@ -224,13 +224,13 @@ def bessel_prop6(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TO
 
     lhs_i1 = abs(nI(p, b) - nI(p, a)) / (b - a)
     rhs_i1 = (
-        ext.lo * nI(p + 1.0, ext.lo)
-        + ext.hi * nI(p + 1.0, ext.hi)
-        + (a + b) * nI(p + 1.0, ext.mid)
+        lo * nI(p + 1.0, lo)
+        + hi * nI(p + 1.0, hi)
+        + (a + b) * nI(p + 1.0, mid)
     ) / (8.0 * (p + 1.0))
 
     lhs_i11 = abs(math.cosh(b) - math.cosh(a)) / (b - a)
-    rhs_i11 = (math.sinh(ext.lo) + math.sinh(ext.hi) + 2.0 * math.sinh(ext.mid)) / 4.0
+    rhs_i11 = (math.sinh(lo) + math.sinh(hi) + 2.0 * math.sinh(mid)) / 4.0
     return [
         make_report("prop6.i1", lhs_i1, rhs_i1, inputs, cfg),
         make_report("prop6.i11", lhs_i11, rhs_i11, {"a": a, "b": b}, cfg),
@@ -244,7 +244,7 @@ def bessel_prop7(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TO
     if not p > 1.0:
         raise PreconditionError(f"prop7 needs p > 1, got p = {p!r}")
     require_positive_widening(a, b)
-    ext = extend(Interval(a, b))
+    (lo, hi), mid = widen(a, b), 0.5 * (a + b)
 
     def kv(order: float, x: float) -> float:
         return bessel_K(order, x, cfg).value
@@ -252,9 +252,9 @@ def bessel_prop7(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TO
     lhs_ii = abs(a**p * kv(p, b) - b**p * kv(p, a)) / ((a * b) ** p * (b - a))
     u, v, w = a + b, 3.0 * a - b, 3.0 * b - a
     f_top = (
-        2.0 ** (p + 1.0) * (v * w) ** p * kv(p + 1.0, ext.mid)
-        + (2.0 * u * w) ** p * kv(p + 1.0, ext.lo)
-        + (2.0 * u * v) ** p * kv(p + 1.0, ext.hi)
+        2.0 ** (p + 1.0) * (v * w) ** p * kv(p + 1.0, mid)
+        + (2.0 * u * w) ** p * kv(p + 1.0, lo)
+        + (2.0 * u * v) ** p * kv(p + 1.0, hi)
     )
     rhs_ii = f_top / (u * v * w) ** p
     return make_report("prop7.ii", lhs_ii, rhs_ii, {"p": p, "a": a, "b": b}, cfg)
@@ -277,7 +277,7 @@ def qdigamma_prop_checks(
     refinement; requires 3a > b so all evaluation points stay positive."""
     require_positive_pair(a, b)
     require_positive_widening(a, b)
-    ext = extend(Interval(a, b))
+    (lo, hi), mid = widen(a, b), 0.5 * (a + b)
     inputs = {"q": q, "a": a, "b": b}
 
     def psi(x: float) -> float:
@@ -290,8 +290,8 @@ def qdigamma_prop_checks(
         return q_digamma_deriv(q, x, 3, cfg).value
 
     slope = (psi(b) - psi(a)) / (b - a)
-    avg = (d1(ext.lo) + d1(ext.hi) + 2.0 * d1(ext.mid)) / 4.0
+    avg = (d1(lo) + d1(hi) + 2.0 * d1(mid)) / 4.0
     prop8 = make_report("prop8", abs(slope), avg, inputs, cfg)
-    rhs9 = (b - a) ** 2 * (d3(ext.lo) + d3(ext.hi)) / 6.0
+    rhs9 = (b - a) ** 2 * (d3(lo) + d3(hi)) / 6.0
     prop9 = make_report("prop9", abs(slope - avg), rhs9, inputs, cfg)
     return [prop8, prop9]

@@ -15,11 +15,10 @@ from typing import Callable
 
 from hhaudit.core import (
     DEFAULT_TOL,
-    AnyInterval,
     BoundReport,
     DomainError,
+    Interval,
     ToleranceConfig,
-    _span,
     make_report,
 )
 
@@ -38,18 +37,18 @@ def _probe(fn: Callable[[float], float], x: float) -> float:
 
 def sample_convexity(
     f: Callable[[float], float],
-    iv: AnyInterval,
+    iv: Interval,
     n: int,
     *,
     cfg: ToleranceConfig = DEFAULT_TOL,
     label: str = "convexity",
 ) -> BoundReport:
-    """Probe midpoint convexity of ``f`` on the span of ``iv`` at ``n`` random pairs (seed 0).
+    """Probe midpoint convexity of ``f`` on ``iv`` at ``n`` random pairs (seed 0).
 
     The five structural points (endpoints, midpoint, quarter points) are
     evaluated first so that domain holes surface as :class:`DomainError`
     naming the failing point rather than as spurious convexity verdicts; for
-    an extended interval the quarter points are the base endpoints a and b.
+    a widened interval the quarter points are the base endpoints.
 
     The report's ``lhs`` is the worst observed gap
     ``f((x+y)/2) - (f(x)+f(y))/2``; convexity is "satisfied" when that gap
@@ -57,7 +56,7 @@ def sample_convexity(
     """
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
-    lo, hi = _span(iv)
+    lo, hi = iv.a, iv.b
     for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
         _probe(f, x)
     rng = random.Random(0)

@@ -70,6 +70,43 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["counts"] == {"checked": 13, "satisfied": 0, "violated": 0, "guarded_out": 13}
 
+    def test_overflowing_widened_interval_guards_out_every_target_of_all(self, capsys):
+        # b is finite but (3b - a)/2 is not
+        code, out, _ = run_cli(capsys, "verify", "--target", "all", "--fn", "x^2", "--a=1e307", "--b=1.2e308")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"checked": 13, "satisfied": 0, "violated": 0, "guarded_out": 13}
+
+    @pytest.mark.parametrize("fn", ["x^2", "1"])
+    def test_overflowing_widened_interval_exits_two(self, capsys, fn):
+        # a constant once passed, checked at an infinite end instead of (3b - a)/2
+        code, out, err = run_cli(capsys, "verify", "--target", "k1", "--fn", fn, "--a=1e307", "--b=1.2e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: widened interval of [1e+307, 1.2e+308] overflows: (")
+
+    def test_overflowing_midpoint_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--target", "prop6", "--a", "1e308", "--b", "1.5e308")
+        assert (code, out) == (2, "")
+        assert err == "error: extended interval needs lo < mid < hi, got (inf, inf, inf)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--target", "prop1", "--n", "400", "--trials", "100"),
+        ("--target", "prop3", "--q", "1e6", "--trials", "20"),
+        ("--target", "prop7", "--p", "400", "--trials", "20"),
+    ], ids=["prop1", "prop3", "prop7"])
+    def test_random_mode_counts_an_overflowing_closed_form_as_guarded_out(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "1")
+        doc = json.loads(out)
+        assert doc["counts"]["guarded_out"] > 0
+        if argv[1] == "prop3":  # where lo^(-2q) underflows instead of overflowing, display2's right side reads 0
+            assert code == 1 and {(r["label"], r["rhs"]) for r in doc["findings"]} == {("p3.display2", 0.0)}
+        else:
+            assert code == 0
+
+    def test_fixed_overflowing_closed_form_names_the_target(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--target", "prop1", "--n", "400", "--a", "1", "--b", "7")
+        assert (code, out) == (2, "")
+        assert err == "error: prop1: a value overflowed ((34, 'Numerical result out of range'))\n"
+
     @pytest.mark.parametrize("fn, offset", [("(" * 200 + "x" + ")" * 200, 100), ("+".join(["x"] * 340), 199)],
                              ids=["parentheses", "sum"])
     def test_too_deep_fn_exits_two(self, capsys, fn, offset):

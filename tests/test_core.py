@@ -8,7 +8,6 @@ from hhaudit.core import (
     BoundReport,
     DEFAULT_TOL,
     DomainError,
-    ExtendedInterval,
     Interval,
     ToleranceConfig,
     conjugate_exponent,
@@ -38,11 +37,11 @@ class TestInterval:
 class TestExtend:
     def test_unit_example(self):
         ext = extend(Interval(0.0, 2.0))
-        assert (ext.lo, ext.hi, ext.mid) == (-1.0, 3.0, 1.0)
+        assert (ext.a, ext.b, ext.midpoint) == (-1.0, 3.0, 1.0)
 
     def test_shifted_example(self):
         ext = extend(Interval(1.0, 2.0))
-        assert (ext.lo, ext.hi, ext.mid) == (0.5, 2.5, 1.5)
+        assert (ext.a, ext.b, ext.midpoint) == (0.5, 2.5, 1.5)
 
     def test_width_doubling_1000_random(self):
         rng = random.Random(20240817)
@@ -50,16 +49,17 @@ class TestExtend:
             a = rng.uniform(-50.0, 50.0)
             b = a + rng.uniform(1e-3, 20.0)
             ext = extend(Interval(a, b))
-            assert math.isclose(ext.hi - ext.lo, 2.0 * (b - a), rel_tol=1e-13)
+            assert math.isclose(ext.b - ext.a, 2.0 * (b - a), rel_tol=1e-13)
 
     def test_ordering_chain(self):
         rng = random.Random(7)
         for _ in range(200):
             a = rng.uniform(-10, 10)
             b = a + rng.uniform(0.01, 5)
-            ext = extend(Interval(a, b))
-            assert ext.lo < a < ext.mid < b < ext.hi
-            assert math.isclose(ext.mid, 0.5 * (ext.lo + ext.hi), rel_tol=1e-12, abs_tol=1e-12)
+            iv = Interval(a, b)
+            ext = extend(iv)
+            assert ext.a < a < iv.midpoint < b < ext.b
+            assert math.isclose(iv.midpoint, ext.midpoint, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(
         a=st.floats(-1e4, 1e4),
@@ -70,9 +70,14 @@ class TestExtend:
         base = extend(Interval(a, a + w))
         shifted = extend(Interval(a + s, a + w + s))
         scale = max(1.0, abs(a), abs(s), w)
-        assert abs(shifted.lo - (base.lo + s)) <= 1e-12 * scale
-        assert abs(shifted.hi - (base.hi + s)) <= 1e-12 * scale
-        assert abs(shifted.mid - (base.mid + s)) <= 1e-12 * scale
+        assert abs(shifted.a - (base.a + s)) <= 1e-12 * scale
+        assert abs(shifted.b - (base.b + s)) <= 1e-12 * scale
+        assert abs(shifted.midpoint - (base.midpoint + s)) <= 1e-12 * scale
+
+    def test_overflowing_end_is_a_domain_error(self):
+        # 3b overflows although b does not; an Interval would refuse the inf with a plain ValueError
+        with pytest.raises(DomainError, match=r"widened interval of \[1e\+307, 1\.2e\+308\] overflows"):
+            extend(Interval(1e307, 1.2e308))
 
 
 class TestConjugateExponent:
@@ -129,18 +134,18 @@ class TestBoundReport:
 
 class TestSampleConvexity:
     def test_convex_square(self):
-        r = sample_convexity(parse("x^2"), ExtendedInterval(-1.0, 3.0, 1.0), 50)
+        r = sample_convexity(parse("x^2"), Interval(-1.0, 3.0), 50)
         assert r.satisfied
 
     def test_concave_square_violates(self):
-        r = sample_convexity(parse("-(x^2)"), ExtendedInterval(-1.0, 3.0, 1.0), 50)
+        r = sample_convexity(parse("-(x^2)"), Interval(-1.0, 3.0), 50)
         assert not r.satisfied
         assert r.lhs > 0
 
     def test_pole_inside_reports_domain_error(self):
         # the quarter point of [-1, 3] is exactly 0, where 1/x is undefined
         with pytest.raises(DomainError, match="x = 0.0"):
-            sample_convexity(parse("1/x"), ExtendedInterval(-1.0, 3.0, 1.0), 50)
+            sample_convexity(parse("1/x"), Interval(-1.0, 3.0), 50)
 
     def test_accepts_base_interval_and_callables(self):
         r = sample_convexity(lambda x: x * x, Interval(0.0, 1.0), 10)

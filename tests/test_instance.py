@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from hhaudit import cli, core, hh_bounds
-from hhaudit.core import DomainError, ExtendedInterval, Interval
+from hhaudit.core import DomainError, Interval, extend
 from hhaudit.exprlang import Expr, parse
 from hhaudit.hh_bounds import Instance, three_point_check
 
@@ -86,7 +86,7 @@ def test_each_instance_starts_fresh(calls):
 def test_failing_widened_guard_probed_once_and_counted_per_target(calls):
     code, doc = verify("--target", "all", "--fn", "x*log(x)", "--a", "0.5", "--b", "2", "--q", "2")
     assert code == 0
-    widened_f = [iv for label, iv in calls["guards"] if label == "guard:f" and isinstance(iv, ExtendedInterval)]
+    widened_f = [iv for label, iv in calls["guards"] if label == "guard:f" and iv == extend(Interval(0.5, 2.0))]
     assert len(widened_f) == 1
     assert len(calls["guards"]) == 4
     # k1, k2, thm2-thm7, cor1 and cor2 all need a hypothesis on the widened interval

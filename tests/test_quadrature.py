@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from hhaudit import quadrature
 from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, extend, require_derivative_convex
 from hhaudit.exprlang import parse
 from hhaudit.oracle import PANEL_CAP, integrate_ref
@@ -226,25 +225,26 @@ class TestAdaptiveMidpoint:
         ("x^2", 1.0, 1e-5, ToleranceConfig(), 108),
         ("x^2", 1.0, 10.0, ToleranceConfig(), 1),
     ])
-    def test_work_per_level(self, monkeypatch, fn, b, target, cfg, panels):
+    def test_work_per_level(self, fn, b, target, cfg, panels):
         """Second order: one (f, f', f'') jet per grid point over the whole run, N + 1
-        after the guard and none of f' alone, and one certificate pass, on the final
-        partition; T1 reuses the jets' f values and T2 evaluates f N times."""
+        after the guard and none of f' alone; T1 reuses the jets' f values and T2
+        evaluates f N times.  The certificate is the second-order bound on the final
+        partition, recomputed here from the grid points, bit for bit."""
         guard = self._count_evaluations(g := parse(fn), (2,))
         require_derivative_convex(g, 2, 1.0, extend(Interval(0.0, b)), cfg)  # the |f''|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1, 2))
-        passes = []
-        certificate = quadrature._second_order_certificate
-
-        def counted(partition, *args):
-            passes.append(partition)
-            return certificate(partition, *args)
-
-        monkeypatch.setattr(quadrature, "_second_order_certificate", counted)
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
         assert res.order == 2 and res.partition.panel_count == panels
-        assert res.certified and passes == [res.partition]
+        assert res.certified
+        pts = res.partition.points
+        jets = [parse(fn).compiled(2)(x) for x in pts]
+        g = [abs(jet[2]) for jet in jets]  # |f''|^q at q = 1
+        trunc = math.fsum((r - l) ** 3 * (0.5 * (gl + gr)) for l, r, gl, gr in zip(pts, pts[1:], g, g[1:]))
+        f0, f1, f2 = (max(abs(jet[k]) for jet in jets) for k in range(3))
+        h = max(r - l for l, r in res.partition.panels())
+        c = 2.0 * (panels + 8) * 2.0**-53
+        assert res.e2_bound == (1.0 + c) * trunc / 24.0 + c * b * (f0 + (b + h) * (f1 + h * f2))
         assert guard[2] > 0
         assert calls[2] - guard[2] == panels + 1
         assert calls[1] == 0
