@@ -37,6 +37,7 @@ from .core import (
     conjugate_exponent,
     extend,
     make_report,
+    power_mean,
     require_convex,
     require_derivative_convex,
     require_exponent,
@@ -258,18 +259,18 @@ class Instance:
         return self._once("first_order", self._first_order)
 
     def _first_order(self) -> FirstOrderBounds:
+        """thm2 is (b-a)/8 2^(1/q) M and thm3 (b-a) c_p M, with M the :func:`power_mean` of
+        |f'| at the widened ends; no |f'|^q is formed, so M neither overflows nor underflows."""
         q, width = self.q, self.iv.width
         self._guard_derivative(1)
         lhs = abs(self.mean() - self._f_at("mid"))
         jet1 = self.f.compiled(1)
-        d_lo = abs(jet1(self.ext.a)[1])
-        d_hi = abs(jet1(self.ext.b)[1])
-        s = d_lo**q + d_hi**q
-        rhs_thm2 = (width / 8.0) * s ** (1.0 / q)
+        mean_d = power_mean(q, abs(jet1(self.ext.a)[1]), abs(jet1(self.ext.b)[1]))
+        rhs_thm2 = (width / 8.0) * 2.0 ** (1.0 / q) * mean_d
         if q > 1.0:
             p = conjugate_exponent(q)
             thm3_const = math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p)
-            rhs_thm3 = width * thm3_const * (0.5 * s) ** (1.0 / q)
+            rhs_thm3 = width * thm3_const * mean_d
             k2p: float | None = k2_printed_constant(q)
             k2d: float | None = k2_derived_constant(q)
             rhs_min = min(rhs_thm2, rhs_thm3)
@@ -283,6 +284,8 @@ class Instance:
         return self._once("second_order", self._second_order)
 
     def _second_order(self) -> SecondOrderBounds:
+        """K3 and K4 are (b-a)^2 c M, M the :func:`power_mean` of |f''| at the widened ends.  K5 and
+        K6 weight |f''(lo)|^q : |f''(hi)|^q as 1 : q+1 and 2 : q+1, so their means take w = 1/(q+2), 2/(q+3)."""
         q = self.q
         self._guard_derivative(2)
         mean = self.mean()
@@ -291,22 +294,18 @@ class Instance:
         dd_lo = abs(jet2(self.ext.a)[2])
         dd_hi = abs(jet2(self.ext.b)[2])
         w2 = self.iv.width**2
-        avg_q = 0.5 * (dd_lo**q + dd_hi**q)
-        rhs_k3 = (w2 / 3.0) * avg_q ** (1.0 / q)
-        rhs_k6 = (
-            w2
-            * (2.0 / ((q + 1.0) * (q + 2.0) * (q + 3.0))) ** (1.0 / q)
-            * (2.0 * dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
-        )
+        mean_dd = power_mean(q, dd_lo, dd_hi)
+        rhs_k3 = (w2 / 3.0) * mean_dd
+        rhs_k6 = w2 * (2.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q) * power_mean(q, dd_lo, dd_hi, 2.0 / (q + 3.0))
         if q > 1.0:
             p = conjugate_exponent(q)
-            rhs_k4: float | None = 2.0 * w2 * _gamma_ratio_power(p) * avg_q ** (1.0 / q)
+            rhs_k4: float | None = 2.0 * w2 * _gamma_ratio_power(p) * mean_dd
             rhs_k5: float | None = (
                 w2
                 * 2.0
                 * (1.0 / (p + 1.0)) ** (1.0 / p)
-                * (1.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q)
-                * (dd_lo**q + (q + 1.0) * dd_hi**q) ** (1.0 / q)
+                * (1.0 / (q + 1.0)) ** (1.0 / q)
+                * power_mean(q, dd_lo, dd_hi, 1.0 / (q + 2.0))
             )
             rhs_min = min(rhs_k3, rhs_k4, rhs_k5, rhs_k6)
         else:

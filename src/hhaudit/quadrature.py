@@ -10,7 +10,8 @@ panel [l, r] of width h, int f - h f(m) = int K f'' with the midpoint rule's Pea
 kernel K = (t - l)^2/2 on [l, m], (r - t)^2/2 on [m, r], and int K = h^3/24 (Davis &
 Rabinowitz, *Methods of Numerical Integration*).  The power mean with weights K, then
 the chord of g (K is symmetric about m), give |int f - h f(m)| <= (h^3/24) ((g(l) +
-g(r))/2)^(1/q): O(h^2) in sum, and an equality for quadratics."""
+g(r))/2)^(1/q): O(h^2) in sum, and an equality for quadratics.  Both certificates take
+their mean from :func:`hhaudit.core.power_mean` of |f'| or |f''|, never forming a q-th power."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .core import (
     derivative_power,
     extend,
     make_report,
+    power_mean,
     require_convex,
     require_derivative_convex,
     require_exponent,
@@ -109,9 +111,10 @@ def _guard_panels(fn, partition: Partition, what: str, cfg: ToleranceConfig) -> 
 
 
 def _first_order_term(jet1, q: float, left: float, right: float) -> float:
-    """(dx)^2 (|f'(lo*)|^q + |f'(hi*)|^q)^(1/q) with lo*/hi* from the panel's widened interval."""
+    """(dx)^2 (|f'(lo*)|^q + |f'(hi*)|^q)^(1/q) = (dx)^2 2^(1/q) power_mean(q, |f'(lo*)|, |f'(hi*)|),
+    lo* and hi* the panel's widened ends."""
     lo, hi = widen(left, right)
-    return (right - left) ** 2 * (abs(jet1(lo)[1]) ** q + abs(jet1(hi)[1]) ** q) ** (1.0 / q)
+    return (right - left) ** 2 * 2.0 ** (1.0 / q) * power_mean(q, abs(jet1(lo)[1]), abs(jet1(hi)[1]))
 
 
 def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -186,8 +189,8 @@ def adaptive_midpoint(
     finite), in the loop of :func:`integrate_ref` with a panel's certificate share as its error.
 
     The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
-    which holds every panel) selects the second-order share, (h^3/24)((g(l) + g(r))/2)^(1/q)
-    from the (f, f', f'') jet at grid points only: N + 1 jets for N final panels, whose f
+    which holds every panel) selects the second-order share, (h^3/24) power_mean(q, |f''(l)|,
+    |f''(r)|) from the (f, f', f'') jet at grid points only: N + 1 jets for N final panels, whose f
     values T1 reuses.  ``e2_bound`` is :func:`_rounding`'s bound from what :func:`refine`
     returns: trunc, the exact sum of the final shares, the widest final panel, and the peaks
     of |f|, |f'|, |f''| over the grid points, the only points evaluated.  Its rounding term
@@ -214,16 +217,16 @@ def adaptive_midpoint(
     jet2, grid, peaks, failed = f.compiled(2), {}, [0.0, 0.0, 0.0], [0]
 
     def at(x: float) -> tuple[float, float, float, float]:
-        """(f, f', f'', g) at a grid point, evaluated once; ``peaks`` tracks |f|, |f'|, |f''|."""
+        """(f, f', f'', |f''|) at a grid point, evaluated once; ``peaks`` tracks |f|, |f'|, |f''|."""
         point = grid.get(x)
         if point is None:
             jet = jet2(x)
-            point = grid[x] = (*jet, abs(jet[2]) ** q)
+            point = grid[x] = (*jet, abs(jet[2]))
             peaks[:] = map(max, peaks, map(abs, jet))
         return point
 
     def share(l: float, r: float) -> tuple[float, float]:
-        return 0.0, (r - l) ** 3 * (0.5 * (at(l)[3] + at(r)[3])) ** (1.0 / q)  # 24 times the share
+        return 0.0, (r - l) ** 3 * power_mean(q, at(l)[3], at(r)[3])  # 24 times the share
 
     def stop(_, trunc: float, heap) -> bool:
         # the floor test is sound at the mean width; a fit is confirmed at the widest, once per n/8 at most

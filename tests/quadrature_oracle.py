@@ -109,5 +109,10 @@ def midpoint_error_bound(
             d_hi = abs(jet1(ext.hi)[1])
         except DomainError as exc:
             raise DomainError(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
-        total += (right - left) ** 2 * (d_lo**q + d_hi**q) ** (1.0 / q)
+        # (d_lo^q + d_hi^q)^(1/q) as 2^(1/q) times the power mean scaled by its larger term,
+        # written out here, so that power_mean is not compared with itself
+        m = max(d_lo, d_hi)
+        if m not in (0.0, math.inf):
+            m *= (0.5 * (d_lo / m) ** q + 0.5 * (d_hi / m) ** q) ** (1.0 / q)
+        total += (right - left) ** 2 * 2.0 ** (1.0 / q) * m
     return kconst * total

@@ -13,6 +13,7 @@ from hhaudit.core import (
     conjugate_exponent,
     extend,
     make_report,
+    power_mean,
     sample_convexity,
 )
 from hhaudit.exprlang import parse
@@ -130,6 +131,22 @@ class TestBoundReport:
     def test_label_required(self):
         with pytest.raises(ValueError):
             BoundReport("", 0.0, 0.0, 0.0, True, {})
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_undefined_side_is_a_domain_error_naming_the_label(self, lhs, rhs):
+        with pytest.raises(DomainError, match="^edge: a side is undefined"):
+            make_report("edge", lhs, rhs, {})
+
+
+class TestPowerMean:
+    @pytest.mark.parametrize("q", [1.0, 2.0, 1e3, 1e6])
+    def test_edges(self, q):
+        for w in (0.5, 1.0 / (q + 2.0), 2.0 / (q + 3.0)):
+            for x in (5e-324, 1e-300, 1.0, 3.0, 1e300, 1.7976931348623157e308):
+                assert power_mean(q, x, x, w) == x  # u = v gives m exactly: w + fl(1 - w) = 1
+            assert power_mean(q, 0.0, 0.0, w) == 0.0
+            assert power_mean(q, math.inf, 2.0, w) == power_mean(q, 0.0, math.inf, w) == math.inf
+            assert power_mean(q, 0.0, 3.0, w) == 3.0 * (1.0 - w) ** (1.0 / q)
 
 
 class TestSampleConvexity:

@@ -1,5 +1,5 @@
-"""The reference integrator, bessel_K and the certified midpoint rule against an
-independent 40-digit path (mpmath).
+"""The reference integrator, bessel_K, the certified midpoint rule and the power mean
+against an independent 40-digit path (mpmath).
 
 mpmath is a test-only dependency; the package itself imports only the standard
 library (see ``test_stdlib_only.py``).
@@ -8,9 +8,10 @@ library (see ``test_stdlib_only.py``).
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhaudit import special_fns
-from hhaudit.core import DEFAULT_TOL, ConvergenceError, Interval
+from hhaudit.core import DEFAULT_TOL, ConvergenceError, Interval, power_mean
 from hhaudit.exprlang import parse
 from hhaudit.oracle import integrate_ref
 from hhaudit.quadrature import adaptive_midpoint
@@ -167,3 +168,17 @@ def test_abs_kink_stays_first_order(digits40):
         assert abs(mpf(res.t2) - exact) <= res.e2_bound
     assert abs(exact - mpf("0.29")) < 1e-15
 
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(u=_LOG_UNIFORM, v=_LOG_UNIFORM, q=st.floats(0.0, 6.0).map(lambda e: 10.0**e), which=st.integers(0, 2))
+def test_power_mean_meets_its_derived_bound(u, v, q, which):
+    """Within (6 + 5/q) eps of (w u^q + (1 - w) v^q)^(1/q) at 40 digits, the float w taken as exact."""
+    w = (0.5, 1.0 / (q + 2.0), 2.0 / (q + 3.0))[which]  # thm2-thm4, P1-P3 and the certificates; K5; K6
+    got = power_mean(q, u, v, w)
+    with mp.workdps(40):
+        wm = mpf(w)
+        ref = (wm * mpf(u) ** q + (1 - wm) * mpf(v) ** q) ** (1 / mpf(q))
+        assert abs(mpf(got) - ref) <= (6.0 + 5.0 / q) * UNIT_ROUNDOFF * ref
