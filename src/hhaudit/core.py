@@ -10,8 +10,8 @@ configuration shared by all numeric routines, the :class:`SeriesResult` that eve
 series and the reference integrator return, the comparison policy used to call a
 floating-point inequality "satisfied" (a NaN side is a DomainError), and
 :func:`power_mean`, the one mean on the right side of every derivative bound.  Every
-hypothesis check lives here too, so a failure raises the same error from every module:
-the convexity guard, 1 <= q < inf, ``0 < a < b`` and a widened interval inside (0, inf).
+hypothesis check lives here, so a failure raises the same error from every module: the one
+guard :func:`require_convex`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
 """
 
 from __future__ import annotations
@@ -215,9 +215,9 @@ def sample_convexity(
     naming the failing point rather than as spurious convexity verdicts; for
     a widened interval the quarter points equal the base endpoints up to rounding.
 
-    The report's ``lhs`` is the worst observed gap
-    ``f((x+y)/2) - (f(x)+f(y))/2``; convexity is "satisfied" when that gap
-    stays below ``abs_tol``.
+    The report's ``lhs`` is the worst observed gap ``f((x+y)/2) - (f(x)/2 + f(y)/2)``,
+    an average that cannot overflow; convexity is "satisfied" when that gap stays
+    below ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint.
     """
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
@@ -230,8 +230,10 @@ def sample_convexity(
         x = lo + (hi - lo) * u
         y = lo + (hi - lo) * v
         mid = 0.5 * (x + y)
-        gap = _probe(f, mid) - 0.5 * (_probe(f, x) + _probe(f, y))
-        if gap > worst:
+        gap = _probe(f, mid) - (0.5 * _probe(f, x) + 0.5 * _probe(f, y))
+        if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
+            if gap != gap:
+                raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {mid!r}")
             worst, worst_at = gap, mid
     return make_report(
         label,
@@ -242,34 +244,33 @@ def sample_convexity(
     )
 
 
+def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
+    """A parsed expression's compiled value variant, resolved once; any other callable as it is."""
+    return f.compiled(0) if hasattr(f, "compiled") else f
+
+
 def require_convex(
-    fn: Callable[[float], float], region: Interval, pairs: int, cfg: ToleranceConfig, what: str
+    f, region: Interval, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> None:
-    """The convexity guard: PreconditionError naming ``what``, the interval and the worst
-    gap unless ``fn`` passes :func:`sample_convexity` at ``pairs`` pairs;
-    a domain hole raises the probe's DomainError."""
+    """The one hypothesis guard: f (order 0, any callable) or |f^(order)|^q (order 1 or 2, f parsed)
+    midpoint-convex on ``region`` by :func:`sample_convexity` at ``pairs`` pairs, after 1 <= q < inf and,
+    at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  PreconditionError names
+    the function, the interval and the worst gap; a domain hole raises the probe's DomainError."""
+    if order == 0:
+        what, fn = "f", evaluator(f)
+    else:
+        require_exponent(q)
+        what = "|f" + "'" * order + f"|^q (q = {q!r})"
+        if order == 2 and not f.twice_differentiable():
+            raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
+        jet = f.compiled(order)
+        fn = lambda x: abs(jet(x)[order]) ** q
     report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
     if not report.satisfied:
         raise PreconditionError(
             f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
             f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})"
         )
-
-
-def derivative_power(f, order: int, q: float) -> Callable[[float], float]:
-    """x -> |f^(order)(x)|^q for a parsed expression f: the function whose
-    convexity the derivative bounds assume."""
-    jet = f.compiled(order)
-    return lambda x: abs(jet(x)[order]) ** q
-
-
-def require_derivative_convex(f, order: int, q: float, region: Interval, cfg: ToleranceConfig) -> None:
-    """The order-``order`` derivative bounds' hypothesis: |f^(order)|^q convex on ``region`` (32 pairs)
-    and, at order 2, ``f.twice_differentiable()``, since f'' = 0 off a kink samples as convex."""
-    what = "|f" + "'" * order + f"|^q (q = {q!r})"
-    if order == 2 and not f.twice_differentiable():
-        raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
-    require_convex(derivative_power(f, order, q), region, 32, cfg, what)
 
 
 def require_exponent(q: float) -> None:

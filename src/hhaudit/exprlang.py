@@ -31,7 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DomainError
+from .core import DomainError, evaluator  # evaluator: re-exported for callers of this module
 
 
 class ParseError(ValueError):
@@ -83,11 +83,6 @@ class Expr:
     def __getstate__(self) -> dict[str, Any]:
         # compiled functions cannot be pickled; an unpickled node fetches them again on use
         return {k: v for k, v in vars(self).items() if k not in ("_evaluators", "_consts", "_shape")}
-
-
-def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
-    """A parsed expression's compiled value variant, resolved once; any other callable as it is."""
-    return f.compiled(0) if isinstance(f, Expr) else f
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Checks implemented here, each as an explicit (lhs, rhs) pair:
 
 All integral left-hand sides come from :mod:`hhaudit.oracle`; right-hand
 sides are closed-form evaluations.  Every bound operation first checks its
-hypotheses on the widened interval with the guards of :mod:`hhaudit.core`
+hypothesis on the widened interval with :func:`hhaudit.core.require_convex`
 (convexity sampled at 32 pairs; 1 <= q < inf) and fails loudly rather than
 silently evaluating outside a function's domain.  :class:`Instance` holds one
 function on one interval and computes each guard, the mean integral and the
@@ -39,11 +39,9 @@ from .core import (
     make_report,
     power_mean,
     require_convex,
-    require_derivative_convex,
-    require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
-from .exprlang import Expr, evaluator, fn_label
+from .exprlang import Expr, fn_label
 from .oracle import integrate_ref
 
 K1 = 0.125
@@ -170,13 +168,10 @@ class Instance:
     def ext(self) -> Interval:
         return extend(self.iv)
 
-    def _guard_f(self, widened: bool) -> None:
-        self._once("f widened" if widened else "f",
-                   lambda: require_convex(evaluator(self.f), self.ext if widened else self.iv, 32, self.cfg, "f"))
-
-    def _guard_derivative(self, order: int) -> None:
-        require_exponent(self.q)
-        self._once(f"order {order}", lambda: require_derivative_convex(self.f, order, self.q, self.ext, self.cfg))
+    def _guard(self, order: int, widened: bool = True) -> None:
+        """:func:`require_convex` of f (order 0) or |f^(order)|^q, on [a, b] or the widened interval."""
+        self._once(f"guard {order} {widened}",
+                   lambda: require_convex(self.f, self.ext if widened else self.iv, order, self.q, cfg=self.cfg))
 
     def _f_at(self, point: str) -> float:
         """f at the widened interval's ends "lo" and "hi", or at "mid", the base midpoint."""
@@ -191,7 +186,7 @@ class Instance:
     def classic(self) -> tuple[BoundReport, BoundReport]:
         """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
         fn, iv, cfg = self.f, self.iv, self.cfg
-        self._guard_f(widened=False)
+        self._guard(0, widened=False)
         mean = self.mean()
         lower = make_report("eq1.lower", fn(iv.midpoint), mean, self.inputs, cfg)
         upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), self.inputs, cfg)
@@ -235,7 +230,7 @@ class Instance:
     def three_point(self) -> tuple[BoundReport, BoundReport]:
         """Three-point bound: f(mid) <= mean integral <= [2 f(mid) + f(hi) + f(lo)] / 4,
         with lo/hi from the widened interval.  Needs f convex there."""
-        self._guard_f(widened=True)
+        self._guard(0)
         mean = self.mean()
         fmid, flo, fhi = self._f_at("mid"), self._f_at("lo"), self._f_at("hi")
         lower = make_report("k1.lower", fmid, mean, self.inputs, self.cfg)
@@ -248,7 +243,7 @@ class Instance:
         Fragile: a vertical shift of f changes the left side but can zero the
         right side, so violations are recorded as findings, not artifact bugs.
         """
-        self._guard_f(widened=True)
+        self._guard(0)
         mean = self.mean()
         lhs = abs(mean - 0.5 * self._f_at("mid"))
         rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
@@ -262,7 +257,7 @@ class Instance:
         """thm2 is (b-a)/8 2^(1/q) M and thm3 (b-a) c_p M, with M the :func:`power_mean` of
         |f'| at the widened ends; no |f'|^q is formed, so M neither overflows nor underflows."""
         q, width = self.q, self.iv.width
-        self._guard_derivative(1)
+        self._guard(1)
         lhs = abs(self.mean() - self._f_at("mid"))
         jet1 = self.f.compiled(1)
         mean_d = power_mean(q, abs(jet1(self.ext.a)[1]), abs(jet1(self.ext.b)[1]))
@@ -287,7 +282,7 @@ class Instance:
         """K3 and K4 are (b-a)^2 c M, M the :func:`power_mean` of |f''| at the widened ends.  K5 and
         K6 weight |f''(lo)|^q : |f''(hi)|^q as 1 : q+1 and 2 : q+1, so their means take w = 1/(q+2), 2/(q+3)."""
         q = self.q
-        self._guard_derivative(2)
+        self._guard(2)
         mean = self.mean()
         lhs = abs(mean - (self._f_at("lo") + self._f_at("hi") + 2.0 * self._f_at("mid")) / 4.0)
         jet2 = self.f.compiled(2)

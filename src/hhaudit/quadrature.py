@@ -1,6 +1,6 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
-by the guards of :mod:`hhaudit.core`: 1 <= q < inf, and convexity sampled at 16 pairs per
+by :func:`hhaudit.core.require_convex`: 1 <= q < inf, and convexity sampled at 16 pairs per
 panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the
 certificates are flat passes over ``partition.points``; refinement is :mod:`hhaudit.oracle`'s.
 
@@ -28,17 +28,16 @@ from .core import (
     Interval,
     PreconditionError,
     ToleranceConfig,
-    derivative_power,
+    evaluator,
     extend,
     make_report,
     power_mean,
     require_convex,
-    require_derivative_convex,
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
     widen,
 )
-from .exprlang import Expr, evaluator, fn_label
+from .exprlang import Expr, fn_label
 from .hh_bounds import min_first_order_constant
 from .oracle import PANEL_CAP, integrate_ref, refine
 
@@ -101,11 +100,11 @@ def midpoint_T2(f, partition: Partition) -> float:
     return total
 
 
-def _guard_panels(fn, partition: Partition, what: str, cfg: ToleranceConfig) -> None:
-    """The convexity guard on each panel's widened interval; failures name the panel."""
+def _guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig) -> None:
+    """:func:`require_convex` at 16 pairs on each panel's widened interval; failures name the panel."""
     for i, (left, right) in enumerate(partition.panels()):
         try:
-            require_convex(fn, extend(Interval(left, right)), 16, cfg, what)
+            require_convex(f, extend(Interval(left, right)), order, q, pairs=16, cfg=cfg)
         except (DomainError, PreconditionError) as exc:
             raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
 
@@ -121,8 +120,8 @@ def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: Tolerance
     """Certified bound on the composite midpoint error from |f'|^q convexity, sampled on
     each panel's widened interval: the sum of :func:`_first_order_term` times 1/8 at q = 1
     and min{1/8, derived Hoelder constant} for q > 1."""
-    require_exponent(q)
-    _guard_panels(derivative_power(f, 1, q), partition, f"|f'|^q (q = {q!r})", cfg)
+    require_exponent(q)  # before the panels, whose failures are prefixed with the panel
+    _guard_panels(f, partition, 1, q, cfg)
     jet1 = f.compiled(1)
     total = 0.0
     for left, right in partition.panels():
@@ -137,8 +136,8 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
     """
     if not callable(f):
         raise TypeError("f must be callable")
+    _guard_panels(f, partition, 0, 1.0, cfg)
     fx = evaluator(f)
-    _guard_panels(fx, partition, "f", cfg)
     iv = Interval(partition.points[0], partition.points[-1])
     integral = integrate_ref(f, iv, cfg).value
     t2 = midpoint_T2(f, partition)
@@ -202,12 +201,11 @@ def adaptive_midpoint(
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
-    require_exponent(q)
-    a, b = iv.a, iv.b
+    a, b, hull = iv.a, iv.b, extend(iv)
     try:
-        require_derivative_convex(f, 2, q, extend(iv), cfg)
+        require_convex(f, hull, 2, q, cfg=cfg)
     except PreconditionError:
-        require_derivative_convex(f, 1, q, extend(iv), cfg)
+        require_convex(f, hull, 1, q, cfg=cfg)
         jet1, kconst = f.compiled(1), min_first_order_constant(q)
         panels, _, bound = refine(
             lambda l, r: (0.0, kconst * _first_order_term(jet1, q, l, r)), a, b, lambda _, e, heap: e <= target

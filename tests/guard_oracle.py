@@ -51,8 +51,8 @@ def sample_convexity(
     a widened interval the quarter points are the base endpoints.
 
     The report's ``lhs`` is the worst observed gap
-    ``f((x+y)/2) - (f(x)+f(y))/2``; convexity is "satisfied" when that gap
-    stays below ``abs_tol``.
+    ``f((x+y)/2) - (f(x)/2 + f(y)/2)``; convexity is "satisfied" when that gap
+    stays below ``abs_tol``.  A gap of inf - inf is a DomainError.
     """
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
@@ -66,7 +66,9 @@ def sample_convexity(
         x = rng.uniform(lo, hi)
         y = rng.uniform(lo, hi)
         mid = 0.5 * (x + y)
-        gap = _probe(f, mid) - 0.5 * (_probe(f, x) + _probe(f, y))
+        gap = _probe(f, mid) - (0.5 * _probe(f, x) + 0.5 * _probe(f, y))
+        if math.isnan(gap):
+            raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {mid!r}")
         if gap > worst:
             worst, worst_at = gap, mid
     return make_report(

@@ -18,7 +18,6 @@ from hhaudit.core import (
     DomainError,
     Interval,
     ToleranceConfig,
-    derivative_power,
     require_exponent,
 )
 from hhaudit.exprlang import Expr
@@ -98,7 +97,7 @@ def midpoint_error_bound(
     if guard not in ("panel", "none"):
         raise ValueError(f"guard must be 'panel' or 'none', got {guard!r}")
     if guard == "panel":
-        _guard_panels(derivative_power(f, 1, q), partition, f"|f'|^q (q = {q!r})", cfg)
+        _guard_panels(f, partition, 1, q, cfg)
     jet1 = f.compiled(1)
     kconst = min_first_order_constant(q)
     total = 0.0

@@ -61,9 +61,22 @@ class TestExitCodes:
         assert err == f"error: need 1 to 65536 panels, got m = {panels}\n"
 
     def test_overflowing_mean_integral_exits_two(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
+        # lemma1 has no guard, so the reference integrator meets the overflow first
+        code, out, err = run_cli(capsys, "verify", "--target", "lemma1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
         assert (code, out) == (2, "")
         assert "not finite on the panel [1e+200, 2e+200]" in err
+
+    def test_overflowing_guard_gap_exits_two(self, capsys):
+        # x^2 is inf on the whole interval, so every gap of eq1's guard is inf - inf
+        code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
+        assert (code, out) == (2, "")
+        assert err == "error: convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200\n"
+
+    def test_overflowing_guard_average_names_the_guard(self, capsys):
+        # f(x) + f(y) overflows for this concave f; the average of halves does not
+        code, out, err = run_cli(capsys, "verify", "--target", "k1", "--fn", "1.7e308 - 1e300*x^2", "--a", "1", "--b", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: f is not midpoint-convex on [0.5, 2.5] (worst gap ")
 
     def test_overflowing_mean_integral_guards_out_every_target_of_all(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--target", "all", "--fn", "x^2", "--a", "1e200", "--b", "2e200")

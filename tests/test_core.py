@@ -176,3 +176,15 @@ class TestSampleConvexity:
         a = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 25)
         b = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 25)
         assert a == b
+
+    def test_an_overflowing_average_does_not_pass_a_concave_function(self):
+        # f(x) + f(y) overflows to inf here; f(x)/2 + f(y)/2 does not
+        r = sample_convexity(parse("1.7e308 - 1e300*x^2"), Interval(1.0, 2.0), 32)
+        assert not r.satisfied
+        assert r.lhs == 1.328326528410059e+299
+
+    def test_an_undefined_gap_is_a_domain_error_naming_the_midpoint(self):
+        # -x^2 is -inf on the whole interval, so every gap is inf - inf
+        with pytest.raises(DomainError) as exc:
+            sample_convexity(parse("-x^2"), Interval(1e200, 2e200), 32)
+        assert str(exc.value) == "convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200"

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, extend, require_derivative_convex
+from hhaudit import core
+from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, extend, require_convex
 from hhaudit.exprlang import parse
 from hhaudit.oracle import PANEL_CAP, integrate_ref
 from hhaudit.quadrature import (
@@ -231,7 +232,7 @@ class TestAdaptiveMidpoint:
         evaluates f N times.  The certificate is the second-order bound on the final
         partition, recomputed here from the grid points, bit for bit."""
         guard = self._count_evaluations(g := parse(fn), (2,))
-        require_derivative_convex(g, 2, 1.0, extend(Interval(0.0, b)), cfg)  # the |f''|^q guard alone
+        require_convex(g, extend(Interval(0.0, b)), 2, 1.0, cfg=cfg)  # the |f''|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1, 2))
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
@@ -260,7 +261,7 @@ class TestAdaptiveMidpoint:
         """With abs in f: two f' evaluations per panel evaluated, 2N - 1 panels for N
         final ones, then N + 1 evaluations of f for T1 and N for T2."""
         guard = self._count_evaluations(g := parse(fn), (1,))
-        require_derivative_convex(g, 1, 1.0, extend(Interval(0.0, b)), cfg)  # the |f'|^q guard alone
+        require_convex(g, extend(Interval(0.0, b)), 1, 1.0, cfg=cfg)  # the |f'|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1))
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
@@ -294,3 +295,31 @@ class TestAdaptiveMidpoint:
         res = adaptive_midpoint(parse("x^2.5"), Interval(1.0, 2.0), 1e-3)
         assert res.certified and res.order == 1
         assert abs(res.t2 - (2.0**3.5 - 1.0) / 3.5) <= res.e2_bound
+
+
+@pytest.fixture
+def guard_pairs(monkeypatch):
+    """The pair count of each sample_convexity call, through the core binding that the guard calls."""
+    pairs = []
+    original = core.sample_convexity
+
+    def counted(f, iv, n, **kwargs):
+        pairs.append(n)
+        return original(f, iv, n, **kwargs)
+
+    monkeypatch.setattr(core, "sample_convexity", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: midpoint_error_bound(parse("exp(x)"), Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [16] * 16),
+    (lambda: prop4_check(parse("exp(x)"), Partition.uniform(Interval(1.0, 2.0), 16)), [16] * 16),
+    # the |f''|^q guard passes on the widened hull, so the |f'|^q guard never runs
+    (lambda: adaptive_midpoint(parse("exp(x)"), Interval(0.0, 2.0), 1e-3), [32]),
+    # abs refuses the |f''|^q guard before it samples, so only the |f'|^q guard samples
+    (lambda: adaptive_midpoint(parse("x^2+abs(x+9)"), Interval(0.0, 1.0), 10.0), [32]),
+], ids=["midpoint_error_bound", "prop4_check", "adaptive order 2", "adaptive order 1"])
+def test_guard_traffic(guard_pairs, call, want):
+    """One guard per panel at 16 pairs, or one on the widened hull at 32."""
+    call()
+    assert guard_pairs == want
