@@ -255,7 +255,7 @@ def require_convex(
     """The one hypothesis guard: f (order 0, any callable) or |f^(order)|^q (order 1 or 2, f parsed)
     midpoint-convex on ``region`` by :func:`sample_convexity` at ``pairs`` pairs, after 1 <= q < inf and,
     at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  PreconditionError names
-    the function, the interval and the worst gap; a domain hole raises the probe's DomainError."""
+    the function, the interval and the worst gap; a domain hole's DomainError names the function too."""
     if order == 0:
         what, fn = "f", evaluator(f)
     else:
@@ -265,7 +265,10 @@ def require_convex(
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
-    report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
+    try:
+        report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
     if not report.satisfied:
         raise PreconditionError(
             f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"

@@ -70,7 +70,14 @@ class TestExitCodes:
         # x^2 is inf on the whole interval, so every gap of eq1's guard is inf - inf
         code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
         assert (code, out) == (2, "")
-        assert err == "error: convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200\n"
+        assert err == "error: f: convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200\n"
+
+    def test_derivative_guard_domain_error_names_its_hypothesis(self, capsys):
+        # thm2's |f'|^q guard probes the widened interval [0, 2], where log is undefined
+        code, out, err = run_cli(capsys, "verify", "--target", "thm2", "--fn", "log(x)", "--a", "0.5", "--b", "1.5",
+                                 "--q", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: |f'|^q (q = 2.0): log of nonpositive argument at x = 0.0 (arg = 0.0)\n"
 
     def test_overflowing_guard_average_names_the_guard(self, capsys):
         # f(x) + f(y) overflows for this concave f; the average of halves does not
