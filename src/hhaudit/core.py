@@ -11,7 +11,7 @@ series and the reference integrator return, the comparison policy used to call a
 floating-point inequality "satisfied" (a NaN side is a DomainError), and
 :func:`power_mean`, the one mean on the right side of every derivative bound.  Every
 hypothesis check lives here, so a failure raises the same error from every module: the one
-guard :func:`require_convex`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
+guard :func:`convexity_guard`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
 """
 
 from __future__ import annotations
@@ -181,15 +181,20 @@ def make_report(
     )
 
 
+def undefined(x: float, cause: Exception | None = None) -> DomainError:
+    """What sampling raises where f raised ``cause`` at ``x``, or returned NaN (no cause)."""
+    return DomainError(f"function undefined at x = {x!r}: {cause}" if cause else f"function undefined (NaN) at x = {x!r}")
+
+
 def _probe(fn: Callable[[float], float], x: float) -> float:
     try:
         value = fn(x)
     except DomainError:
         raise
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise DomainError(f"function undefined at x = {x!r}: {exc}") from exc
+        raise undefined(x, exc) from exc
     if math.isnan(value):
-        raise DomainError(f"function undefined (NaN) at x = {x!r}")
+        raise undefined(x)
     return value
 
 
@@ -210,38 +215,43 @@ def sample_convexity(
     """Probe midpoint convexity of ``f`` on ``iv`` at ``n`` random pairs (seed 0): the first
     2n values u of ``Random(0).random()``, put at ``a + (b - a) * u`` as ``uniform`` does.
 
-    The five structural points (endpoints, midpoint, quarter points) are
-    evaluated first so that domain holes surface as :class:`DomainError`
-    naming the failing point rather than as spurious convexity verdicts; for
-    a widened interval the quarter points equal the base endpoints up to rounding.
+    The five structural points (endpoints, midpoint, quarter points) come first, then each pair's
+    midpoint and ends, so that a domain hole surfaces as the :class:`DomainError` of the first failing
+    point rather than as a spurious verdict; for a widened interval the quarter points equal the base
+    endpoints up to rounding.  A parsed function's evaluator carries a compiled ``loop`` over them all;
+    any other callable is probed one point at a time.
 
     The report's ``lhs`` is the worst observed gap ``f((x+y)/2) - (f(x)/2 + f(y)/2)``,
-    an average that cannot overflow; convexity is "satisfied" when that gap stays
-    below ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint.
+    an average that cannot overflow; convexity is "satisfied" when that gap stays below
+    ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint, ahead of any later hole.
     """
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
     lo, hi = iv.a, iv.b
-    for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
-        _probe(f, x)
-    worst = -math.inf
-    worst_at = lo
+    width, values, hole = hi - lo, [], None
+    points = [lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi]
     for u, v in _unit_pairs(n):
-        x = lo + (hi - lo) * u
-        y = lo + (hi - lo) * v
-        mid = 0.5 * (x + y)
-        gap = _probe(f, mid) - (0.5 * _probe(f, x) + 0.5 * _probe(f, y))
+        x = lo + width * u
+        y = lo + width * v
+        points += (0.5 * (x + y), x, y)
+    try:
+        if hasattr(f, "loop"):
+            f.loop(points, values)
+        else:
+            for x in points:
+                values.append(_probe(f, x))
+    except DomainError as exc:
+        hole = exc  # raised once the pairs sampled before it are scanned
+    worst, worst_at = -math.inf, lo
+    for mid, f_mid, f_x, f_y in zip(points[5::3], values[5::3], values[6::3], values[7::3]):
+        gap = f_mid - (0.5 * f_x + 0.5 * f_y)
         if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
             if gap != gap:
                 raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {mid!r}")
             worst, worst_at = gap, mid
-    return make_report(
-        label,
-        worst,
-        0.0,
-        {"lo": lo, "hi": hi, "pairs": n, "worst_at": worst_at},
-        cfg=cfg,
-    )
+    if hole is not None:
+        raise hole
+    return make_report(label, worst, 0.0, {"lo": lo, "hi": hi, "pairs": n, "worst_at": worst_at}, cfg=cfg)
 
 
 def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -249,13 +259,13 @@ def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
     return f.compiled(0) if hasattr(f, "compiled") else f
 
 
-def require_convex(
-    f, region: Interval, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: ToleranceConfig = DEFAULT_TOL
-) -> None:
-    """The one hypothesis guard: f (order 0, any callable) or |f^(order)|^q (order 1 or 2, f parsed)
-    midpoint-convex on ``region`` by :func:`sample_convexity` at ``pairs`` pairs, after 1 <= q < inf and,
-    at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  PreconditionError names
-    the function, the interval and the worst gap; a domain hole's DomainError names the function too."""
+def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: ToleranceConfig = DEFAULT_TOL):
+    """The one hypothesis guard, set up once and returned as the check of a region: f (order 0, any
+    callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on it by :func:`sample_convexity`
+    at ``pairs`` pairs, after 1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink
+    samples as convex).  PreconditionError names the function, the interval and the worst gap; a domain
+    hole's DomainError names the function too.  |f^(order)|^q samples through the compiled loop of
+    ``f.compiled(order)``, when that evaluator has one."""
     if order == 0:
         what, fn = "f", evaluator(f)
     else:
@@ -265,15 +275,25 @@ def require_convex(
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
-    try:
-        report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
-    except DomainError as exc:
-        raise DomainError(f"{what}: {exc}") from exc
-    if not report.satisfied:
-        raise PreconditionError(
-            f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
-            f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})"
-        )
+        if hasattr(jet, "loop"):
+            fn.loop = functools.partial(jet.loop, q=q)
+    label = f"guard:{what}"
+
+    def check(region: Interval) -> None:
+        try:
+            report = sample_convexity(fn, region, pairs, cfg=cfg, label=label)
+        except DomainError as exc:
+            raise DomainError(f"{what}: {exc}") from exc
+        if not report.satisfied:
+            raise PreconditionError(f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
+                                    f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
+    return check
+
+
+def require_convex(f, region: Interval, order: int = 0, q: float = 1.0, *, pairs: int = 32,
+                   cfg: ToleranceConfig = DEFAULT_TOL) -> None:
+    """:func:`convexity_guard` on one region."""
+    convexity_guard(f, order, q, pairs=pairs, cfg=cfg)(region)
 
 
 def require_exponent(q: float) -> None:

@@ -16,10 +16,11 @@ multiplication ("2x") is not recognized.  Text nested deeper than
 Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 13), compiled once per process per tree shape and order: :meth:`Expr.compiled`
 emits straight-line Python for f, f', ..., f^(k) on first use, with the tree's constants
-as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value
-variant and the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet`
-computes f'''.  Truncation drops operations but changes none, so it is bit-exact.
-A numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``,
+as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value variant and
+the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet` computes f'''.  Next
+to each variant its source holds a ``loop`` over a list of points: the convexity guard samples
+f or |f^(k)|^q through it in one call.  Truncation drops operations but changes none, so it
+is bit-exact.  A numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``,
 is folded to its compiled value at 0, which is the only compiling that parsing does.
 """
 
@@ -31,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DomainError, evaluator  # evaluator: re-exported for callers of this module
+from .core import DomainError, evaluator, undefined  # evaluator: re-exported for callers of this module
 
 
 class ParseError(ValueError):
@@ -392,7 +393,7 @@ _Src.__neg__ = lambda a: _CUT if a is _CUT else _Src(f"-{_operand(a, 6)}", 6)  #
 # a coefficient above the compiled order: arithmetic on it is skipped, and emitting it is a SyntaxError
 _CUT = _Src("<cut>")
 # every name generated code reads: literals are float reprs, so inf and nan too
-_GLOBALS: dict[str, Any] = {"DomainError": DomainError, "inf": math.inf, "nan": math.nan,
+_GLOBALS: dict[str, Any] = {"DomainError": DomainError, "undefined": undefined, "inf": math.inf, "nan": math.nan,
                             **{name: getattr(math, name) for name in ("exp", "log", "sqrt", "sinh", "cosh")}}
 _CACHE: OrderedDict[tuple[str, int], Callable[..., Callable[[float], Any]]] = OrderedDict()
 _CACHE_SIZE = 64
@@ -469,14 +470,20 @@ class _Emitter:
 
 
 def _compile(e: Expr, order: int) -> Callable[..., Callable[[float], Any]]:
-    """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator."""
+    """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator.  Its
+    ``loop(points, out)``, which takes ``q`` too at order >= 1, runs the same lines at each point to append f or
+    |f^(order)|^q to ``out``, and at a failing point raises what :func:`hhaudit.core.sample_convexity` would."""
     out = _Emitter(order)
-    coeffs = ", ".join(list(e._emit(out))[: order + 1])
-    body = "".join(f"        {line}\n" for line in out.lines)
+    coeffs = list(e._emit(out))[: order + 1]
+    jet_body, loop_body = ("".join(f"{pad}{line}\n" for line in out.lines) for pad in (" " * 4, " " * 8))
+    value, q = (coeffs[0], "") if order == 0 else (f"abs({coeffs[order]}) ** q", ", q")
     namespace: dict[str, Any] = {}
-    # names come from fixed lists and every literal is a float repr, so the source is safe to run
-    exec(compile(f"def make({', '.join(out.consts)}):\n    def jet(x):\n{body}        return {coeffs}\n    return jet\n",
-                 "<exprlang>", "exec"), _GLOBALS, namespace)
+    # safe to run (fixed names, float-repr literals); flags 0 and dont_inherit, so no caller's __future__ flags
+    exec(compile(f"def make({', '.join(out.consts)}):\n  def jet(x):\n{jet_body}    return {', '.join(coeffs)}\n"
+                 f"  def loop(points, out{q}):\n    for x in points:\n      try:\n{loop_body}        v = {value}\n"
+                 "      except DomainError:\n        raise\n      except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+                 "        raise undefined(x, exc) from exc\n      if v != v:\n        raise undefined(x)\n      out.append(v)\n"
+                 "  jet.loop = loop\n  return jet\n", "<exprlang>", "exec", 0, True), _GLOBALS, namespace)
     return namespace["make"]
 
 

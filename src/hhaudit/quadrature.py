@@ -28,6 +28,7 @@ from .core import (
     Interval,
     PreconditionError,
     ToleranceConfig,
+    convexity_guard,
     evaluator,
     extend,
     make_report,
@@ -101,10 +102,11 @@ def midpoint_T2(f, partition: Partition) -> float:
 
 
 def _guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig) -> None:
-    """:func:`require_convex` at 16 pairs on each panel's widened interval; failures name the panel."""
+    """One :func:`convexity_guard` at 16 pairs on each panel's widened interval; failures name the panel."""
+    check = convexity_guard(f, order, q, pairs=16, cfg=cfg)
     for i, (left, right) in enumerate(partition.panels()):
         try:
-            require_convex(f, extend(Interval(left, right)), order, q, pairs=16, cfg=cfg)
+            check(extend(Interval(left, right)))
         except (DomainError, PreconditionError) as exc:
             raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import jet_oracle
 from hhaudit import exprlang
-from hhaudit.core import DomainError
+from hhaudit.core import DomainError, Interval, require_convex
 from hhaudit.exprlang import BinOp, Call, Const, Neg, ParseError, Pow, Var, eval_jet, parse, to_text
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sinh", "cosh", "abs")
@@ -127,6 +127,17 @@ def test_a_tree_of_a_compiled_shape_compiles_nothing_and_matches_the_interpreter
         _assert_matches_interpreter(twin, x)
 
 
+def test_a_factory_compiled_through_a_wrapper_has_the_same_code():
+    # compile() would otherwise inherit the __future__ flags of its caller: a factory compiled through a
+    # recording wrapper in this module, which has no `from __future__ import annotations`, would differ
+    # in co_flags from one compiled directly, and an evicted shape compiled again would not match it
+    tree = parse("x^0.5 + 1")
+    direct = exprlang._compile(tree, 0)(1.0)
+    with _compiling_into(sources := []):
+        wrapped = exprlang._compile(tree, 0)(1.0)
+    assert len(sources) == 1 and wrapped.__code__ == direct.__code__
+
+
 def test_a_shift_sweep_compiles_one_source_per_order():
     # scripts/k2_shift_scan.py's family: each shift is a new function of one shape
     exprlang._CACHE.clear()
@@ -218,10 +229,16 @@ def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monk
     twin = parse(text)
     assert twin(2.0) == e(2.0) and twin.compiled(2)(3.0) == e.compiled(2)(3.0)
     assert len(sources) == 5
-    # the compiled functions stay outside equality, hashing and pickling
+    # the compiled functions, and the loops that the guards at orders 0-2 sample through, stay
+    # outside equality, hashing and pickling
+    for order in (0, 1, 2):
+        require_convex(e, Interval(1.0, 2.0), order, 2.0)
     assert e == parse(text) and hash(e) == hash(parse(text))
     again = pickle.loads(pickle.dumps(e))
+    assert "_evaluators" not in vars(again)
     assert again == e and again(2.0) == e(2.0)
+    for order in (0, 1, 2):
+        require_convex(again, Interval(1.0, 2.0), order, 2.0)
 
 
 def test_compiled_rejects_orders_above_three():

@@ -1,4 +1,6 @@
-"""The convexity guard on precomputed draws against the seeded guard in ``guard_oracle``."""
+"""The convexity guard on precomputed draws against the seeded guard in ``guard_oracle``, and
+:func:`~hhaudit.core.require_convex`, which samples a parsed function through its compiled loop,
+against the same guard sampling point by point."""
 
 import math
 import random
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import guard_oracle
-from hhaudit.core import DomainError, Interval, extend, sample_convexity
-from hhaudit.exprlang import evaluator, parse
+from hhaudit.core import DomainError, Interval, PreconditionError, extend, require_convex, sample_convexity
+from hhaudit.exprlang import evaluator, parse, to_text
 
 _TEXTS = ("x^2", "exp(x)", "cosh(x)", "1/x", "log(x)", "sqrt(x)", "x*log(x)", "x^2-x^2", "-x^2", "abs(x)")
 _CALLABLES = (lambda x: x * x, math.exp, lambda x: 1.0 / x, math.log, math.sqrt,
@@ -84,3 +86,59 @@ def test_a_pair_of_holes_names_the_first_draw():
 def test_too_few_pairs_is_the_same_error():
     assert _outcome(sample_convexity, math.exp, Interval(0.0, 1.0), 2, "convexity") == (
         ValueError, "need at least 3 sample pairs, got n = 2")
+
+
+def _reference_guard(f, region, order, q, *, pairs):
+    """:func:`require_convex` on ``guard_oracle``'s sampling, which calls f, or |f^(order)|^q from the
+    order-``order`` jet, one point at a time, with the same labels and messages."""
+    if order == 0:
+        what, fn = "f", f.compiled(0)
+    else:
+        what = "|f" + "'" * order + f"|^q (q = {q!r})"
+        if order == 2 and "abs" in to_text(f):
+            raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
+        jet = f.compiled(order)
+        fn = lambda x: abs(jet(x)[order]) ** q
+    try:
+        report = guard_oracle.sample_convexity(fn, region, pairs, label=f"guard:{what}")
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
+    if not report.satisfied:
+        raise PreconditionError(f"{what} is not midpoint-convex on [{region.a!r}, {region.b!r}]"
+                                f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
+
+
+def _guard_outcome(guard, f, region, order, q, pairs):
+    try:
+        guard(f, region, order, q, pairs=pairs)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _regions(draw):
+    """Spans at scales 1, 1e100 (where exp overflows), 1e200 (where x^2 does) and 1e-300,
+    some with negative lo, some containing 0, some widened."""
+    scale = draw(st.sampled_from((1.0, 1e100, 1e200, 1e-300)))
+    a = scale * draw(st.floats(-3.0, 3.0))
+    iv = Interval(a, a + scale * draw(st.floats(1e-3, 3.0)))
+    return extend(iv) if draw(st.booleans()) else iv
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.sampled_from(_TEXTS), region=_regions(), order=st.sampled_from((0, 1, 2)),
+       q=st.sampled_from((1, 2, 2.0, 3.5, 300)), pairs=st.sampled_from((3, 16, 32)))
+def test_the_compiled_guard_loop_matches_the_point_by_point_guard(text, region, order, q, pairs):
+    f = parse(text)
+    want = _guard_outcome(_reference_guard, f, region, order, q, pairs)
+    assert _guard_outcome(require_convex, f, region, order, q, pairs) == want
+
+
+def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
+    # a later pair's point is a hole of the log, so a loop that evaluated every point before
+    # scanning the gaps would raise "f: log of nonpositive argument at x = ..." instead
+    f = parse("x^4 + log((x - 2.3397441655619037e+77)^2 - 5.033759532751502e+150)")
+    want = (DomainError, "f: convexity gap undefined (inf - inf) at the midpoint x = 2.8011881272326755e+77")
+    assert _guard_outcome(_reference_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
+    assert _guard_outcome(require_convex, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
