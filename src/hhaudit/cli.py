@@ -6,12 +6,11 @@ run certified midpoint integration, and evaluate the special functions.
 interval share one :class:`hhaudit.hh_bounds.Instance`, so each guard, the mean
 integral and the bounds run once; a failed guard counts in ``guarded_out`` per target.
 
-Output is one JSON document per invocation, byte for byte ``json.dumps(doc,
-sort_keys=True, indent=2)``, so a fixed command and seed give identical bytes; :func:`_json`
-writes it, since any ``indent`` selects json's pure-Python encoder.  ``--pretty`` switches
-to a table.  Exit codes: 0 when no violation was found, 1 when at least one violation
-finding was recorded, 2 on usage, parse, domain or parameter errors, reported as one
-``error:`` line, 3 when ``integrate`` ends uncertified.  :func:`main` catches them all:
+Output is one compact JSON document per invocation, ``json.dumps(doc, sort_keys=True)``,
+so a fixed command and seed give identical bytes.  ``--pretty`` switches to a table.
+Exit codes: 0 when no violation was found, 1 when at least one violation finding was
+recorded, 2 on usage, parse, domain or parameter errors, reported as one ``error:``
+line, 3 when ``integrate`` ends uncertified.  :func:`main` catches them all:
 an uncaught exception would exit 1 with a traceback, a finding's code.
 """
 
@@ -22,7 +21,6 @@ import functools
 import json
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .core import (
     ConvergenceError,
@@ -220,34 +218,9 @@ def cmd_special(args, cfg: ToleranceConfig):
     return doc, 0
 
 
-def _json(obj, indent: str, floats: dict) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` nested under ``indent`` ("\\n" and the outer
-    levels' spaces), without the pure-Python encoder that any ``indent`` selects.  ``floats`` holds
-    float text by ``id``, stable while the doc keeps its objects alive (by value, -0.0 would read 0.0)."""
-    t = type(obj)
-    if t is float:
-        text = floats.get(id(obj))
-        if text is None:
-            text = floats[id(obj)] = float.__repr__(obj) if obj - obj == 0.0 else json.dumps(obj)  # NaN, (-)Infinity
-        return text
-    if t is str:
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if t is dict:  # str keys, as in every doc
-        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner, floats) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
-    if t is list or t is tuple:
-        items = [_json(v, inner, floats) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if obj else "[]"
-    if t is int or t is bool or obj is None:
-        return int.__repr__(obj) if t is int else "null" if obj is None else "true" if obj else "false"
-    # any other type, subclasses included, as json writes it; an unsupported one raises TypeError
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
-
-
 def _render(doc: dict, pretty: bool) -> str:
     if not pretty:
-        return _json(doc, "\n", {})
+        return json.dumps(doc, sort_keys=True)
     lines = [doc["command"]]
     if "reports" in doc:
         for r in doc["reports"]:

@@ -154,8 +154,10 @@ class Call(Expr):
             (ev,) = out.guarded(["exp"], v, "exp overflow at x = %r (arg = %r)")
             return out.compose([ev, ev, ev, ev], g)
         if name in ("sinh", "cosh"):
-            sh, ch = out.guarded(["sinh", "cosh"], v, f"{name} overflow at x = %r (arg = %r)")
-            return out.compose([sh, ch, sh, ch] if name == "sinh" else [ch, sh, ch, sh], g)
+            # each is the other's derivative, which the value variant does not need; both overflow at ±710.4758...
+            names = [name, "cosh" if name == "sinh" else "sinh"] if out.order else [name]
+            u0, u1, *_ = *out.guarded(names, v, f"{name} overflow at x = %r (arg = %r)"), _CUT
+            return out.compose([u0, u1, u0, u1], g)
         if name in ("log", "sqrt"):
             out.check(v <= 0.0, f"{name} of nonpositive argument at x = %r (arg = %r)", out.x, v)
             if name == "log":
@@ -312,20 +314,35 @@ def _number(v: float) -> str:
 
 
 def to_text(e: Expr, const: Callable[[float], str] = _number) -> str:
-    """Render an AST back to parseable text (fully parenthesized); ``const`` renders each constant."""
+    """Render an AST back to text that parses to the same tree; ``const`` renders each constant.
+    The grammar is Python's with ``^`` for ``**``, so the precedences of :data:`_PRECEDENCE` place
+    the parentheses: only where the grouping needs them, and around a right operand of equal
+    precedence, so ``a - (b - c)`` keeps its own."""
+    return _text(e, const)[0]
+
+
+def _text(e: Expr, const: Callable[[float], str]) -> tuple[str, int]:
+    """The text of ``e`` and the precedence of its outermost operation."""
     if isinstance(e, Const):
-        return const(e.value)
+        return const(e.value), 9
     if isinstance(e, Var):
-        return "x"
+        return "x", 9
     if isinstance(e, Neg):
-        return f"-({to_text(e.operand, const)})"
+        return "-" + _grouped(_text(e.operand, const), 6), 6
     if isinstance(e, BinOp):
-        return f"({to_text(e.left, const)} {e.op} {to_text(e.right, const)})"
-    if isinstance(e, Pow):
-        return f"({to_text(e.base, const)}^{_number(e.exponent)})"
+        _, p, left, right = _PRECEDENCE[e.op]
+        return f"{_grouped(_text(e.left, const), left)} {e.op} {_grouped(_text(e.right, const), right)}", p
+    if isinstance(e, Pow):  # the exponent is a number, which needs no parentheses after ^
+        _, p, left, _ = _PRECEDENCE["**"]
+        return f"{_grouped(_text(e.base, const), left)}^{_number(e.exponent)}", p
     if isinstance(e, Call):
-        return f"{e.name}({to_text(e.arg, const)})"
+        return f"{e.name}({_text(e.arg, const)[0]})", 9
     raise TypeError(f"not an Expr node: {type(e).__name__}")
+
+
+def _grouped(text: tuple[str, int], prec: int) -> str:
+    """The text, parenthesized unless its precedence is at least ``prec``."""
+    return text[0] if text[1] >= prec else f"({text[0]})"
 
 
 def fn_label(f) -> str:
@@ -380,10 +397,11 @@ def _operand(v: Any, prec: int) -> str:
     return f"({text})" if text[0] == "-" else text
 
 
-# operator, method, its precedence, and the precedence each operand needs unparenthesized
-for _op, _name, _p, _l, _r in (("+", "add", 4, 4, 5), ("-", "sub", 4, 4, 5), ("*", "mul", 5, 5, 6),
-                               ("/", "truediv", 5, 5, 6), ("**", "pow", 7, 8, 6),
-                               ("<=", "le", 3, 4, 4), ("==", "eq", 3, 4, 4), (">", "gt", 3, 4, 4)):
+# operator: method, its precedence, and the precedence each operand needs unparenthesized
+_PRECEDENCE = {"+": ("add", 4, 4, 5), "-": ("sub", 4, 4, 5), "*": ("mul", 5, 5, 6),
+               "/": ("truediv", 5, 5, 6), "**": ("pow", 7, 8, 6),
+               "<=": ("le", 3, 4, 4), "==": ("eq", 3, 4, 4), ">": ("gt", 3, 4, 4)}
+for _op, (_name, _p, _l, _r) in _PRECEDENCE.items():
     def _forward(a, b, op=_op, p=_p, left=_l, right=_r):
         return _CUT if a is _CUT or b is _CUT else _Src(f"{_operand(a, left)} {op} {_operand(b, right)}", p)
     setattr(_Src, f"__{_name}__", _forward)

@@ -154,6 +154,7 @@ def test_a_shift_sweep_compiles_one_source_per_order():
 @given(c=_CONSTANT_EXPRS)
 def test_constant_exponent_fold_matches_the_interpreter(c):
     text = to_text(c)
+    assert parse(text) == c
     try:
         try:
             want = jet_oracle.eval_jet(parse(text), 0.0).v0
@@ -198,6 +199,10 @@ def test_value_and_first_derivative_skip_the_higher_terms():
         eval_jet(parse("1/x"), 1e-110)
     with pytest.raises(ZeroDivisionError):
         eval_jet(parse("log(x)"), 1e-160)
+    # the value variant of cosh calls cosh alone, in its loop too, and sinh likewise
+    for name, other in (("cosh", "sinh"), ("sinh", "cosh")):
+        value = parse(f"{name}(x)").compiled(0)
+        assert other not in value.__code__.co_names and other not in value.loop.__code__.co_names
 
 
 def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monkeypatch):

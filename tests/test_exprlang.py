@@ -76,11 +76,21 @@ class TestParse:
         assert exc.value.offset == 6
 
     def test_roundtrip_through_to_text(self):
-        for text in ("x^2 - 5", "exp(x)*sinh(x)", "1/(x+2)", "x^2.5", "abs(x) - cosh(x)"):
+        # text -> its canonical form: only the parentheses that precedence and associativity need,
+        # and those around a right operand of equal precedence
+        for text, canonical in {
+            "x^2 - 5": "x^2 - 5", "exp(x)*sinh(x)": "exp(x) * sinh(x)", "1/(x+2)": "1 / (x + 2)",
+            "x^2.5": "x^2.5", "abs(x) - cosh(x)": "abs(x) - cosh(x)", "exp(x)+x^4": "exp(x) + x^4",
+            "((x*log(x)))": "x * log(x)", "x-(x-1)": "x - (x - 1)", "(x-x)-1": "x - x - 1",
+            "x+(x+1)": "x + (x + 1)", "x/(x*2)": "x / (x * 2)", "x/x*2": "x / x * 2", "2*-x": "2 * -x",
+            "--x": "--x", "-x^2": "-x^2", "(-x)^2": "(-x)^2", "-(x+1)*x": "-(x + 1) * x", "(x^2)^3": "(x^2)^3",
+            "x^-2": "x^-2", "x^(1/2)": "x^0.5", "x^2^0.5": "x^1.4142135623730951",
+            "1e300*x^1e-20": "1e+300 * x^1e-20", "sqrt(-x + 3)": "sqrt(-x + 3)",
+        }.items():
             e = parse(text)
-            again = parse(to_text(e))
+            assert to_text(e) == canonical and parse(canonical) == e
             for x in (0.5, 1.25, 2.0):
-                assert math.isclose(e(x), again(x), rel_tol=1e-15)
+                assert math.isclose(e(x), parse(canonical)(x), rel_tol=1e-15)
 
 
 # texts nested d levels deep, and the offset at which one level more is rejected
@@ -101,7 +111,7 @@ _DEEP = {
 def test_a_text_at_the_depth_limit_evaluates(shape):
     text, _ = _DEEP[shape]
     e, twin = parse(text(MAX_DEPTH)), parse(text(MAX_DEPTH))
-    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin) and to_text(e)
+    assert e == twin and hash(e) == hash(twin) and repr(e) == repr(twin) and parse(to_text(e)) == e
     assert all(math.isfinite(v) for v in eval_jet(e, 1.5))
 
 
