@@ -20,8 +20,10 @@ as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value var
 the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet` computes f'''.  Next
 to each variant its source holds a ``loop`` over a list of points: the convexity guard samples
 f or |f^(k)|^q through it in one call.  Truncation drops operations but changes none, so it
-is bit-exact.  A numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``,
-is folded to its compiled value at 0, which is the only compiling that parsing does.
+is bit-exact; the value variant also drops the kink check of ``abs``, which is |0| there.  A
+numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``, is folded
+to its compiled value at 0, which is the only compiling that parsing does.  A number that is not
+finite, written or folded, is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -165,8 +167,11 @@ class Call(Expr):
             s = out.let(_Src(f"sqrt({v})"))
             return out.compose([s, 0.5 / s, -0.25 / (v * s), 0.375 / (v * v * s)], g)
         if name == "abs":
-            out.check(v == 0.0, "abs is not differentiable at 0 (x = %r)", out.x)
-            return out.jet(out.pick(v > 0.0, g, -g))
+            # the kink has a value, |0| = 0, but no derivative
+            if out.order:
+                out.check(v == 0.0, "abs is not differentiable at 0 (x = %r)", out.x)
+            _, *slopes = out.pick(v > 0.0, g, -g)
+            return out.jet(Jet3(_Src(f"abs({v})"), *slopes))
         raise ValueError(f"unknown function {name!r}")
 
 
@@ -270,6 +275,8 @@ class _Parser:
                          else exponent.compiled(0)(0.0))
             except (DomainError, OverflowError) as exc:
                 raise ParseError(f"invalid constant exponent: {exc}", caret.offset) from None
+            if not math.isfinite(value):
+                raise ParseError(f"constant exponent is not finite: {value!r}", caret.offset)
             node, depth = Pow(node, value), self.within(1 + max(depth, exponent_depth), caret)
         return node, depth
 
@@ -277,7 +284,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.pos += 1
-            return Const(float(tok.text)), 1
+            if not math.isfinite(value := float(tok.text)):
+                raise ParseError(f"number {tok.text!r} is not finite", tok.offset)
+            return Const(value), 1
         if tok.kind == "name":
             self.pos += 1
             if tok.text == "x":

@@ -8,24 +8,28 @@ Checks implemented here, each as an explicit (lhs, rhs) pair:
 * the three-point upper bound ``[2 f(mid) + f(hi) + f(lo)] / 4`` on the
   widened interval, and its half-value companion (fragile as printed);
 * the first-derivative error bounds with constants 1/8 and the Hoelder-type
-  constant, including both variants of the combined-corollary constant;
-* the second-derivative error bounds with the four constants K3..K6.
+  constant, and the combined corollary with its constant as printed;
+* the second-derivative error bounds with the four constants K3..K6, and
+  the corollary that takes their minimum.
 
 All integral left-hand sides come from :mod:`hhaudit.oracle`; right-hand
-sides are closed-form evaluations.  Every bound operation first checks its
-hypothesis on the widened interval with :func:`hhaudit.core.require_convex`
-(convexity sampled at 32 pairs; 1 <= q < inf) and fails loudly rather than
-silently evaluating outside a function's domain.  :class:`Instance` holds one
-function on one interval and computes each guard, the mean integral and the
-shared bounds once for all the checks run on it.
+sides are closed-form evaluations.  The derivative bounds share one left
+side per order: :meth:`Instance.first_order` and :meth:`Instance.second_order`
+return it with a mapping from each target name to its right side.  Every
+bound operation first checks its hypothesis on the widened interval with
+:func:`hhaudit.core.require_convex` (convexity sampled at 32 pairs;
+1 <= q < inf) and fails loudly rather than silently evaluating outside a
+function's domain.  :class:`Instance` holds one function on one interval and
+computes each guard, the mean integral and the shared bounds once for all
+the checks run on it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .core import (
     BoundReport,
@@ -73,62 +77,10 @@ def min_first_order_constant(q: float) -> float:
     return min(K1, k2_derived_constant(q))
 
 
-@dataclass(frozen=True)
-class FirstOrderBounds:
-    """Midpoint-defect bounds from |f'|^q convexity on the widened interval.
-
-    Hoelder-form fields (p, rhs_thm3, k2_printed, k2_derived) are None at
-    q = 1, where only the power-mean form applies.
-    """
-
-    q: float
-    p: float | None
-    lhs: float
-    rhs_thm2: float
-    rhs_thm3: float | None
-    k1: float
-    k2_printed: float | None
-    k2_derived: float | None
-    rhs_min: float
-
-
-@dataclass(frozen=True)
-class SecondOrderBounds:
-    """Three-point-defect bounds from |f''|^q convexity on the widened interval.
-
-    The Hoelder-form fields rhs_k4 and rhs_k5 are None at q = 1.
-    """
-
-    q: float
-    p: float | None
-    lhs: float
-    rhs_k3: float
-    rhs_k4: float | None
-    rhs_k5: float | None
-    rhs_k6: float
-    rhs_min: float
-
-
 def _gamma_ratio_power(p: float) -> float:
     """(sqrt(pi) Gamma(p+1) / (2 Gamma(p+3/2)))^(1/p)."""
     log_ratio = 0.5 * math.log(math.pi) + math.lgamma(p + 1.0) - math.log(2.0) - math.lgamma(p + 1.5)
     return math.exp(log_ratio / p)
-
-
-# the derivative-bound targets of `verify`: the order of the bounds they read,
-# whether they need the conjugate exponent (so q > 1), and their right side
-_DERIVATIVE_TARGETS: dict[str, tuple[int, bool, Callable]] = {
-    "thm2": (1, False, lambda fb: fb.rhs_thm2),
-    "thm3": (1, True, lambda fb: fb.rhs_thm3),
-    "thm4": (2, False, lambda sb: sb.rhs_k3),
-    "thm5": (2, True, lambda sb: sb.rhs_k4),
-    "thm6": (2, True, lambda sb: sb.rhs_k5),
-    "thm7": (2, False, lambda sb: sb.rhs_k6),
-    # combined corollary exactly as printed: min{K1, printed K2} times
-    # (b-a) S^(1/q), where (b-a) S^(1/q) = 8 * rhs_thm2
-    "cor1": (1, True, lambda fb: min(K1, fb.k2_printed) * 8.0 * fb.rhs_thm2),
-    "cor2": (2, False, lambda sb: sb.rhs_min),
-}
 
 
 class Instance:
@@ -249,36 +201,35 @@ class Instance:
         rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
         return make_report("k2", lhs, rhs, self.inputs, self.cfg, fragile=True)
 
-    def first_order(self) -> FirstOrderBounds:
-        """|mean integral - f(mid)| against the first-derivative bounds."""
+    def first_order(self) -> tuple[float, Mapping[str, float]]:
+        """|mean integral - f(mid)| and its first-derivative right sides: thm2, and at q > 1 thm3 and cor1.
+        The sides are a read-only view, since every check on this instance reads the same one."""
         return self._once("first_order", self._first_order)
 
-    def _first_order(self) -> FirstOrderBounds:
+    def _first_order(self) -> tuple[float, Mapping[str, float]]:
         """thm2 is (b-a)/8 2^(1/q) M and thm3 (b-a) c_p M, with M the :func:`power_mean` of
-        |f'| at the widened ends; no |f'|^q is formed, so M neither overflows nor underflows."""
+        |f'| at the widened ends; no |f'|^q is formed, so M neither overflows nor underflows.
+        cor1 is the combined corollary exactly as printed: min{K1, printed K2} times
+        (b-a) S^(1/q), where (b-a) S^(1/q) = 8 thm2."""
         q, width = self.q, self.iv.width
         self._guard(1)
         lhs = abs(self.mean() - self._f_at("mid"))
         jet1 = self.f.compiled(1)
         mean_d = power_mean(q, abs(jet1(self.ext.a)[1]), abs(jet1(self.ext.b)[1]))
-        rhs_thm2 = (width / 8.0) * 2.0 ** (1.0 / q) * mean_d
+        rhs = {"thm2": (width / 8.0) * 2.0 ** (1.0 / q) * mean_d}
         if q > 1.0:
             p = conjugate_exponent(q)
-            thm3_const = math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p)
-            rhs_thm3 = width * thm3_const * mean_d
-            k2p: float | None = k2_printed_constant(q)
-            k2d: float | None = k2_derived_constant(q)
-            rhs_min = min(rhs_thm2, rhs_thm3)
-        else:
-            p = rhs_thm3 = k2p = k2d = None
-            rhs_min = rhs_thm2
-        return FirstOrderBounds(q, p, lhs, rhs_thm2, rhs_thm3, K1, k2p, k2d, rhs_min)
+            rhs["thm3"] = width * math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p) * mean_d
+            rhs["cor1"] = min(K1, k2_printed_constant(q)) * 8.0 * rhs["thm2"]
+        return lhs, MappingProxyType(rhs)
 
-    def second_order(self) -> SecondOrderBounds:
-        """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
+    def second_order(self) -> tuple[float, Mapping[str, float]]:
+        """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| and its right sides: thm4 (K3), thm7 (K6) and
+        cor2, their minimum, and at q > 1 thm5 (K4) and thm6 (K5), which cor2 then takes too.
+        Read-only, as in :meth:`first_order`."""
         return self._once("second_order", self._second_order)
 
-    def _second_order(self) -> SecondOrderBounds:
+    def _second_order(self) -> tuple[float, Mapping[str, float]]:
         """K3 and K4 are (b-a)^2 c M, M the :func:`power_mean` of |f''| at the widened ends.  K5 and
         K6 weight |f''(lo)|^q : |f''(hi)|^q as 1 : q+1 and 2 : q+1, so their means take w = 1/(q+2), 2/(q+3)."""
         q = self.q
@@ -290,35 +241,31 @@ class Instance:
         dd_hi = abs(jet2(self.ext.b)[2])
         w2 = self.iv.width**2
         mean_dd = power_mean(q, dd_lo, dd_hi)
-        rhs_k3 = (w2 / 3.0) * mean_dd
-        rhs_k6 = w2 * (2.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q) * power_mean(q, dd_lo, dd_hi, 2.0 / (q + 3.0))
+        rhs = {"thm4": (w2 / 3.0) * mean_dd}
         if q > 1.0:
             p = conjugate_exponent(q)
-            rhs_k4: float | None = 2.0 * w2 * _gamma_ratio_power(p) * mean_dd
-            rhs_k5: float | None = (
+            rhs["thm5"] = 2.0 * w2 * _gamma_ratio_power(p) * mean_dd
+            rhs["thm6"] = (
                 w2
                 * 2.0
                 * (1.0 / (p + 1.0)) ** (1.0 / p)
                 * (1.0 / (q + 1.0)) ** (1.0 / q)
                 * power_mean(q, dd_lo, dd_hi, 1.0 / (q + 2.0))
             )
-            rhs_min = min(rhs_k3, rhs_k4, rhs_k5, rhs_k6)
-        else:
-            p = rhs_k4 = rhs_k5 = None
-            rhs_min = min(rhs_k3, rhs_k6)
-        return SecondOrderBounds(q, p, lhs, rhs_k3, rhs_k4, rhs_k5, rhs_k6, rhs_min)
+        rhs["thm7"] = w2 * (2.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q) * power_mean(q, dd_lo, dd_hi, 2.0 / (q + 3.0))
+        rhs["cor2"] = min(rhs.values())
+        return lhs, MappingProxyType(rhs)
 
     def lemma_report(self, which: str) -> BoundReport:
         """The lemma residual against its 1e-8 contract."""
         return make_report(which, self.lemma_residual(which), LEMMA_RESIDUAL_TOL, self.inputs, self.cfg)
 
     def derivative_report(self, target: str) -> BoundReport:
-        """One of thm2-thm7, cor1 and cor2, from the shared first- or second-order bounds."""
-        order, hoelder_only, rhs = _DERIVATIVE_TARGETS[target]
-        if hoelder_only and self.q <= 1.0:
+        """One of thm2-thm7, cor1 and cor2, from the shared first- or second-order right sides."""
+        if target in ("thm3", "thm5", "thm6", "cor1") and self.q <= 1.0:
             raise PreconditionError(f"{target} needs q > 1 (got q = {self.q!r})")
-        bounds = self.first_order() if order == 1 else self.second_order()
-        return make_report(target, bounds.lhs, rhs(bounds), {**self.inputs, "q": self.q}, self.cfg)
+        lhs, rhs = self.first_order() if target in ("thm2", "thm3", "cor1") else self.second_order()
+        return make_report(target, lhs, rhs[target], {**self.inputs, "q": self.q}, self.cfg)
 
 
 # verify's function targets, in the order `--target all` runs them
@@ -328,7 +275,8 @@ TARGETS: dict[str, Callable[[Instance], list[BoundReport]]] = {
     "k2": lambda inst: [inst.abs_half()],
     "lemma1": lambda inst: [inst.lemma_report("lemma1")],
     "lemma2": lambda inst: [inst.lemma_report("lemma2")],
-    **{t: (lambda inst, t=t: [inst.derivative_report(t)]) for t in _DERIVATIVE_TARGETS},
+    **{t: (lambda inst, t=t: [inst.derivative_report(t)])
+       for t in ("thm2", "thm3", "thm4", "thm5", "thm6", "thm7", "cor1", "cor2")},
 }
 
 # each module function below runs one check on a fresh Instance, so calls share nothing
@@ -359,11 +307,11 @@ def abs_half_check(f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> BoundReport:
     return Instance(f, iv, cfg=cfg).abs_half()
 
 
-def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> FirstOrderBounds:
-    """Evaluate |mean integral - f(mid)| against the first-derivative bounds."""
+def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, Mapping[str, float]]:
+    """|mean integral - f(mid)| and its first-derivative right sides, keyed by target."""
     return Instance(f, iv, q, cfg).first_order()
 
 
-def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> SecondOrderBounds:
-    """Evaluate |mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| against K3..K6."""
+def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, Mapping[str, float]]:
+    """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| and its K3..K6 right sides, keyed by target."""
     return Instance(f, iv, q, cfg).second_order()

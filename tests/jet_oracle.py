@@ -3,7 +3,9 @@ compiled evaluators in :mod:`hhaudit.exprlang`.
 
 It walks the tree once per point and builds one :class:`Jet3` per node, always
 to third order.  The compiled evaluators must reproduce its coefficients bit
-for bit and raise its :class:`DomainError` messages at the same points.
+for bit and raise its :class:`DomainError` messages at the same points.  The
+value variant has no derivative to check, so at the kink of ``abs`` it is
+compared with ``eval_jet(e, x, at_kink=True)``, which takes |0| there.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _pow_jet(g: Jet3, r: float, x: float) -> Jet3:
     return _compose(u0, u1, u2, u3, g)
 
 
-def _call_jet(name: str, g: Jet3, x: float) -> Jet3:
+def _call_jet(name: str, g: Jet3, x: float, at_kink: bool) -> Jet3:
     v = g.v0
     if name == "exp":
         try:
@@ -94,26 +96,29 @@ def _call_jet(name: str, g: Jet3, x: float) -> Jet3:
         return _compose(ch, sh, ch, sh, g)
     if name == "abs":
         if v == 0.0:
+            if at_kink:
+                return Jet3(abs(v), math.nan, math.nan, math.nan)
             raise DomainError(f"abs is not differentiable at 0 (x = {x!r})")
         return g if v > 0.0 else -g
     raise ValueError(f"unknown function {name!r}")
 
 
-def eval_jet(e: Expr, x: float) -> Jet3:
+def eval_jet(e: Expr, x: float, at_kink: bool = False) -> Jet3:
     """Evaluate ``e`` and its first three derivatives at ``x``.
 
     Raises :class:`~hhaudit.core.DomainError` naming the operator and the
-    point whenever the evaluation leaves a function's domain.
+    point whenever the evaluation leaves a function's domain.  With ``at_kink``,
+    ``abs`` at 0 gives |0| and NaN derivatives instead; no value depends on them.
     """
     if isinstance(e, Const):
         return Jet3(e.value, 0.0, 0.0, 0.0)
     if isinstance(e, Var):
         return Jet3(x, 1.0, 0.0, 0.0)
     if isinstance(e, Neg):
-        return -eval_jet(e.operand, x)
+        return -eval_jet(e.operand, x, at_kink)
     if isinstance(e, BinOp):
-        left = eval_jet(e.left, x)
-        right = eval_jet(e.right, x)
+        left = eval_jet(e.left, x, at_kink)
+        right = eval_jet(e.right, x, at_kink)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -124,7 +129,7 @@ def eval_jet(e: Expr, x: float) -> Jet3:
             return left * _recip(right, x)
         raise ValueError(f"unknown operator {e.op!r}")
     if isinstance(e, Pow):
-        return _pow_jet(eval_jet(e.base, x), e.exponent, x)
+        return _pow_jet(eval_jet(e.base, x, at_kink), e.exponent, x)
     if isinstance(e, Call):
-        return _call_jet(e.name, eval_jet(e.arg, x), x)
+        return _call_jet(e.name, eval_jet(e.arg, x, at_kink), x, at_kink)
     raise TypeError(f"not an Expr node: {type(e).__name__}")

@@ -14,16 +14,7 @@ import pytest
 
 from hhaudit.core import Interval, PreconditionError, ToleranceConfig
 from hhaudit.exprlang import parse
-from hhaudit.hh_bounds import (
-    abs_half_check,
-    first_order_bounds,
-    hh_classic_check,
-    k2_derived_constant,
-    k2_printed_constant,
-    lemma_identity_residual,
-    second_order_bounds,
-    three_point_check,
-)
+from hhaudit.hh_bounds import Instance, k2_derived_constant, k2_printed_constant
 from hhaudit.means import means_proposition_check
 from hhaudit.oracle import integrate_ref
 from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_T2, midpoint_error_bound
@@ -59,13 +50,13 @@ def test_criterion_01_classical_two_sided_bound():
         for _ in range(200):
             iv = draw_interval(rng)
             for expr in exprs:
-                lower, upper = hh_classic_check(expr, iv)
+                lower, upper = Instance(expr, iv).classic()
                 worst = min(worst, lower.margin, upper.margin)
         assert worst >= -1e-12
         affine = parse("x")
         for _ in range(50):
             iv = draw_interval(rng)
-            lower, upper = hh_classic_check(affine, iv)
+            lower, upper = Instance(affine, iv).classic()
             assert abs(lower.lhs - lower.rhs) <= 1e-12
             assert abs(upper.lhs - upper.rhs) <= 1e-12
 
@@ -77,8 +68,9 @@ def test_criterion_02_lemma_identities():
         for _ in range(50):
             iv = draw_interval(rng)
             for expr in exprs:
-                assert lemma_identity_residual("lemma1", expr, iv) <= 1e-8
-                assert lemma_identity_residual("lemma2", expr, iv) <= 1e-8
+                inst = Instance(expr, iv)
+                assert inst.lemma_residual("lemma1") <= 1e-8
+                assert inst.lemma_residual("lemma2") <= 1e-8
 
 
 def test_criterion_03_three_point_bound():
@@ -88,9 +80,9 @@ def test_criterion_03_three_point_bound():
         for _ in range(200):
             iv = draw_interval(rng)
             for expr in exprs:
-                lower, upper = three_point_check(expr, iv)
+                lower, upper = Instance(expr, iv).three_point()
                 assert lower.satisfied and upper.satisfied
-        lower, upper = three_point_check(parse("x^2"), Interval(0.0, 2.0))
+        lower, upper = Instance(parse("x^2"), Interval(0.0, 2.0)).three_point()
         assert abs(lower.lhs - 1.0) <= 1e-12
         assert abs(lower.rhs - 4.0 / 3.0) <= 1e-12
         assert abs(upper.rhs - 3.0) <= 1e-12
@@ -98,7 +90,7 @@ def test_criterion_03_three_point_bound():
 
 def test_criterion_04_half_value_fragility_reproduced(capsys):
     with criterion(4, "half-value bound is violated by a vertical shift, exit code 1"):
-        shifted = abs_half_check(parse("x^2-5"), Interval(0.0, 2.0))
+        shifted = Instance(parse("x^2-5"), Interval(0.0, 2.0)).abs_half()
         assert abs(shifted.lhs - 5.0 / 3.0) <= 1e-12
         assert shifted.rhs == 0.0
         assert not shifted.satisfied
@@ -120,16 +112,13 @@ def _derivative_bound_tally(seed: int):
         for q in (1.0, 1.5, 2.0, 3.0):
             for trial in range(100):
                 iv = draw_interval(rng)
-                fb = first_order_bounds(expr, iv, q)
-                first_pairs = [("thm2", fb.lhs, fb.rhs_thm2)]
-                if q > 1.0:
-                    first_pairs.append(("thm3", fb.lhs, fb.rhs_thm3))
-                sb = second_order_bounds(expr, iv, q)
-                second_pairs = [("thm4", sb.lhs, sb.rhs_k3), ("thm7", sb.lhs, sb.rhs_k6)]
-                if q > 1.0:
-                    second_pairs.append(("thm5", sb.lhs, sb.rhs_k4))
-                    second_pairs.append(("thm6", sb.lhs, sb.rhs_k5))
-                for name, lhs, rhs in first_pairs + second_pairs:
+                inst = Instance(expr, iv, q)
+                pairs = []
+                # thm3, thm5 and thm6 have a right side at q > 1 only
+                for (lhs, rhs), names in ((inst.first_order(), ("thm2", "thm3")),
+                                          (inst.second_order(), ("thm4", "thm7", "thm5", "thm6"))):
+                    pairs += [(name, lhs, rhs[name]) for name in names if name in rhs]
+                for name, lhs, rhs in pairs:
                     key = (name, "pass" if lhs <= rhs + 1e-12 else "fail")
                     tally[key] = tally.get(key, 0) + 1
                     if key[1] == "fail":
@@ -167,9 +156,9 @@ def test_criterion_06_corollary_constant_audit():
             q = 1.0 + 9.0 * (i + 1) / 100.0
             k2d, k2p = k2_derived_constant(q), k2_printed_constant(q)
             assert k2d <= k2p + 1e-15
-            fb = first_order_bounds(expr, iv, q)
+            _, rhs = Instance(expr, iv, q).first_order()
             s_root = (math.exp(-0.5 * q) + math.exp(1.5 * q)) ** (1.0 / q)
-            assert math.isclose(fb.rhs_thm3, k2d * iv.width * s_root, rel_tol=1e-12)
+            assert math.isclose(rhs["thm3"], k2d * iv.width * s_root, rel_tol=1e-12)
 
 
 def test_criterion_07_quadrature_certificates():
@@ -196,10 +185,10 @@ def test_criterion_08_means_propositions(capsys):
             iv = draw_narrow_interval(rng)
             q = (1.0, 1.5, 2.0, 3.0)[i % 4]
             first, second = means_proposition_check(prop, iv.a, iv.b, q=q, **extra)
-            fb = first_order_bounds(expr, iv, q)
-            assert math.isclose(second.lhs, fb.lhs, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(second.rhs, fb.rhs_min, rel_tol=1e-12, abs_tol=1e-12)
-            direct = abs_half_check(expr, iv)
+            lhs, rhs = Instance(expr, iv, q).first_order()
+            assert math.isclose(second.lhs, lhs, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(second.rhs, min(rhs["thm2"], rhs.get("thm3", math.inf)), rel_tol=1e-12, abs_tol=1e-12)
+            direct = Instance(expr, iv).abs_half()
             assert math.isclose(first.lhs, 2.0 * direct.lhs, rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(first.rhs, 2.0 * direct.rhs, rel_tol=1e-12, abs_tol=1e-12)
         code = cli_main(["verify", "--target", "prop2", "--a", "1", "--b", "4"])

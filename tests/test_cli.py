@@ -157,6 +157,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: expression nested deeper than 100 levels (offset {offset})\n"
 
+    def test_a_number_that_is_not_finite_exits_two_at_parse(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--target", "thm2", "--fn", "1e999*x", "--a", "1", "--b", "2",
+                                 "--q", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: number '1e999' is not finite (offset 0)\n"
+
     def test_integrate_guard_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "--fn", "log(x)", "--a", "0.1", "--b", "1", "--err", "1e-4")
         assert code == 2
@@ -260,6 +266,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--target", "thm4", "--fn", "abs(x-1.3)", "--a", "1", "--b", "2")
         assert (code, out) == (2, "")
         assert err == "error: |f''|^q (q = 1.0) bounds need f twice differentiable, and f contains abs\n"
+
+    def test_classic_bound_of_abs_with_its_kink_at_the_midpoint(self, capsys):
+        # eq1's guard samples f at the midpoint 1.0, where abs has a value but no derivative
+        code, out, _ = run_cli(capsys, "verify", "--target", "eq1", "--fn", "abs(x-1)", "--a", "0.5", "--b", "1.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert [(r["label"], r["lhs"], r["rhs"], r["satisfied"]) for r in doc["reports"]] == [
+            ("eq1.lower", 0.0, 0.25, True), ("eq1.upper", 0.25, 0.5, True)]
 
     def test_all_guards_out_the_second_order_targets_of_an_abs_kink(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--target", "all", "--fn", "abs(x-1.3)", "--trials", "5", "--seed", "0")

@@ -70,6 +70,18 @@ class TestParse:
     def test_scientific_literals(self):
         assert parse("1e-3 + x")(0.0) == 1e-3
 
+    @pytest.mark.parametrize("text, offset, message", [
+        ("1e999*x", 0, "number '1e999' is not finite"),
+        ("x^-1e999", 3, "number '1e999' is not finite"),
+        ("x^(1e308*10)", 1, "constant exponent is not finite: inf"),
+        ("x^(1e308*10 - 1e308*10)", 1, "constant exponent is not finite: nan"),
+    ])
+    def test_a_number_that_is_not_finite_is_rejected(self, text, offset, message):
+        # inf and nan have no text that parses back, so a label could not name them
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} (offset {offset})"
+
     def test_trailing_garbage_offset(self):
         with pytest.raises(ParseError) as exc:
             parse("x + 1 )")
@@ -162,6 +174,15 @@ class TestJets:
     def test_abs_kink_rejected(self):
         with pytest.raises(DomainError, match="abs"):
             eval_jet(parse("abs(x)"), 0.0)
+
+    def test_abs_kink_has_a_value(self):
+        f = parse("abs(x-1)")
+        assert f(1.0) == 0.0 and math.copysign(1.0, f(1.0)) == 1.0
+        values = []
+        f.compiled(0).loop([1.0, 0.5], values)
+        assert values == [0.0, 0.5]
+        with pytest.raises(DomainError, match="abs is not differentiable at 0"):
+            f.compiled(1)(1.0)
 
     def test_abs_away_from_zero(self):
         assert eval_jet(parse("abs(x)"), -2.0) == Jet3(2.0, -1.0, 0.0, 0.0)

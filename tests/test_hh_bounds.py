@@ -7,6 +7,7 @@ from hhaudit.core import Interval, PreconditionError
 from hhaudit.exprlang import parse
 from hhaudit.hh_bounds import (
     K1,
+    Instance,
     abs_half_check,
     first_order_bounds,
     hh_classic_check,
@@ -22,39 +23,39 @@ from conftest import CONVEX_BATTERY, draw_interval
 
 class TestClassicCheck:
     def test_square_on_0_2(self):
-        lower, upper = hh_classic_check(parse("x^2"), Interval(0.0, 2.0))
+        lower, upper = Instance(parse("x^2"), Interval(0.0, 2.0)).classic()
         assert abs(lower.lhs - 1.0) <= 1e-12
         assert abs(lower.rhs - 4.0 / 3.0) <= 1e-12
         assert abs(upper.rhs - 2.0) <= 1e-12
         assert lower.satisfied and upper.satisfied
 
     def test_affine_is_equality(self):
-        lower, upper = hh_classic_check(parse("x"), Interval(0.0, 1.0))
+        lower, upper = Instance(parse("x"), Interval(0.0, 1.0)).classic()
         assert abs(lower.lhs - 0.5) <= 1e-12
         assert abs(lower.rhs - 0.5) <= 1e-12
         assert abs(upper.rhs - 0.5) <= 1e-12
 
     def test_exponential(self):
-        lower, upper = hh_classic_check(parse("exp(x)"), Interval(0.0, 1.0))
+        lower, upper = Instance(parse("exp(x)"), Interval(0.0, 1.0)).classic()
         assert abs(lower.lhs - math.exp(0.5)) <= 1e-12
         assert abs(lower.rhs - (math.e - 1.0)) <= 1e-12
         assert abs(upper.rhs - (1.0 + math.e) / 2.0) <= 1e-12
 
     def test_concave_rejected(self):
         with pytest.raises(PreconditionError, match="convex"):
-            hh_classic_check(parse("-(x^2)"), Interval(0.0, 1.0))
+            Instance(parse("-(x^2)"), Interval(0.0, 1.0)).classic()
 
 
 class TestLemmaIdentities:
     def test_lemma1_square(self):
         # both sides equal 1/6 on [0, 1]
-        assert lemma_identity_residual("lemma1", parse("x^2"), Interval(0.0, 1.0)) < 1e-10
+        assert Instance(parse("x^2"), Interval(0.0, 1.0)).lemma_residual("lemma1") < 1e-10
 
     def test_lemma2_affine(self):
-        assert lemma_identity_residual("lemma2", parse("3*x - 1"), Interval(-2.0, 5.0)) < 1e-10
+        assert Instance(parse("3*x - 1"), Interval(-2.0, 5.0)).lemma_residual("lemma2") < 1e-10
 
     def test_lemma1_exponential(self):
-        assert lemma_identity_residual("lemma1", parse("exp(x)"), Interval(0.0, 1.0)) < 1e-8
+        assert Instance(parse("exp(x)"), Interval(0.0, 1.0)).lemma_residual("lemma1") < 1e-8
 
     @pytest.mark.parametrize("which", ["lemma1", "lemma2"])
     @pytest.mark.parametrize("fn", ["x^2", "x^3", "exp(x)"])
@@ -62,27 +63,27 @@ class TestLemmaIdentities:
         rng = random.Random(hash((which, fn)) & 0xFFFF)
         expr = parse(fn)
         for _ in range(10):
-            assert lemma_identity_residual(which, expr, draw_interval(rng)) <= 1e-8
+            assert Instance(expr, draw_interval(rng)).lemma_residual(which) <= 1e-8
 
     def test_unknown_lemma(self):
         with pytest.raises(ValueError):
-            lemma_identity_residual("lemma3", parse("x"), Interval(0.0, 1.0))
+            Instance(parse("x"), Interval(0.0, 1.0)).lemma_residual("lemma3")
 
 
 class TestThreePoint:
     def test_square_closed_form(self):
-        lower, upper = three_point_check(parse("x^2"), Interval(0.0, 2.0))
+        lower, upper = Instance(parse("x^2"), Interval(0.0, 2.0)).three_point()
         assert abs(lower.lhs - 1.0) <= 1e-12
         assert abs(lower.rhs - 4.0 / 3.0) <= 1e-12
         assert abs(upper.rhs - 3.0) <= 1e-12
 
     def test_affine_equality(self):
-        lower, upper = three_point_check(parse("x"), Interval(0.0, 1.0))
+        lower, upper = Instance(parse("x"), Interval(0.0, 1.0)).three_point()
         assert abs(upper.rhs - 0.5) <= 1e-12
         assert abs(upper.lhs - 0.5) <= 1e-12
 
     def test_exponential(self):
-        _, upper = three_point_check(parse("exp(x)"), Interval(0.0, 1.0))
+        _, upper = Instance(parse("exp(x)"), Interval(0.0, 1.0)).three_point()
         expected = (2.0 * math.exp(0.5) + math.exp(1.5) + math.exp(-0.5)) / 4.0
         assert abs(upper.rhs - expected) <= 1e-12
         assert abs(upper.lhs - (math.e - 1.0)) <= 1e-12
@@ -92,26 +93,26 @@ class TestThreePoint:
         for _ in range(100):
             iv = draw_interval(rng)
             for _, expr in battery:
-                lower, upper = three_point_check(expr, iv)
+                lower, upper = Instance(expr, iv).three_point()
                 assert lower.satisfied and upper.satisfied
 
 
 class TestAbsHalf:
     def test_affine_equality(self):
-        r = abs_half_check(parse("x"), Interval(0.0, 1.0))
+        r = Instance(parse("x"), Interval(0.0, 1.0)).abs_half()
         assert abs(r.lhs - 0.25) <= 1e-12
         assert abs(r.rhs - 0.25) <= 1e-12
         assert r.satisfied and r.fragile
 
     def test_square(self):
-        r = abs_half_check(parse("x^2"), Interval(0.0, 2.0))
+        r = Instance(parse("x^2"), Interval(0.0, 2.0)).abs_half()
         assert abs(r.lhs - 5.0 / 6.0) <= 1e-12
         assert abs(r.rhs - 2.5) <= 1e-12
         assert r.satisfied
 
     def test_shift_counterexample(self):
         # vertical shift zeroes the right side while the left side grows
-        r = abs_half_check(parse("x^2-5"), Interval(0.0, 2.0))
+        r = Instance(parse("x^2-5"), Interval(0.0, 2.0)).abs_half()
         assert abs(r.lhs - 5.0 / 3.0) <= 1e-12
         assert r.rhs == 0.0
         assert not r.satisfied
@@ -120,37 +121,39 @@ class TestAbsHalf:
 
 class TestFirstOrder:
     def test_square_q1(self):
-        fb = first_order_bounds(parse("x^2"), Interval(0.0, 1.0), 1.0)
-        assert abs(fb.lhs - 1.0 / 12.0) <= 1e-12
-        assert abs(fb.rhs_thm2 - 0.5) <= 1e-12
-        assert fb.p is None and fb.rhs_thm3 is None and fb.k2_printed is None
-        assert fb.rhs_min == fb.rhs_thm2
-        assert fb.k1 == 0.125
+        lhs, rhs = Instance(parse("x^2"), Interval(0.0, 1.0), 1.0).first_order()
+        assert abs(lhs - 1.0 / 12.0) <= 1e-12
+        assert abs(rhs["thm2"] - 0.5) <= 1e-12
+        # no Hoelder-form side at q = 1, so thm2 is the smallest side too
+        assert list(rhs) == ["thm2"]
+        assert K1 == 0.125
+        with pytest.raises(TypeError):  # the instance hands the same sides to every check
+            rhs["thm2"] = 0.0
 
     def test_square_q2(self):
-        fb = first_order_bounds(parse("x^2"), Interval(0.0, 1.0), 2.0)
-        assert abs(fb.rhs_thm3 - math.sqrt(5.0 / 24.0)) <= 1e-12
-        assert abs(fb.lhs - 1.0 / 12.0) <= 1e-12
-        assert fb.lhs <= fb.rhs_thm3
+        lhs, rhs = Instance(parse("x^2"), Interval(0.0, 1.0), 2.0).first_order()
+        assert abs(rhs["thm3"] - math.sqrt(5.0 / 24.0)) <= 1e-12
+        assert abs(lhs - 1.0 / 12.0) <= 1e-12
+        assert lhs <= rhs["thm3"]
 
     def test_affine_zero_lhs(self):
         rng = random.Random(4)
         for _ in range(20):
-            fb = first_order_bounds(parse("2*x+3"), draw_interval(rng), 1.0)
-            assert fb.lhs <= 1e-12
+            lhs, _ = Instance(parse("2*x+3"), draw_interval(rng), 1.0).first_order()
+            assert lhs <= 1e-12
 
     def test_rejects_q_below_one(self):
         with pytest.raises(PreconditionError):
-            first_order_bounds(parse("x^2"), Interval(0.0, 1.0), 0.5)
+            Instance(parse("x^2"), Interval(0.0, 1.0), 0.5).first_order()
 
     def test_scale_covariance_of_thm2_rhs(self):
         rng = random.Random(5)
         for q in (1.0, 1.5, 2.0, 3.0):
             iv = draw_interval(rng)
             c = rng.uniform(0.5, 4.0)
-            base = first_order_bounds(parse("exp(x)"), iv, q)
-            scaled = first_order_bounds(parse(f"{c!r}*exp(x)"), iv, q)
-            assert math.isclose(scaled.rhs_thm2, c * base.rhs_thm2, rel_tol=1e-13)
+            _, base = Instance(parse("exp(x)"), iv, q).first_order()
+            _, scaled = Instance(parse(f"{c!r}*exp(x)"), iv, q).first_order()
+            assert math.isclose(scaled["thm2"], c * base["thm2"], rel_tol=1e-13)
 
     def test_k2_constants_ordering(self):
         # the printed combined constant is looser than the theorem-consistent one
@@ -161,44 +164,44 @@ class TestFirstOrder:
     def test_thm3_rhs_equals_derived_constant_form(self):
         iv = Interval(0.0, 1.0)
         for q in (1.5, 2.0, 3.0, 7.5):
-            fb = first_order_bounds(parse("exp(x)"), iv, q)
+            _, rhs = Instance(parse("exp(x)"), iv, q).first_order()
             dlo = math.exp(-0.5)
             dhi = math.exp(1.5)
             s_root = (dlo**q + dhi**q) ** (1.0 / q)
-            assert math.isclose(fb.rhs_thm3, fb.k2_derived * iv.width * s_root, rel_tol=1e-12)
+            assert math.isclose(rhs["thm3"], k2_derived_constant(q) * iv.width * s_root, rel_tol=1e-12)
 
 
 class TestSecondOrder:
     def test_square_q1(self):
-        sb = second_order_bounds(parse("x^2"), Interval(0.0, 1.0), 1.0)
-        assert abs(sb.lhs - 5.0 / 12.0) <= 1e-12
-        assert abs(sb.rhs_k3 - 2.0 / 3.0) <= 1e-12
-        assert sb.rhs_k4 is None and sb.rhs_k5 is None
-        assert sb.lhs <= sb.rhs_k3
+        lhs, rhs = Instance(parse("x^2"), Interval(0.0, 1.0), 1.0).second_order()
+        assert abs(lhs - 5.0 / 12.0) <= 1e-12
+        assert abs(rhs["thm4"] - 2.0 / 3.0) <= 1e-12
+        assert "thm5" not in rhs and "thm6" not in rhs
+        assert lhs <= rhs["thm4"]
 
     def test_k3_equals_k6_at_q1(self):
         # both reduce to (|f''(lo)| + |f''(hi)|)/6 times (b-a)^2
         rng = random.Random(6)
         for _ in range(10):
-            sb = second_order_bounds(parse("exp(x)"), draw_interval(rng), 1.0)
-            assert math.isclose(sb.rhs_k3, sb.rhs_k6, rel_tol=1e-12)
+            _, rhs = Instance(parse("exp(x)"), draw_interval(rng), 1.0).second_order()
+            assert math.isclose(rhs["thm4"], rhs["thm7"], rel_tol=1e-12)
 
     def test_affine_zero_everywhere(self):
-        sb = second_order_bounds(parse("x"), Interval(0.0, 1.0), 1.0)
-        assert sb.lhs <= 1e-12
-        assert sb.rhs_k3 <= 1e-12
+        lhs, rhs = Instance(parse("x"), Interval(0.0, 1.0), 1.0).second_order()
+        assert lhs <= 1e-12
+        assert rhs["thm4"] <= 1e-12
 
     def test_exp_q2_all_sides_present(self):
-        sb = second_order_bounds(parse("exp(x)"), Interval(0.0, 1.0), 2.0)
-        for rhs in (sb.rhs_k3, sb.rhs_k4, sb.rhs_k5, sb.rhs_k6):
-            assert rhs is not None and rhs > 0
-        assert sb.rhs_min == min(sb.rhs_k3, sb.rhs_k4, sb.rhs_k5, sb.rhs_k6)
-        assert sb.lhs <= sb.rhs_min
+        lhs, rhs = Instance(parse("exp(x)"), Interval(0.0, 1.0), 2.0).second_order()
+        for name in ("thm4", "thm5", "thm6", "thm7"):
+            assert rhs[name] > 0
+        assert rhs["cor2"] == min(rhs["thm4"], rhs["thm5"], rhs["thm6"], rhs["thm7"])
+        assert lhs <= rhs["cor2"]
 
     def test_k4_gamma_ratio_closed_form(self):
         # |f''| = 2, (b-a)^2 = 4, p = q = 2: K4 = 2 * 4 * (sqrt(pi) G(3) / (2 G(7/2)))^(1/2) * 2
-        sb = second_order_bounds(parse("x^2"), Interval(0.0, 2.0), 2.0)
-        assert math.isclose(sb.rhs_k4, 16.0 * math.sqrt(8.0 / 15.0), rel_tol=1e-12)
+        _, rhs = Instance(parse("x^2"), Interval(0.0, 2.0), 2.0).second_order()
+        assert math.isclose(rhs["thm5"], 16.0 * math.sqrt(8.0 / 15.0), rel_tol=1e-12)
 
 
 class TestBatterySweep:
@@ -212,13 +215,14 @@ class TestBatterySweep:
             iv = Interval(a, a * rng.uniform(1.2, 2.8))  # keeps x*log(x) in domain
             for expr in functions:
                 for q in (1.0, 1.5, 2.0, 3.0):
-                    for runner in (first_order_bounds, second_order_bounds):
+                    for runner in (Instance.first_order, Instance.second_order):
                         try:
-                            result = runner(expr, iv, q)
+                            lhs, rhs = runner(Instance(expr, iv, q))
                         except PreconditionError:
                             tally["guarded"] += 1
                             continue
-                        if result.lhs <= result.rhs_min + 1e-12:
+                        # the smallest theorem side; the printed corollary cor1 is not one
+                        if lhs <= min(v for name, v in rhs.items() if name.startswith("thm")) + 1e-12:
                             tally["pass"] += 1
                         else:
                             tally["fail"] += 1
@@ -230,4 +234,24 @@ class TestBatterySweep:
 
 
 def test_mean_integral_matches_closed_form():
-    assert math.isclose(mean_integral(parse("x^2"), Interval(0.0, 2.0)), 4.0 / 3.0, rel_tol=1e-12)
+    assert math.isclose(Instance(parse("x^2"), Interval(0.0, 2.0)).mean(), 4.0 / 3.0, rel_tol=1e-12)
+
+
+# each module wrapper runs one check on a fresh Instance; they stay for callers that look them up by name
+_WRAPPERS = {
+    "mean_integral": (lambda f, iv, q: mean_integral(f, iv), Instance.mean),
+    "hh_classic_check": (lambda f, iv, q: hh_classic_check(f, iv), Instance.classic),
+    "lemma_identity_residual": (lambda f, iv, q: lemma_identity_residual("lemma2", f, iv),
+                                lambda inst: inst.lemma_residual("lemma2")),
+    "three_point_check": (lambda f, iv, q: three_point_check(f, iv), Instance.three_point),
+    "abs_half_check": (lambda f, iv, q: abs_half_check(f, iv), Instance.abs_half),
+    "first_order_bounds": (first_order_bounds, Instance.first_order),
+    "second_order_bounds": (second_order_bounds, Instance.second_order),
+}
+
+
+@pytest.mark.parametrize("name", _WRAPPERS)
+def test_module_wrapper_matches_its_instance_method(name):
+    wrapper, method = _WRAPPERS[name]
+    f, iv = parse("exp(x)"), Interval(0.0, 1.0)
+    assert wrapper(f, iv, 2.0) == method(Instance(f, iv, 2.0))

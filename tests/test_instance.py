@@ -7,6 +7,7 @@ through, so they see exactly the calls a traced run sees.
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -133,4 +134,5 @@ def test_second_order_bounds_need_f_twice_differentiable():
     inst = Instance(parse("abs(x-1.3)"), Interval(1.0, 2.0))
     with pytest.raises(core.PreconditionError, match="twice differentiable"):
         inst.second_order()
-    assert inst.first_order().rhs_min > 0.0  # |f'|^q = 1 is convex, and the first-order bounds need no f''
+    _, rhs = inst.first_order()
+    assert min(rhs["thm2"], rhs.get("thm3", math.inf)) > 0.0  # |f'|^q = 1 is convex, and they need no f''

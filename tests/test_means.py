@@ -5,7 +5,7 @@ import pytest
 
 from hhaudit.core import PreconditionError
 from hhaudit.exprlang import parse
-from hhaudit.hh_bounds import abs_half_check, first_order_bounds
+from hhaudit.hh_bounds import Instance
 from hhaudit.means import _gen_log_power, means_proposition_check
 from conftest import draw_narrow_interval
 
@@ -70,9 +70,9 @@ class TestAgreementWithDirectBounds:
         for q in (1.0, 1.5, 2.0, 3.0):
             iv = draw_narrow_interval(rng)
             _, second = means_proposition_check(prop, iv.a, iv.b, q=q, **extra)
-            fb = first_order_bounds(expr, iv, q)
-            assert math.isclose(second.lhs, fb.lhs, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(second.rhs, fb.rhs_min, rel_tol=1e-12, abs_tol=1e-12)
+            lhs, rhs = Instance(expr, iv, q).first_order()
+            assert math.isclose(second.lhs, lhs, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(second.rhs, min(rhs["thm2"], rhs.get("thm3", math.inf)), rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("prop,fn,extra", CASES)
     def test_first_display_matches_half_value_path(self, prop, fn, extra):
@@ -81,7 +81,7 @@ class TestAgreementWithDirectBounds:
         for _ in range(4):
             iv = draw_narrow_interval(rng)
             first, _ = means_proposition_check(prop, iv.a, iv.b, **extra)
-            direct = abs_half_check(expr, iv)
+            direct = Instance(expr, iv).abs_half()
             # the display doubles both sides of the half-value bound
             assert math.isclose(first.lhs, 2.0 * direct.lhs, rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(first.rhs, 2.0 * direct.rhs, rel_tol=1e-12, abs_tol=1e-12)
