@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 from .core import (
     BoundReport,
@@ -201,12 +200,11 @@ class Instance:
         rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
         return make_report("k2", lhs, rhs, self.inputs, self.cfg, fragile=True)
 
-    def first_order(self) -> tuple[float, Mapping[str, float]]:
-        """|mean integral - f(mid)| and its first-derivative right sides: thm2, and at q > 1 thm3 and cor1.
-        The sides are a read-only view, since every check on this instance reads the same one."""
+    def first_order(self) -> tuple[float, dict[str, float]]:
+        """|mean integral - f(mid)| and its first-derivative right sides: thm2, and at q > 1 thm3 and cor1."""
         return self._once("first_order", self._first_order)
 
-    def _first_order(self) -> tuple[float, Mapping[str, float]]:
+    def _first_order(self) -> tuple[float, dict[str, float]]:
         """thm2 is (b-a)/8 2^(1/q) M and thm3 (b-a) c_p M, with M the :func:`power_mean` of
         |f'| at the widened ends; no |f'|^q is formed, so M neither overflows nor underflows.
         cor1 is the combined corollary exactly as printed: min{K1, printed K2} times
@@ -221,15 +219,14 @@ class Instance:
             p = conjugate_exponent(q)
             rhs["thm3"] = width * math.exp(-((p + 1.0) * _LN2 + math.log(p + 1.0)) / p) * mean_d
             rhs["cor1"] = min(K1, k2_printed_constant(q)) * 8.0 * rhs["thm2"]
-        return lhs, MappingProxyType(rhs)
+        return lhs, rhs
 
-    def second_order(self) -> tuple[float, Mapping[str, float]]:
+    def second_order(self) -> tuple[float, dict[str, float]]:
         """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| and its right sides: thm4 (K3), thm7 (K6) and
-        cor2, their minimum, and at q > 1 thm5 (K4) and thm6 (K5), which cor2 then takes too.
-        Read-only, as in :meth:`first_order`."""
+        cor2, their minimum, and at q > 1 thm5 (K4) and thm6 (K5), which cor2 then takes too."""
         return self._once("second_order", self._second_order)
 
-    def _second_order(self) -> tuple[float, Mapping[str, float]]:
+    def _second_order(self) -> tuple[float, dict[str, float]]:
         """K3 and K4 are (b-a)^2 c M, M the :func:`power_mean` of |f''| at the widened ends.  K5 and
         K6 weight |f''(lo)|^q : |f''(hi)|^q as 1 : q+1 and 2 : q+1, so their means take w = 1/(q+2), 2/(q+3)."""
         q = self.q
@@ -254,7 +251,7 @@ class Instance:
             )
         rhs["thm7"] = w2 * (2.0 / ((q + 1.0) * (q + 2.0))) ** (1.0 / q) * power_mean(q, dd_lo, dd_hi, 2.0 / (q + 3.0))
         rhs["cor2"] = min(rhs.values())
-        return lhs, MappingProxyType(rhs)
+        return lhs, rhs
 
     def lemma_report(self, which: str) -> BoundReport:
         """The lemma residual against its 1e-8 contract."""
@@ -307,11 +304,11 @@ def abs_half_check(f: Expr, iv: Interval, cfg=DEFAULT_TOL) -> BoundReport:
     return Instance(f, iv, cfg=cfg).abs_half()
 
 
-def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, Mapping[str, float]]:
+def first_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, dict[str, float]]:
     """|mean integral - f(mid)| and its first-derivative right sides, keyed by target."""
     return Instance(f, iv, q, cfg).first_order()
 
 
-def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, Mapping[str, float]]:
+def second_order_bounds(f: Expr, iv: Interval, q: float, cfg=DEFAULT_TOL) -> tuple[float, dict[str, float]]:
     """|mean integral - [f(lo) + f(hi) + 2 f(mid)]/4| and its K3..K6 right sides, keyed by target."""
     return Instance(f, iv, q, cfg).second_order()
