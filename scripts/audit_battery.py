@@ -12,7 +12,7 @@ import argparse
 import random
 import sys
 
-from hhaudit.core import Interval, PreconditionError, config_from_env
+from hhaudit.core import ConvergenceError, DomainError, Interval, PreconditionError, config_from_env
 from hhaudit.exprlang import parse
 from hhaudit.hh_bounds import Instance
 
@@ -47,7 +47,7 @@ def main() -> int:
                     counts = tally.setdefault(name, [0, 0, 0])
                     try:
                         report = inst.derivative_report(name)
-                    except PreconditionError:
+                    except (PreconditionError, DomainError, ConvergenceError):  # as verify's guarded_out
                         counts[2] += 1
                         continue
                     counts[0 if report.satisfied else 1] += 1

@@ -14,8 +14,8 @@ Library layout:
 * :mod:`hhaudit.means` - special means and their proposition checks;
 * :mod:`hhaudit.quadrature` - composite rules, midpoint error certificates,
   adaptive certified integration;
-* :mod:`hhaudit.special_fns` - Beta/Gamma helpers, modified Bessel functions,
-  q-digamma, and their inequality checks;
+* :mod:`hhaudit.special_fns` - modified Bessel functions, q-digamma, and
+  their inequality checks;
 * :mod:`hhaudit.cli` - the ``hhaudit`` command.
 """
 

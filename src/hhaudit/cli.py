@@ -85,8 +85,8 @@ _TARGETS: dict[str, tuple] = {
 }
 
 
-def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interval:
-    for _ in range(max_attempts):
+def _draw_interval(rng: random.Random, expr) -> Interval:
+    for _ in range(200):
         a = rng.uniform(0.5, 5.0)
         iv = Interval(a, a + rng.uniform(0.1, 2.0))
         if expr is None:
@@ -98,7 +98,7 @@ def _draw_interval(rng: random.Random, expr, max_attempts: int = 200) -> Interva
         except DomainError:
             continue
         return iv
-    raise PreconditionError(f"no interval passing the domain guard found in {max_attempts} draws")
+    raise PreconditionError("no interval passing the domain guard found in 200 draws")
 
 
 def _echo(prefix: str, args, fields) -> str:

@@ -265,7 +265,7 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
     at ``pairs`` pairs, after 1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink
     samples as convex).  PreconditionError names the function, the interval and the worst gap; a domain
     hole's DomainError names the function too.  |f^(order)|^q samples through the compiled loop of
-    ``f.compiled(order)``, when that evaluator has one."""
+    ``f.compiled(order)``."""
     if order == 0:
         what, fn = "f", evaluator(f)
     else:
@@ -275,8 +275,7 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
-        if hasattr(jet, "loop"):
-            fn.loop = functools.partial(jet.loop, q=q)
+        fn.loop = functools.partial(jet.loop, q=q)
     label = f"guard:{what}"
 
     def check(region: Interval) -> None:
@@ -288,12 +287,6 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
             raise PreconditionError(f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
                                     f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
     return check
-
-
-def require_convex(f, region: Interval, order: int = 0, q: float = 1.0, *, pairs: int = 32,
-                   cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-    """:func:`convexity_guard` on one region."""
-    convexity_guard(f, order, q, pairs=pairs, cfg=cfg)(region)
 
 
 def require_exponent(q: float) -> None:

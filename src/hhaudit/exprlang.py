@@ -34,7 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DomainError, evaluator, undefined  # evaluator: re-exported for callers of this module
+from .core import DomainError, undefined
 
 
 class ParseError(ValueError):

@@ -17,7 +17,7 @@ sides are closed-form evaluations.  The derivative bounds share one left
 side per order: :meth:`Instance.first_order` and :meth:`Instance.second_order`
 return it with a mapping from each target name to its right side.  Every
 bound operation first checks its hypothesis on the widened interval with
-:func:`hhaudit.core.require_convex` (convexity sampled at 32 pairs;
+:func:`hhaudit.core.convexity_guard` (convexity sampled at 32 pairs;
 1 <= q < inf) and fails loudly rather than silently evaluating outside a
 function's domain.  :class:`Instance` holds one function on one interval and
 computes each guard, the mean integral and the shared bounds once for all
@@ -38,10 +38,10 @@ from .core import (
     PreconditionError,
     ToleranceConfig,
     conjugate_exponent,
+    convexity_guard,
     extend,
     make_report,
     power_mean,
-    require_convex,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
 )
 from .exprlang import Expr, fn_label
@@ -120,9 +120,9 @@ class Instance:
         return extend(self.iv)
 
     def _guard(self, order: int, widened: bool = True) -> None:
-        """:func:`require_convex` of f (order 0) or |f^(order)|^q, on [a, b] or the widened interval."""
+        """:func:`convexity_guard` of f (order 0) or |f^(order)|^q, on [a, b] or the widened interval."""
         self._once(f"guard {order} {widened}",
-                   lambda: require_convex(self.f, self.ext if widened else self.iv, order, self.q, cfg=self.cfg))
+                   lambda: convexity_guard(self.f, order, self.q, cfg=self.cfg)(self.ext if widened else self.iv))
 
     def _f_at(self, point: str) -> float:
         """f at the widened interval's ends "lo" and "hi", or at "mid", the base midpoint."""

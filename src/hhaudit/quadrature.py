@@ -1,6 +1,6 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
-by :func:`hhaudit.core.require_convex`: 1 <= q < inf, and convexity sampled at 16 pairs per
+by :func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs per
 panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the
 certificates are flat passes over ``partition.points``; refinement is :mod:`hhaudit.oracle`'s.
 
@@ -33,7 +33,6 @@ from .core import (
     extend,
     make_report,
     power_mean,
-    require_convex,
     require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
     widen,
@@ -205,9 +204,9 @@ def adaptive_midpoint(
         raise ValueError(f"target error must be positive and finite, got {target!r}")
     a, b, hull = iv.a, iv.b, extend(iv)
     try:
-        require_convex(f, hull, 2, q, cfg=cfg)
+        convexity_guard(f, 2, q, cfg=cfg)(hull)
     except PreconditionError:
-        require_convex(f, hull, 1, q, cfg=cfg)
+        convexity_guard(f, 1, q, cfg=cfg)(hull)
         jet1, kconst = f.compiled(1), min_first_order_constant(q)
         panels, _, bound = refine(
             lambda l, r: (0.0, kconst * _first_order_term(jet1, q, l, r)), a, b, lambda _, e, heap: e <= target

@@ -1,6 +1,6 @@
-"""Gamma/Beta helpers, modified Bessel functions, the q-digamma family, and
-the reports of prop6, prop7 (which checks its hypothesis p > 1 and 3a > b before
-evaluating anything) and prop8/prop9 built on them.
+"""Modified Bessel functions, the q-digamma family, and the reports of prop6,
+prop7 (which checks its hypothesis p > 1 and 3a > b before evaluating anything)
+and prop8/prop9 built on them.  Every parameter and argument must be finite.
 
 The first-kind Bessel functions come from their power series with a ratio-test
 tail bound; the second-kind ones from the Laplace-type integral
@@ -33,18 +33,10 @@ from .core import (
 from .oracle import integrate_ref
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (platform lgamma; relative accuracy ~1e-15)."""
-    if x <= 0.0:
-        raise DomainError(f"log_gamma needs x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def beta(x: float, y: float) -> float:
-    """B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y) for positive arguments."""
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError(f"beta needs positive arguments, got ({x!r}, {y!r})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+def _check_finite(fn: str, **params: float) -> None:
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{fn} needs finite arguments, got {name} = {value!r}")
 
 
 def _normalized_series(p: float, x: float, cfg: ToleranceConfig) -> tuple[float, int, float]:
@@ -69,25 +61,21 @@ def _normalized_series(p: float, x: float, cfg: ToleranceConfig) -> tuple[float,
     )
 
 
-def _check_order(p: float) -> None:
+def _check_first_kind(p: float, x: float) -> None:
     if not p > -1.0:
         raise DomainError(f"Bessel order must satisfy p > -1, got p = {p!r}")
+    _check_finite("the first-kind Bessel series", p=p, x=x)
 
 
 def normalized_I_series(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Normalized first-kind function as a :class:`SeriesResult`; even in x, equals 1 at x = 0."""
-    _check_order(p)
-    value, terms, tail = _normalized_series(p, x, cfg)
-    return SeriesResult(value, terms, tail)
-
-
-def normalized_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    return normalized_I_series(p, x, cfg).value
+    _check_first_kind(p, x)
+    return SeriesResult(*_normalized_series(p, x, cfg))
 
 
 def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Modified Bessel function of the first kind by its power series, x >= 0."""
-    _check_order(p)
+    _check_first_kind(p, x)
     if x < 0.0:
         raise DomainError(f"bessel_I needs x >= 0, got {x!r}")
     if x == 0.0:
@@ -97,7 +85,7 @@ def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
             return SeriesResult(0.0, 1, 0.0)
         raise DomainError(f"bessel_I diverges at x = 0 for p < 0 (p = {p!r})")
     value, terms, tail = _normalized_series(p, x, cfg)
-    prefactor = math.exp(p * math.log(0.5 * x) - log_gamma(p + 1.0))
+    prefactor = math.exp(p * math.log(0.5 * x) - math.lgamma(p + 1.0))
     return SeriesResult(prefactor * value, terms, prefactor * tail)
 
 
@@ -112,16 +100,17 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     The integrand exp(-x cosh t) cosh(p t) decays beyond T at rate at least
     x sinh T - |p|, so the tail past T is at most
     exp(-x cosh T) cosh(p T) / (x sinh T - |p|); T grows until that majorant
-    plus the quadrature error fits within ``abs_tol``.
+    plus the quadrature error fits within ``abs_tol``, or until sinh T would
+    overflow.  A value beyond the float range is a DomainError.
     """
+    _check_finite("bessel_K", p=p, x=x)
     if x <= 0.0:
         raise DomainError(f"bessel_K needs x > 0, got {x!r}")
     ap = abs(p)
     half_tol = 0.5 * cfg.abs_tol
     log_target = math.log(half_tol)
     T = 1.0
-    tail = None
-    for _ in range(400):
+    while T < 710.0:  # sinh overflows past 710.47
         lam = x * math.sinh(T) - ap
         if lam > 0.0:
             log_tail = -x * math.cosh(T) + _log_cosh(ap * T) - math.log(lam)
@@ -129,14 +118,17 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
                 tail = math.exp(log_tail) if log_tail > -745.0 else 0.0
                 break
         T *= 1.25
-    if tail is None:
+    else:
         raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
 
     def integrand(t: float) -> float:
         arg = -x * math.cosh(t) + _log_cosh(p * t)
         return math.exp(arg) if arg > -745.0 else 0.0
 
-    body = integrate_ref(integrand, Interval(0.0, T), replace(cfg, abs_tol=half_tol, rel_tol=1e-15))
+    try:
+        body = integrate_ref(integrand, Interval(0.0, T), replace(cfg, abs_tol=half_tol, rel_tol=1e-15))
+    except OverflowError as exc:
+        raise DomainError(f"second-kind Bessel function beyond the float range (p={p!r}, x={x!r})") from exc
     total_bound = tail + body.tail_bound
     if total_bound > cfg.abs_tol:
         raise ConvergenceError(
@@ -151,6 +143,7 @@ def _check_q_x(q: float, x: float) -> None:
         raise DomainError(f"q-digamma needs q > 0 and q != 1, got q = {q!r}")
     if x <= 0.0:
         raise DomainError(f"q-digamma needs x > 0, got x = {x!r}")
+    _check_finite("q-digamma", q=q, x=x)
 
 
 def _power_tail_series(
@@ -220,7 +213,7 @@ def bessel_prop6(p: float, a: float, b: float, cfg: ToleranceConfig = DEFAULT_TO
     inputs = {"p": p, "a": a, "b": b}
 
     def nI(order: float, x: float) -> float:
-        return normalized_I(order, x, cfg)
+        return normalized_I_series(order, x, cfg).value
 
     lhs_i1 = abs(nI(p, b) - nI(p, a)) / (b - a)
     rhs_i1 = (

@@ -343,6 +343,26 @@ class TestSpecial:
         code, _, err = run_cli(capsys, "special", "normI", "--x", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("special", "besselK", "--p", "0", "--x", "1e-310"),
+         "tail of the second-kind integral not boundable (p=0.0, x=1e-310)"),
+        (("special", "besselK", "--p", "800", "--x", "1"),
+         "second-kind Bessel function beyond the float range (p=800.0, x=1.0)"),
+        (("verify", "--target", "prop7", "--p", "800", "--a", "1", "--b", "1.5"),
+         "second-kind Bessel function beyond the float range (p=800.0, x=1.5)"),
+        (("special", "normI", "--p", "inf", "--x", "1"),
+         "the first-kind Bessel series needs finite arguments, got p = inf"),
+        (("special", "besselI", "--p", "1", "--x", "nan"),
+         "the first-kind Bessel series needs finite arguments, got x = nan"),
+        (("verify", "--target", "prop6", "--p", "inf", "--a", "1", "--b", "1.5"),
+         "the first-kind Bessel series needs finite arguments, got p = inf"),
+        (("special", "besselK", "--p", "nan", "--x", "1"), "bessel_K needs finite arguments, got p = nan"),
+        (("special", "qdigamma", "--q", "2", "--x", "inf"), "q-digamma needs finite arguments, got x = inf"),
+        (("special", "qdigamma", "--q", "nan", "--x", "1"), "q-digamma needs finite arguments, got q = nan"),
+    ])
+    def test_an_argument_out_of_range_exits_two_naming_it(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
 
 class TestEnvOverride:
     def test_hh_tol_env(self, capsys, monkeypatch):

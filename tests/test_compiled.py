@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import jet_oracle
 from hhaudit import exprlang
-from hhaudit.core import DomainError, Interval, require_convex
+from hhaudit.core import DomainError, Interval, convexity_guard
 from hhaudit.exprlang import BinOp, Call, Const, Neg, ParseError, Pow, Var, eval_jet, parse, to_text
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sinh", "cosh", "abs")
@@ -248,13 +248,13 @@ def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monk
     # the compiled functions, and the loops that the guards at orders 0-2 sample through, stay
     # outside equality, hashing and pickling
     for order in (0, 1, 2):
-        require_convex(e, Interval(1.0, 2.0), order, 2.0)
+        convexity_guard(e, order, 2.0)(Interval(1.0, 2.0))
     assert e == parse(text) and hash(e) == hash(parse(text))
     again = pickle.loads(pickle.dumps(e))
     assert "_evaluators" not in vars(again)
     assert again == e and again(2.0) == e(2.0)
     for order in (0, 1, 2):
-        require_convex(again, Interval(1.0, 2.0), order, 2.0)
+        convexity_guard(again, order, 2.0)(Interval(1.0, 2.0))
 
 
 def test_compiled_rejects_orders_above_three():

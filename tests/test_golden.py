@@ -23,3 +23,19 @@ def test_output_matches_golden(name):
         assert stdout == fh.read()
     assert code == EXPECTED[name]["exit"]
     assert stderr == EXPECTED[name]["stderr"]
+
+
+def _reject(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items()
+                                         if argv[0] in ("verify", "integrate", "special")))
+def test_cli_golden_is_strict_json(name):
+    # json.loads alone accepts NaN, Infinity and -Infinity; an error (exit 2) prints nothing
+    with open(os.path.join(HERE, f"{name}.out"), "rb") as fh:
+        stdout = fh.read()
+    if EXPECTED[name]["exit"] == 2:
+        assert stdout == b""
+    else:
+        json.loads(stdout, parse_constant=_reject)

@@ -1,5 +1,5 @@
 """The convexity guard on precomputed draws against the seeded guard in ``guard_oracle``, and
-:func:`~hhaudit.core.require_convex`, which samples a parsed function through its compiled loop,
+:func:`~hhaudit.core.convexity_guard`, which samples a parsed function through its compiled loop,
 against the same guard sampling point by point."""
 
 import math
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import guard_oracle
-from hhaudit.core import DomainError, Interval, PreconditionError, extend, require_convex, sample_convexity
-from hhaudit.exprlang import evaluator, parse, to_text
+from hhaudit.core import DomainError, Interval, PreconditionError, convexity_guard, evaluator, extend, sample_convexity
+from hhaudit.exprlang import parse, to_text
 
 _TEXTS = ("x^2", "exp(x)", "cosh(x)", "1/x", "log(x)", "sqrt(x)", "x*log(x)", "x^2-x^2", "-x^2", "abs(x)")
 _CALLABLES = (lambda x: x * x, math.exp, lambda x: 1.0 / x, math.log, math.sqrt,
@@ -89,7 +89,7 @@ def test_too_few_pairs_is_the_same_error():
 
 
 def _reference_guard(f, region, order, q, *, pairs):
-    """:func:`require_convex` on ``guard_oracle``'s sampling, which calls f, or |f^(order)|^q from the
+    """:func:`convexity_guard` of one region on ``guard_oracle``'s sampling, which calls f, or |f^(order)|^q from the
     order-``order`` jet, one point at a time, with the same labels and messages."""
     if order == 0:
         what, fn = "f", f.compiled(0)
@@ -106,6 +106,10 @@ def _reference_guard(f, region, order, q, *, pairs):
     if not report.satisfied:
         raise PreconditionError(f"{what} is not midpoint-convex on [{region.a!r}, {region.b!r}]"
                                 f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
+
+
+def _guard(f, region, order, q, *, pairs):
+    convexity_guard(f, order, q, pairs=pairs)(region)
 
 
 def _guard_outcome(guard, f, region, order, q, pairs):
@@ -132,7 +136,7 @@ def _regions(draw):
 def test_the_compiled_guard_loop_matches_the_point_by_point_guard(text, region, order, q, pairs):
     f = parse(text)
     want = _guard_outcome(_reference_guard, f, region, order, q, pairs)
-    assert _guard_outcome(require_convex, f, region, order, q, pairs) == want
+    assert _guard_outcome(_guard, f, region, order, q, pairs) == want
 
 
 def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
@@ -141,4 +145,4 @@ def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
     f = parse("x^4 + log((x - 2.3397441655619037e+77)^2 - 5.033759532751502e+150)")
     want = (DomainError, "f: convexity gap undefined (inf - inf) at the midpoint x = 2.8011881272326755e+77")
     assert _guard_outcome(_reference_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
-    assert _guard_outcome(require_convex, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
+    assert _guard_outcome(_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want

@@ -130,6 +130,19 @@ def test_audit_battery_script_honours_hh_tol():
     assert guarded[1] < guarded[0]
 
 
+def test_audit_battery_script_counts_a_domain_error_as_guarded():
+    # at q = 300, |f'|^q overflows on some intervals: the guard's DomainError is tallied, not raised
+    env = {k: v for k, v in os.environ.items() if k != "HH_TOL"}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    argv = [sys.executable, "scripts/audit_battery.py", "--trials", "3", "--q", "300"]
+    run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    rows = {line.split()[0]: [int(n) for n in line.split()[1:]] for line in run.stdout.splitlines()[2:]}
+    assert sorted(rows) == ["thm2", "thm3", "thm4", "thm5", "thm6", "thm7"]
+    assert all(sum(counts) == 15 for counts in rows.values())  # 5 functions, 3 intervals each
+    assert rows["thm2"][2] > 0
+
+
 def test_second_order_bounds_need_f_twice_differentiable():
     inst = Instance(parse("abs(x-1.3)"), Interval(1.0, 2.0))
     with pytest.raises(core.PreconditionError, match="twice differentiable"):

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hhaudit import core
-from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, extend, require_convex
+from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, extend
 from hhaudit.exprlang import parse
 from hhaudit.oracle import PANEL_CAP, integrate_ref
 from hhaudit.quadrature import (
@@ -218,6 +218,11 @@ class TestAdaptiveMidpoint:
                 calls[order] += 1
                 return evaluator(x)
 
+            def loop(points, out, order=order, evaluator=evaluator, **q):  # the guards sample through it
+                calls[order] += len(points)
+                evaluator.loop(points, out, **q)
+
+            counted.loop = loop
             f._evaluators[order] = counted
         return calls
 
@@ -232,7 +237,7 @@ class TestAdaptiveMidpoint:
         evaluates f N times.  The certificate is the second-order bound on the final
         partition, recomputed here from the grid points, bit for bit."""
         guard = self._count_evaluations(g := parse(fn), (2,))
-        require_convex(g, extend(Interval(0.0, b)), 2, 1.0, cfg=cfg)  # the |f''|^q guard alone
+        convexity_guard(g, 2, 1.0, cfg=cfg)(extend(Interval(0.0, b)))  # the |f''|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1, 2))
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)
@@ -261,7 +266,7 @@ class TestAdaptiveMidpoint:
         """With abs in f: two f' evaluations per panel evaluated, 2N - 1 panels for N
         final ones, then N + 1 evaluations of f for T1 and N for T2."""
         guard = self._count_evaluations(g := parse(fn), (1,))
-        require_convex(g, extend(Interval(0.0, b)), 1, 1.0, cfg=cfg)  # the |f'|^q guard alone
+        convexity_guard(g, 1, 1.0, cfg=cfg)(extend(Interval(0.0, b)))  # the |f'|^q guard alone
         f = parse(fn)
         calls = self._count_evaluations(f, (0, 1))
         res = adaptive_midpoint(f, Interval(0.0, b), target, 1.0, cfg)

@@ -2,7 +2,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hhaudit.core import (
     ConvergenceError,
@@ -16,68 +15,42 @@ from hhaudit.special_fns import (
     bessel_I,
     bessel_K,
     bessel_prop_checks,
-    beta,
-    log_gamma,
-    normalized_I,
     normalized_I_series,
     q_digamma,
     q_digamma_deriv,
     qdigamma_prop_checks,
 )
+from hhaudit.hh_bounds import _gamma_ratio_power
 from conftest import normalized_I_identity
 
 EULER_GAMMA = 0.5772156649015329
 
 
 class TestBetaGamma:
-    def test_beta_2_2(self):
-        assert math.isclose(beta(2.0, 2.0), 1.0 / 6.0, rel_tol=1e-13)
-
-    def test_beta_1_1(self):
-        assert math.isclose(beta(1.0, 1.0), 1.0, rel_tol=1e-14)
-
-    def test_duplication_identity(self):
-        # B(x, x) = 2^(1-2x) B(1/2, x)
-        for x in (0.7, 1.3, 2.5, 4.0):
-            assert math.isclose(beta(x, x), 2.0 ** (1.0 - 2.0 * x) * beta(0.5, x), rel_tol=1e-12)
-
-    @given(x=st.floats(0.05, 10.0), y=st.floats(0.05, 10.0))
-    @settings(max_examples=100)
-    def test_gamma_quotient_identity(self, x, y):
-        lhs = beta(x, y)
-        rhs = math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
-        assert math.isclose(lhs, rhs, rel_tol=1e-12)
-
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.5])
     def test_symmetric_beta_display(self, p):
-        lhs = beta(p + 1.0, p + 1.0)
-        rhs = 2.0 ** (1.0 - 2.0 * (p + 1.0)) * math.sqrt(math.pi) * math.exp(
-            log_gamma(p + 1.0) - log_gamma(p + 1.5)
-        )
-        assert math.isclose(lhs, rhs, rel_tol=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            beta(-1.0, 2.0)
+        # thm5's Gamma ratio is 4^p B(p+1, p+1), against mpmath at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.mp.workdps(40):
+            exact = 4 ** mpmath.mpf(p) * mpmath.beta(p + 1.0, p + 1.0)
+        assert math.isclose(_gamma_ratio_power(p) ** p, float(exact), rel_tol=1e-12)
 
 
 class TestBesselFirstKind:
     @pytest.mark.parametrize("p", [-0.5, 0.5, 1.0, 2.5])
     def test_value_one_at_zero(self, p):
-        assert normalized_I(p, 0.0) == 1.0
+        assert normalized_I_series(p, 0.0).value == 1.0
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
     def test_half_order_is_sinh(self, x):
-        assert math.isclose(normalized_I(0.5, x), math.sinh(x) / x, rel_tol=1e-10)
+        assert math.isclose(normalized_I_series(0.5, x).value, math.sinh(x) / x, rel_tol=1e-10)
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 5.0])
     def test_minus_half_order_is_cosh(self, x):
-        assert math.isclose(normalized_I(-0.5, x), math.cosh(x), rel_tol=1e-10)
+        assert math.isclose(normalized_I_series(-0.5, x).value, math.cosh(x), rel_tol=1e-10)
 
     def test_even_in_x(self):
-        assert normalized_I(1.2, 2.0) == normalized_I(1.2, -2.0)
+        assert normalized_I_series(1.2, 2.0).value == normalized_I_series(1.2, -2.0).value
 
     def test_unnormalized_half_order(self):
         # I_{1/2}(x) = sqrt(2/(pi x)) sinh(x)
@@ -96,7 +69,7 @@ class TestBesselFirstKind:
 
     def test_rejects_low_order(self):
         with pytest.raises(DomainError):
-            normalized_I(-1.0, 1.0)
+            normalized_I_series(-1.0, 1.0)
 
     def test_series_budget_respected(self):
         cfg = ToleranceConfig(max_series_terms=3)
@@ -124,6 +97,15 @@ class TestBesselSecondKind:
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
             bessel_K(1.0, 0.0)
+
+    def test_tail_search_ends_before_sinh_overflows(self):
+        # at x = 1e-310 no T with finite sinh T bounds the tail
+        with pytest.raises(ConvergenceError, match=r"not boundable \(p=0.0, x=1e-310\)"):
+            bessel_K(0.0, 1e-310)
+
+    def test_a_value_beyond_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"beyond the float range \(p=800.0, x=1.0\)"):
+            bessel_K(800.0, 1.0)
 
 
 class TestQDigamma:
@@ -243,6 +225,24 @@ class TestQDigammaPropChecks:
     def test_bad_q(self):
         with pytest.raises(DomainError):
             qdigamma_prop_checks(1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: normalized_I_series(v, 1.0), "p"),
+    (lambda v: normalized_I_series(1.0, v), "x"),
+    (lambda v: bessel_I(v, 1.0), "p"),
+    (lambda v: bessel_I(1.0, v), "x"),
+    (lambda v: bessel_K(v, 1.0), "p"),
+    (lambda v: bessel_K(1.0, v), "x"),
+    (lambda v: q_digamma(v, 1.0), "q"),
+    (lambda v: q_digamma(2.0, v), "x"),
+    (lambda v: q_digamma_deriv(0.5, v, 1), "x"),
+])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_an_argument_that_is_not_finite_is_a_domain_error_naming_it(call, name, value):
+    # a NaN order fails the first-kind order check first, which names it too
+    with pytest.raises(DomainError, match=f"{name} = {value!r}"):
+        call(value)
 
 
 def test_series_result_fields():
