@@ -31,12 +31,15 @@ from .core import (
     _probe,
     config_from_env,
     extend,
+    require_exponent,
 )
 from .exprlang import MAX_DEPTH, parse
 from .hh_bounds import TARGETS, Instance
-from .means import means_proposition_check
+from .means import _check_p1_order, means_proposition_check
 from .quadrature import Partition, adaptive_midpoint, prop4_check, prop5_check
 from .special_fns import (
+    _check_first_kind,
+    _check_q_x,
     bessel_I,
     bessel_K,
     bessel_prop6,
@@ -119,6 +122,14 @@ def cmd_verify(args, cfg: ToleranceConfig):
         raise ValueError(f"target {args.target!r} needs --fn")
     if (args.a is None) != (args.b is None):
         raise ValueError("provide both --a and --b, or omit both for random mode")
+    # the parameters the target reads, checked before any interval, so a bad one exits 2 in random mode too
+    require_exponent(args.q)
+    if args.target == "prop1":
+        _check_p1_order(args.n)
+    elif args.target in ("prop6", "prop7"):
+        _check_first_kind(args.p, 1.0)  # a finite x: only p is checked
+    elif args.target in ("prop8", "prop9"):
+        _check_q_x(args.qbase, 1.0)
 
     reports: list[dict] = []
     findings: list[dict] = []
@@ -193,12 +204,7 @@ def cmd_special(args, cfg: ToleranceConfig):
     if args.what in ("besselI", "besselK", "normI"):
         if args.p is None or args.x is None:
             raise ValueError(f"{args.what} needs --p and --x")
-        if args.what == "besselI":
-            sr = bessel_I(args.p, args.x, cfg)
-        elif args.what == "besselK":
-            sr = bessel_K(args.p, args.x, cfg)
-        else:
-            sr = normalized_I_series(args.p, args.x, cfg)
+        sr = {"besselI": bessel_I, "besselK": bessel_K, "normI": normalized_I_series}[args.what](args.p, args.x, cfg)
         params = {"p": args.p, "x": args.x}
     else:
         if args.q is None or args.x is None:

@@ -34,6 +34,11 @@ def _gen_log_power(n: int, a: float, b: float) -> float:
     return (b ** (n + 1) - a ** (n + 1)) / ((b - a) * (n + 1))
 
 
+def _check_p1_order(n: int) -> None:
+    if n in (-1, 0):
+        raise DomainError(f"P1 needs integer n outside {{-1, 0}}, got {n!r}")
+
+
 def means_proposition_check(
     prop: str,
     a: float,
@@ -55,8 +60,8 @@ def means_proposition_check(
         raise ValueError(f"proposition must be P1, P2, or P3, got {prop!r}")
     require_positive_pair(a, b)
     require_exponent(q)
-    if key == "P1" and n in (-1, 0):
-        raise DomainError(f"P1 needs integer n outside {{-1, 0}}, got {n!r}")
+    if key == "P1":
+        _check_p1_order(n)
     if key in ("P2", "P3") or (key == "P1" and n < 0):
         require_positive_widening(a, b)
     lo, hi = widen(a, b)

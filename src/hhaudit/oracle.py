@@ -64,27 +64,29 @@ def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float,
     return half * resk, abs(half * (resk - resg))
 
 
-def refine(rule, a: float, b: float, stop):
+def refine(rule, a: float, b: float, stop, point):
     """The one adaptive loop, in the style of QUADPACK's QAG (Piessens et al., 1983).
 
-    ``rule(left, right)`` returns a panel's (value, err).  A heap of (-err, left, right,
-    value) pops the worst panel, bisects it and evaluates only the two children, until
-    ``stop(sum of values, sum of errs, heap)`` holds on running sums and then on exact
-    ones, at ``PANEL_CAP`` panels, or at float resolution, where a half of the worst panel
-    could not be split again.  Returns the panels (left, right, value, err) in order and
-    the exact sums.
+    ``rule(left, right, at_left, at_right)`` returns a panel's (value, err) from what ``point(x)``
+    gave at its ends; ``point`` runs once at a, at b and at each split's midpoint.  A heap of (-err,
+    left, right, value, at_left, at_right) pops the worst panel and bisects it, until ``stop(sum of
+    values, sum of errs, heap)`` holds on running sums and then on exact ones, at ``PANEL_CAP``
+    panels, or at float resolution, where a half of the worst panel could not be split again.
+    Returns the panels (left, right, value, err, at_left, at_right) in order and the exact sums.
     """
-    value, err = rule(a, b)
-    heap = [(-err, a, b, value)]
+    at_a, at_b = point(a), point(b)
+    value, err = rule(a, b, at_a, at_b)
+    heap = [(-err, a, b, value, at_a, at_b)]
     done = stop(value, err, heap)  # on one panel the sums are exact
     while not done and len(heap) < PANEL_CAP:
-        worst, left, right, part = heap[0]
+        worst, left, right, part, at_left, at_right = heap[0]
         mid = 0.5 * (left + right)
         if not left < 0.5 * (left + mid) < mid < 0.5 * (mid + right) < right:
             break  # a rule's nodes collapse onto the ends of a narrower panel
-        (lv, le), (rv, re) = rule(left, mid), rule(mid, right)
-        heapq.heapreplace(heap, (-le, left, mid, lv))
-        heapq.heappush(heap, (-re, mid, right, rv))
+        at_mid = point(mid)
+        (lv, le), (rv, re) = rule(left, mid, at_left, at_mid), rule(mid, right, at_mid, at_right)
+        heapq.heapreplace(heap, (-le, left, mid, lv, at_left, at_mid))
+        heapq.heappush(heap, (-re, mid, right, rv, at_mid, at_right))
         value += lv + rv - part
         err += le + re + worst
         if stop(value, err, heap):
@@ -92,7 +94,7 @@ def refine(rule, a: float, b: float, stop):
             done = stop(value, err, heap)
     if not done:
         value, err = math.fsum(p[3] for p in heap), -math.fsum(p[0] for p in heap)
-    return sorted((left, right, part, -worst) for worst, left, right, part in heap), value, err
+    return sorted((p[1], p[2], p[3], -p[0], p[4], p[5]) for p in heap), value, err
 
 
 def integrate_ref(f: Callable[[float], float], iv: Interval, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
@@ -106,7 +108,7 @@ def integrate_ref(f: Callable[[float], float], iv: Interval, cfg: ToleranceConfi
     of the value, raise :class:`ConvergenceError`.  Deterministic for fixed inputs.
     """
 
-    def rule(a: float, b: float) -> tuple[float, float]:
+    def rule(a: float, b: float, *_) -> tuple[float, float]:  # G7/K15 has no node at a panel end, so reads none
         value, err = _gk15_panel(f, a, b)
         if not (math.isfinite(value) and math.isfinite(err)):
             raise DomainError(f"integrand not finite on the panel [{a!r}, {b!r}] (value {value!r}, error {err!r})")
@@ -115,7 +117,8 @@ def integrate_ref(f: Callable[[float], float], iv: Interval, cfg: ToleranceConfi
     def fits(value: float, err: float) -> bool:
         return err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
-    panels, value, err = refine(rule, iv.a, iv.b, lambda v, e, heap: fits(v, e) or -heap[0][0] <= 2.0**-53 * abs(v))
+    stop = lambda v, e, heap: fits(v, e) or -heap[0][0] <= 2.0**-53 * abs(v)
+    panels, value, err = refine(rule, iv.a, iv.b, stop, lambda x: None)
     if not fits(value, err):
         raise ConvergenceError(
             f"reference integration stalled on [{iv.a!r}, {iv.b!r}] at {len(panels)} panels (error estimate {err!r})"

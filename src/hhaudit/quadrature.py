@@ -1,8 +1,9 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
 and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
 by :func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs per
-panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the
-certificates are flat passes over ``partition.points``; refinement is :mod:`hhaudit.oracle`'s.
+panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the certificates
+are flat passes over ``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle`
+and, at second order, gives T1 the f values its panels carry.
 
 The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
 convex and is O(h).  The second-order one needs f in C^2 and g = |f''|^q convex: on a
@@ -16,7 +17,6 @@ their mean from :func:`hhaudit.core.power_mean` of |f'| or |f''|, never forming 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterator
@@ -52,12 +52,11 @@ class Partition:
         pts = self.points
         if len(pts) < 2:
             raise ValueError("partition needs at least two points")
-        if math.isfinite(pts[0]) and math.isfinite(pts[-1]) and all(map(operator.lt, pts, pts[1:])):
-            return
         for left, right in zip(pts, pts[1:]):
             if not (math.isfinite(left) and left < right):
                 raise ValueError(f"partition points must be finite and strictly increasing, got {left!r} >= {right!r}")
-        raise ValueError(f"partition points must be finite, got {pts[-1]!r} as the last point")
+        if not math.isfinite(pts[-1]):
+            raise ValueError(f"partition points must be finite, got {pts[-1]!r} as the last point")
 
     @classmethod
     def uniform(cls, iv: Interval, m: int) -> "Partition":
@@ -82,7 +81,7 @@ class QuadratureResult:
     e2_bound: float
     partition: Partition
     certified: bool
-    order: int = 1  # of the certificate: 2 from |f''|^q, 1 from |f'|^q
+    order: int  # of the certificate: 2 from |f''|^q, 1 from |f'|^q
 
 
 def trapezoid_T1(f, partition: Partition) -> float:
@@ -135,8 +134,6 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
 
     The outer max-based sum of the chain is echoed in the report inputs.
     """
-    if not callable(f):
-        raise TypeError("f must be callable")
     _guard_panels(f, partition, 0, 1.0, cfg)
     fx = evaluator(f)
     iv = Interval(partition.points[0], partition.points[-1])
@@ -190,15 +187,15 @@ def adaptive_midpoint(
 
     The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
     which holds every panel) selects the second-order share, (h^3/24) power_mean(q, |f''(l)|,
-    |f''(r)|) from the (f, f', f'') jet at grid points only: N + 1 jets for N final panels, whose f
-    values T1 reuses.  ``e2_bound`` is :func:`_rounding`'s bound from what :func:`refine`
-    returns: trunc, the exact sum of the final shares, the widest final panel, and the peaks
-    of |f|, |f'|, |f''| over the grid points, the only points evaluated.  Its rounding term
-    grows with N, so refinement also stops where no split can shrink it.
-    Where that guard raises PreconditionError, the |f'|^q guard runs and the share is prop5's
-    term, at two f' evaluations per panel; T1 costs N + 1 evaluations of f.  T2 costs N.
-    ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after the
-    panel cap, float resolution or the rounding floor stopped refinement short of it.
+    |f''(r)|).  :func:`refine`'s ``point`` runs the (f, f', f'') jet once per grid point, N + 1
+    for N final panels, tracks the peaks of |f|, |f'|, |f''| and gives each panel end (f, |f''|):
+    the shares read |f''|, and T1 sums the f values.  ``e2_bound`` is :func:`_rounding`'s bound
+    from trunc, the exact sum of the final shares, the widest final panel and those peaks.  Its
+    rounding term grows with N, so refinement also stops where no split can shrink it.  Where
+    that guard raises PreconditionError, the |f'|^q guard runs, the share is prop5's term at two
+    f' evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1 evaluations of f.
+    T2 costs N.  ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after
+    the panel cap, float resolution or the rounding floor stopped refinement short of it.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
@@ -207,43 +204,38 @@ def adaptive_midpoint(
         convexity_guard(f, 2, q, cfg=cfg)(hull)
     except PreconditionError:
         convexity_guard(f, 1, q, cfg=cfg)(hull)
-        jet1, kconst = f.compiled(1), min_first_order_constant(q)
-        panels, _, bound = refine(
-            lambda l, r: (0.0, kconst * _first_order_term(jet1, q, l, r)), a, b, lambda _, e, heap: e <= target
-        )
-        partition = Partition((a, *(p[1] for p in panels)))
-        return QuadratureResult(trapezoid_T1(f, partition), midpoint_T2(f, partition), bound, partition, bound <= target)
-    jet2, grid, peaks, failed = f.compiled(2), {}, [0.0, 0.0, 0.0], [0]
+        jet1, kconst, order = f.compiled(1), min_first_order_constant(q), 1
+        share = lambda l, r, at_l, at_r: (0.0, kconst * _first_order_term(jet1, q, l, r))  # f' at widened ends
+        panels, _, bound = refine(share, a, b, lambda _, e, heap: e <= target, lambda x: None)
+        f_at = f
+    else:
+        jet2, peaks, failed, order = f.compiled(2), [0.0, 0.0, 0.0], [0], 2
+        share = lambda l, r, at_l, at_r: (0.0, (r - l) ** 3 * power_mean(q, at_l[1], at_r[1]))  # 24 times the share
 
-    def at(x: float) -> tuple[float, float, float, float]:
-        """(f, f', f'', |f''|) at a grid point, evaluated once; ``peaks`` tracks |f|, |f'|, |f''|."""
-        point = grid.get(x)
-        if point is None:
+        def point(x: float) -> tuple[float, float]:  # (f, |f''|) at a grid point; peaks tracks |f|, |f'|, |f''|
             jet = jet2(x)
-            point = grid[x] = (*jet, abs(jet[2]))
             peaks[:] = map(max, peaks, map(abs, jet))
-        return point
+            return jet[0], abs(jet[2])
 
-    def share(l: float, r: float) -> tuple[float, float]:
-        return 0.0, (r - l) ** 3 * power_mean(q, at(l)[3], at(r)[3])  # 24 times the share
-
-    def stop(_, trunc: float, heap) -> bool:
-        # the floor test is sound at the mean width; a fit is confirmed at the widest, once per n/8 at most
-        n = len(heap)
-        c, rounding = _rounding(n, a, b, (b - a) / n, *peaks)
-        if (1.0 + 2.0 * c) * -heap[0][0] / 24.0 <= rounding / (n + 8):
-            return True  # the rounding term grows by more per panel than any split saves
-        if (1.0 + c) * trunc / 24.0 + rounding > target or 8 * n < 9 * failed[0]:
+        def stop(_, trunc: float, heap) -> bool:
+            # the floor test is sound at the mean width; a fit is confirmed at the widest, once per n/8 at most
+            n = len(heap)
+            c, rounding = _rounding(n, a, b, (b - a) / n, *peaks)
+            if (1.0 + 2.0 * c) * -heap[0][0] / 24.0 <= rounding / (n + 8):
+                return True  # the rounding term grows by more per panel than any split saves
+            if (1.0 + c) * trunc / 24.0 + rounding > target or 8 * n < 9 * failed[0]:
+                return False
+            c, rounding = _rounding(n, a, b, max(p[2] - p[1] for p in heap), *peaks)
+            if (1.0 + c) * trunc / 24.0 + rounding <= target:
+                return True
+            failed[0] = n
             return False
-        c, rounding = _rounding(n, a, b, max(p[2] - p[1] for p in heap), *peaks)
-        if (1.0 + c) * trunc / 24.0 + rounding <= target:
-            return True
-        failed[0] = n
-        return False
 
-    panels, _, trunc = refine(share, a, b, stop)
-    c, rounding = _rounding(len(panels), a, b, max(r - l for l, r, _, _ in panels), *peaks)
-    bound = (1.0 + c) * trunc / 24.0 + rounding
+        panels, _, trunc = refine(share, a, b, stop, point)
+        c, rounding = _rounding(len(panels), a, b, max(p[1] - p[0] for p in panels), *peaks)
+        bound = (1.0 + c) * trunc / 24.0 + rounding
+        fs = iter((panels[0][4][0], *(p[5][0] for p in panels)))  # the jets' f, left to right
+        f_at = lambda _: next(fs)
     partition = Partition((a, *(p[1] for p in panels)))
-    t1 = trapezoid_T1(lambda x: at(x)[0], partition)
-    return QuadratureResult(t1, midpoint_T2(f, partition), bound, partition, bound <= target, 2)
+    t1 = trapezoid_T1(f_at, partition)
+    return QuadratureResult(t1, midpoint_T2(f, partition), bound, partition, bound <= target, order)

@@ -12,11 +12,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from hhaudit.core import Interval, PreconditionError, ToleranceConfig
+from hhaudit.core import Interval, ToleranceConfig
 from hhaudit.exprlang import parse
 from hhaudit.hh_bounds import Instance, _gamma_ratio_power, k2_derived_constant, k2_printed_constant
 from hhaudit.means import means_proposition_check
-from hhaudit.oracle import integrate_ref
 from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_T2, midpoint_error_bound
 from hhaudit.special_fns import (
     bessel_K,

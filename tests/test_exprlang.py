@@ -11,7 +11,6 @@ from hhaudit.exprlang import (
     Call,
     Const,
     Jet3,
-    Neg,
     ParseError,
     Pow,
     Var,

@@ -47,14 +47,36 @@ def test_bad_exponent_is_one_error_everywhere(q):
         assert (code, out, err) == (2, "", f"error: {expected}\n"), argv
 
 
-@pytest.mark.parametrize("q", ["0.5", "nan", "inf"])
-def test_verify_all_guards_out_every_derivative_target_at_a_bad_exponent(q):
-    code, out, _ = run("verify", "--target", "all", "--fn", "x^2", "--a", "1", "--b", "2", "--q", q)
-    doc = json.loads(out)
-    assert code == 0 and doc["findings"] == []
-    assert doc["counts"]["guarded_out"] == 8  # thm2-thm7, cor1, cor2
-    assert [r["label"] for r in doc["reports"]] == [
-        "eq1.lower", "eq1.upper", "k1.lower", "k1.upper", "k2", "lemma1", "lemma2"]
+BAD_PARAMETERS = [
+    (("thm2", "--fn", "x^2", "--q", "0.5", "--trials", "3"), "exponent must satisfy 1 <= q < inf, got q = 0.5"),
+    (("all", "--fn", "x^2", "--q", "0.5", "--a", "1", "--b", "2"), "exponent must satisfy 1 <= q < inf, got q = 0.5"),
+    (("all", "--fn", "x^2", "--q", "inf", "--a", "1", "--b", "2"), "exponent must satisfy 1 <= q < inf, got q = inf"),
+    (("all", "--fn", "x^2", "--q", "nan", "--a", "1", "--b", "2"), "exponent must satisfy 1 <= q < inf, got q = nan"),
+    (("all", "--fn", "x^2", "--q", "nan", "--trials", "2"), "exponent must satisfy 1 <= q < inf, got q = nan"),
+    (("prop6", "--q", "0.5", "--trials", "3"), "exponent must satisfy 1 <= q < inf, got q = 0.5"),
+    (("prop1", "--n", "0", "--trials", "3"), "P1 needs integer n outside {-1, 0}, got 0"),
+    (("prop1", "--n", "0", "--a", "1", "--b", "2"), "P1 needs integer n outside {-1, 0}, got 0"),
+    (("prop6", "--p", "-2", "--trials", "3"), "Bessel order must satisfy p > -1, got p = -2.0"),
+    (("prop7", "--p", "-2", "--trials", "3"), "Bessel order must satisfy p > -1, got p = -2.0"),
+    (("prop7", "--p", "inf", "--trials", "3"), "the first-kind Bessel series needs finite arguments, got p = inf"),
+    (("prop8", "--qbase", "1", "--trials", "3"), "q-digamma needs q > 0 and q != 1, got q = 1.0"),
+    (("prop9", "--qbase", "nan", "--trials", "3"), "q-digamma needs finite arguments, got q = nan"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_PARAMETERS, ids=[" ".join(argv) for argv, _ in BAD_PARAMETERS])
+def test_a_bad_parameter_exits_two_before_any_interval(argv, message):
+    # in random mode and under --target all too, where a failed hypothesis counts as guarded out
+    assert run("verify", "--target", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("thm3", "--fn", "x^2", "--q", "1"),  # Hoelder's q > 1
+    ("prop7", "--p", "0.5"),  # p > 1
+], ids=["thm3 q = 1", "prop7 p = 0.5"])
+def test_a_failed_hypothesis_is_guarded_out_per_trial(argv):
+    code, out, _ = run("verify", "--target", *argv, "--trials", "3")
+    assert code == 0 and json.loads(out)["counts"] == {"checked": 3, "guarded_out": 3, "satisfied": 0, "violated": 0}
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1e-3])

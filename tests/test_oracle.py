@@ -103,6 +103,18 @@ class TestIntegrateRef:
         assert res.terms_used == 5 and len(evaluated) == 2 * 5 - 1  # each panel evaluated once
         assert evaluated[1::2] == [(0.0, 0.5), (0.5, 0.75), (0.75, 0.875), (0.875, 0.9375)]
 
+    def test_evaluates_the_integrand_at_the_nodes_only(self):
+        # G7/K15 has no node at a panel end, so x^-0.9 is never evaluated at 0, where it is undefined
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x**-0.9
+
+        res = integrate_ref(f, Interval(0.0, 1.0))
+        assert abs(res.value - 10.0) <= 1e-8
+        assert len(seen) == 15 * (2 * res.terms_used - 1) and 0.0 < min(seen) and max(seen) < 1.0
+
     def test_deterministic(self):
         f = parse("cosh(x)")
         assert integrate_ref(f, Interval(0.0, 3.0)) == integrate_ref(f, Interval(0.0, 3.0))

@@ -131,6 +131,11 @@ class TestProp4:
         assert abs(r.inputs["max_bound"] - 18.0) <= 1e-12
         assert r.satisfied
 
+    def test_rejects_a_function_that_is_not_callable(self):
+        # the guard's first call of f raises it, as in midpoint_error_bound and prop5_check
+        with pytest.raises(TypeError):
+            prop4_check(5.0, Partition((0.0, 1.0)))
+
     def test_shift_counterexample(self):
         r = prop4_check(parse("x^2-5"), Partition((0.0, 2.0)))
         assert abs(r.lhs - 20.0 / 3.0) <= 1e-12
@@ -328,3 +333,28 @@ def test_guard_traffic(guard_pairs, call, want):
     """One guard per panel at 16 pairs, or one on the widened hull at 32."""
     call()
     assert guard_pairs == want
+
+
+@pytest.mark.parametrize("fn, a, b, target, q, want", [
+    ("exp(x)", 0.0, 2.0, 1e-6, 1.0,
+     ("0x1.98e653ed83d59p+2", "0x1.98e6475d32e0fp+2", "0x1.0c077acdf6e76p-20", 1034, True, 2)),
+    ("exp(x)", 0.0, 2.0, 1e-6, 2.0,
+     ("0x1.98e653ed83d59p+2", "0x1.98e6475d32e0fp+2", "0x1.0c078325070eap-20", 1034, True, 2)),
+    ("x^2+abs(x+9)", 0.0, 2.0, 1e-3, 1.0,
+     ("0x1.6aaaaae200000p+4", "0x1.6aaaaa8f00000p+4", "0x1.0620000000000p-10", 3008, True, 1)),
+    ("x", 1.0, 2.0, 1e-20, 1.0,
+     ("0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.6800000000000p-47", 1, False, 2)),
+    ("x", 1.0, 1.0000000000000004, 1e-40, 1.0,
+     ("0x1.0000000000001p-51", "0x1.0000000000001p-51", "0x1.2000000000003p-99", 1, False, 2)),
+    ("abs(x+9)", 1.0, 1.0000000000000009, 1e-40, 1.0,
+     ("0x1.4000000000000p-47", "0x1.4000000000000p-47", "0x1.0000000000000p-103", 2, False, 1)),
+    ("exp(x)+abs(x+9)", 0.0, 2.0, 1e-9, 1.0,
+     ("0x1.a63992e375a18p+4", "0x1.a63992e34266ap+4", "0x1.0c5f19b5634b1p-14", PANEL_CAP, False, 1)),
+], ids=["order 2 q=1", "order 2 q=2", "order 1", "rounding floor", "float resolution", "order 1 float resolution",
+        "panel cap"])
+def test_adaptive_midpoint_bit_for_bit(fn, a, b, target, q, want):
+    """t1, t2 and e2_bound by ``float.hex``, with panels, certified and order, pinned: a change to the
+    refinement loop or to how T1 gets its values must reproduce every one."""
+    res = adaptive_midpoint(parse(fn), Interval(a, b), target, q)
+    got = (res.t1.hex(), res.t2.hex(), res.e2_bound.hex(), res.partition.panel_count, res.certified, res.order)
+    assert got == want

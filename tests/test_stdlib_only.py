@@ -1,5 +1,6 @@
 """The runtime is pure standard library: mpmath, scipy and hypothesis stay test-only.
-Each module also reads every name it imports, apart from a few bindings kept for other readers."""
+Each module, test and script also reads every name it imports, apart from a few bindings of the
+package kept for other readers."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hhaudit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hhaudit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -37,7 +39,7 @@ def unused_imports(path: pathlib.Path) -> set[str]:
 
 # imported for other modules to read: hhbench's self-tests read the sample_convexity bindings
 # of hh_bounds and quadrature
-UNREAD_IMPORTS = {"hh_bounds.py": {"sample_convexity"}, "quadrature.py": {"sample_convexity"}}
+UNREAD_IMPORTS = {PACKAGE / "hh_bounds.py": {"sample_convexity"}, PACKAGE / "quadrature.py": {"sample_convexity"}}
 
 
 def test_every_module_is_scanned():
@@ -55,9 +57,13 @@ def test_a_third_party_import_is_caught(tmp_path):
     assert absolute_imports(probe) == {"math", "mpmath"}
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name != "__init__.py"] + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else str(p.relative_to(ROOT)),
+)
 def test_reads_every_name_it_imports(path):
-    assert unused_imports(path) == UNREAD_IMPORTS.get(path.name, set())
+    assert unused_imports(path) == UNREAD_IMPORTS.get(path, set())
 
 
 def test_an_unused_import_is_caught(tmp_path):
