@@ -38,6 +38,7 @@ from .hh_bounds import TARGETS, Instance
 from .means import _check_p1_order, means_proposition_check
 from .quadrature import Partition, adaptive_midpoint, prop4_check, prop5_check
 from .special_fns import (
+    _check_finite,
     _check_first_kind,
     _check_q_x,
     bessel_I,
@@ -126,8 +127,10 @@ def cmd_verify(args, cfg: ToleranceConfig):
     require_exponent(args.q)
     if args.target == "prop1":
         _check_p1_order(args.n)
-    elif args.target in ("prop6", "prop7"):
+    elif args.target == "prop6":
         _check_first_kind(args.p, 1.0)  # a finite x: only p is checked
+    elif args.target == "prop7":
+        _check_finite("bessel_K", p=args.p)  # prop7 reads only K_p; its p > 1 is a hypothesis
     elif args.target in ("prop8", "prop9"):
         _check_q_x(args.qbase, 1.0)
 
@@ -209,10 +212,8 @@ def cmd_special(args, cfg: ToleranceConfig):
     else:
         if args.q is None or args.x is None:
             raise ValueError("qdigamma needs --q and --x")
-        if args.order == 0:
-            sr = q_digamma(args.q, args.x, cfg)
-        else:
-            sr = q_digamma_deriv(args.q, args.x, args.order, cfg)
+        sr = (q_digamma(args.q, args.x, cfg) if args.order == 0
+              else q_digamma_deriv(args.q, args.x, args.order, cfg))
         params = {"q": args.q, "x": args.x, "order": args.order}
     doc = {
         "command": _echo(f"special {args.what}", args, ("p", "x", "q", "order")),

@@ -63,17 +63,10 @@ def k2_printed_constant(q: float) -> float:
 
 
 def k2_derived_constant(q: float) -> float:
-    """The same constant restated consistently with the Hoelder-type theorem:
-    (1/((p+1) 2^(2p)))^(1/p).  Never larger than the printed form."""
+    """The same constant restated consistently with the Hoelder-type theorem: (1/((p+1) 2^(2p)))^(1/p).
+    Never larger than the printed form, and above K1 at every q > 1, since p + 1 < 2^p for p > 1."""
     p = conjugate_exponent(q)
     return math.exp(-(math.log(p + 1.0) + 2.0 * p * _LN2) / p)
-
-
-def min_first_order_constant(q: float) -> float:
-    """min of the 1/8 constant and the derived Hoelder constant; 1/8 alone at q = 1."""
-    if q == 1.0:
-        return K1
-    return min(K1, k2_derived_constant(q))
 
 
 def _gamma_ratio_power(p: float) -> float:

@@ -38,7 +38,7 @@ from .core import (
     widen,
 )
 from .exprlang import Expr, fn_label
-from .hh_bounds import min_first_order_constant
+from .hh_bounds import K1
 from .oracle import PANEL_CAP, integrate_ref, refine
 
 
@@ -118,15 +118,15 @@ def _first_order_term(jet1, q: float, left: float, right: float) -> float:
 
 def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Certified bound on the composite midpoint error from |f'|^q convexity, sampled on
-    each panel's widened interval: the sum of :func:`_first_order_term` times 1/8 at q = 1
-    and min{1/8, derived Hoelder constant} for q > 1."""
+    each panel's widened interval: the sum of :func:`_first_order_term` times K1 = 1/8, which
+    the derived Hoelder constant never undercuts."""
     require_exponent(q)  # before the panels, whose failures are prefixed with the panel
     _guard_panels(f, partition, 1, q, cfg)
     jet1 = f.compiled(1)
     total = 0.0
     for left, right in partition.panels():
         total += _first_order_term(jet1, q, left, right)
-    return min_first_order_constant(q) * total
+    return K1 * total
 
 
 def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
@@ -192,10 +192,10 @@ def adaptive_midpoint(
     the shares read |f''|, and T1 sums the f values.  ``e2_bound`` is :func:`_rounding`'s bound
     from trunc, the exact sum of the final shares, the widest final panel and those peaks.  Its
     rounding term grows with N, so refinement also stops where no split can shrink it.  Where
-    that guard raises PreconditionError, the |f'|^q guard runs, the share is prop5's term at two
-    f' evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1 evaluations of f.
-    T2 costs N.  ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after
-    the panel cap, float resolution or the rounding floor stopped refinement short of it.
+    that guard raises PreconditionError, the |f'|^q guard runs, the share is prop5's term (1/8 at
+    every q) at two f' evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1
+    evaluations of f.  T2 costs N.  ``order`` records which.  ``certified`` is ``e2_bound <=
+    target``: False after the panel cap, float resolution or the rounding floor stopped it short.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
@@ -204,8 +204,8 @@ def adaptive_midpoint(
         convexity_guard(f, 2, q, cfg=cfg)(hull)
     except PreconditionError:
         convexity_guard(f, 1, q, cfg=cfg)(hull)
-        jet1, kconst, order = f.compiled(1), min_first_order_constant(q), 1
-        share = lambda l, r, at_l, at_r: (0.0, kconst * _first_order_term(jet1, q, l, r))  # f' at widened ends
+        jet1, order = f.compiled(1), 1
+        share = lambda l, r, at_l, at_r: (0.0, K1 * _first_order_term(jet1, q, l, r))  # f' at widened ends
         panels, _, bound = refine(share, a, b, lambda _, e, heap: e <= target, lambda x: None)
         f_at = f
     else:

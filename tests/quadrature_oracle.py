@@ -21,7 +21,7 @@ from hhaudit.core import (
     require_exponent,
 )
 from hhaudit.exprlang import Expr
-from hhaudit.hh_bounds import min_first_order_constant
+from hhaudit.hh_bounds import K1, k2_derived_constant
 from hhaudit.quadrature import _guard_panels
 
 
@@ -99,7 +99,7 @@ def midpoint_error_bound(
     if guard == "panel":
         _guard_panels(f, partition, 1, q, cfg)
     jet1 = f.compiled(1)
-    kconst = min_first_order_constant(q)
+    kconst = K1 if q == 1 else min(K1, k2_derived_constant(q))  # the runtime takes K1 alone
     total = 0.0
     for i, (left, right) in enumerate(partition.panels()):
         try:

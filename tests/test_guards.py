@@ -57,8 +57,8 @@ BAD_PARAMETERS = [
     (("prop1", "--n", "0", "--trials", "3"), "P1 needs integer n outside {-1, 0}, got 0"),
     (("prop1", "--n", "0", "--a", "1", "--b", "2"), "P1 needs integer n outside {-1, 0}, got 0"),
     (("prop6", "--p", "-2", "--trials", "3"), "Bessel order must satisfy p > -1, got p = -2.0"),
-    (("prop7", "--p", "-2", "--trials", "3"), "Bessel order must satisfy p > -1, got p = -2.0"),
-    (("prop7", "--p", "inf", "--trials", "3"), "the first-kind Bessel series needs finite arguments, got p = inf"),
+    (("prop7", "--p", "inf", "--trials", "3"), "bessel_K needs finite arguments, got p = inf"),
+    (("prop7", "--p", "nan", "--trials", "3"), "bessel_K needs finite arguments, got p = nan"),
     (("prop8", "--qbase", "1", "--trials", "3"), "q-digamma needs q > 0 and q != 1, got q = 1.0"),
     (("prop9", "--qbase", "nan", "--trials", "3"), "q-digamma needs finite arguments, got q = nan"),
 ]
@@ -73,7 +73,8 @@ def test_a_bad_parameter_exits_two_before_any_interval(argv, message):
 @pytest.mark.parametrize("argv", [
     ("thm3", "--fn", "x^2", "--q", "1"),  # Hoelder's q > 1
     ("prop7", "--p", "0.5"),  # p > 1
-], ids=["thm3 q = 1", "prop7 p = 0.5"])
+    ("prop7", "--p", "-2"),  # K_p is defined at every finite p, so only the hypothesis fails
+], ids=["thm3 q = 1", "prop7 p = 0.5", "prop7 p = -2"])
 def test_a_failed_hypothesis_is_guarded_out_per_trial(argv):
     code, out, _ = run("verify", "--target", *argv, "--trials", "3")
     assert code == 0 and json.loads(out)["counts"] == {"checked": 3, "guarded_out": 3, "satisfied": 0, "violated": 0}

@@ -158,6 +158,11 @@ class TestFirstOrder:
         for i in range(100):
             q = 1.0 + (10.0 - 1.0) * (i + 1) / 100.0
             assert k2_derived_constant(q) <= k2_printed_constant(q) + 1e-15
+        # and the derived one is above K1 = 1/8 at every q > 1, since p + 1 < 2^p for p > 1, so the
+        # first-order certificates take K1: at q = 2^k and 10^k, and at p = 1 + j 2^-52 near p = 1
+        ps = [1.0 + j * 2.0**-52 for j in range(1, 20_001)]
+        for q in [2.0**k for k in range(1, 1024)] + [10.0**k for k in range(1, 309)] + [p / (p - 1.0) for p in ps]:
+            assert k2_derived_constant(q) > K1, q
 
     def test_thm3_rhs_equals_derived_constant_form(self):
         iv = Interval(0.0, 1.0)

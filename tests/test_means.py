@@ -51,6 +51,23 @@ class TestPropositionValues:
             means_proposition_check("P4", 1.0, 2.0)
 
 
+@pytest.mark.parametrize("prop, n, q, want", [
+    ("P1", 3, 1.0, ("0x1.372b020c49ba6p+1", "0x1.cced916872b06p+1", "0x1.df3b645a1cac0p-4", "0x1.d851eb851eb87p-1")),
+    ("P1", 3, 2.0, ("0x1.372b020c49ba6p+1", "0x1.cced916872b06p+1", "0x1.df3b645a1cac0p-4", "0x1.a3af7b3963663p-1")),
+    ("P1", -2, 1.0, ("0x1.510a9a8245ae2p-1", "0x1.28ae7a4a6a9a5p+0", "0x1.10a9a8245ae30p-5", "0x1.d63514a18bb9ap-2")),
+    ("P1", -2, 2.0, ("0x1.510a9a8245ae2p-1", "0x1.28ae7a4a6a9a5p+0", "0x1.10a9a8245ae30p-5", "0x1.c05f7c5e31d5fp-2")),
+    ("P2", 2, 1.0, ("0x1.510a9a8245ae4p-1", "0x1.28ae7a4a6a9a5p+0", "0x1.10a9a8245ae40p-5", "0x1.d63514a18bb9ap-2")),
+    ("P2", 2, 2.0, ("0x1.510a9a8245ae4p-1", "0x1.28ae7a4a6a9a5p+0", "0x1.10a9a8245ae40p-5", "0x1.c05f7c5e31d5fp-2")),
+    ("P3", 2, 1.0, ("0x1.984b1a84e617ep-1", "0x1.f4737d1cdf473p-1", "0x1.ce4f9f61af4c0p-7", "0x1.640492bfb31fap-3")),
+    ("P3", 2, 2.0, ("0x1.984b1a84e617ep-1", "0x1.f4737d1cdf473p-1", "0x1.ce4f9f61af4c0p-7", "0x1.3c5806654a80ep-3")),
+])
+def test_displays_bit_for_bit(prop, n, q, want):
+    """Both sides of both displays on [1, 1.6], pinned by ``float.hex``.  P1 at n = -2 and P2 are
+    the same f = x^-2 and differ in the last bits: each proposition keeps its own closed form."""
+    first, second = means_proposition_check(prop, 1.0, 1.6, q=q, n=n)
+    assert (first.lhs.hex(), first.rhs.hex(), second.lhs.hex(), second.rhs.hex()) == want
+
+
 class TestAgreementWithDirectBounds:
     """The proposition displays must coincide with running the generic bound
     machinery on the matching power function."""

@@ -226,6 +226,29 @@ class TestQDigammaPropChecks:
             qdigamma_prop_checks(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("q, order, want", [
+    (0.5, 0, ("0x1.a7e37dbc8f127p-2", 16, "0x1.30d563b7866fap-42")),
+    (0.5, 1, ("0x1.c5b9c2e3efa0ep-3", 17, "0x1.5439f33699fcfp-41")),
+    (0.5, 3, ("0x1.c3b72d8711dd2p-3", 20, "0x1.da4fcc0c397aap-41")),
+    (2.0, 0, ("0x1.1b6af766f5941p+0", 16, "0x1.30d563b7866fap-42")),
+    (2.0, 1, ("0x1.d452a0a89f872p-1", 17, "0x1.5439f33699fcfp-41")),
+    (2.0, 3, ("0x1.c3b72d8711dd2p-3", 20, "0x1.da4fcc0c397aap-41")),
+])
+def test_q_digamma_family_bit_for_bit(q, order, want):
+    """Value, terms and tail at x = 2.5 on both sides of q = 1, pinned by ``float.hex``: q = 2
+    runs the series in 1/q = 0.5, so terms and tails match and only the closed parts differ."""
+    sr = q_digamma(q, 2.5) if order == 0 else q_digamma_deriv(q, 2.5, order)
+    assert (sr.value.hex(), sr.terms_used, sr.tail_bound.hex()) == want
+
+
+def test_the_reflected_series_names_its_own_base_at_the_term_cap():
+    with pytest.raises(ConvergenceError) as exc:
+        q_digamma_deriv(1.01, 0.5, 3, ToleranceConfig(max_series_terms=50))
+    assert str(exc.value) == (
+        "q-digamma series needs more than 50 terms (q = 0.9900990099009901, x = 0.5); raise max_series_terms"
+    )
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda v: normalized_I_series(v, 1.0), "p"),
     (lambda v: normalized_I_series(1.0, v), "x"),

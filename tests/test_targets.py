@@ -84,8 +84,9 @@ def test_prop7_evaluates_no_first_kind_function(capsys, bessel_calls):
 
 @pytest.mark.parametrize("p,b,message", [
     ("0.5", "2", "prop7 needs p > 1, got p = 0.5"),
+    ("-2", "2", "prop7 needs p > 1, got p = -2.0"),
     ("2", "4", "extended interval leaves (0, inf): 3a - b = -1.0 must be positive"),
-], ids=["p", "3a > b"])
+], ids=["p", "p = -2", "3a > b"])
 def test_prop7_hypothesis_fails_before_any_bessel_call(capsys, bessel_calls, p, b, message):
     code, out, err = verify(capsys, "--target", "prop7", "--p", p, "--a", "1", "--b", b)
     assert (code, out, err) == (2, "", f"error: {message}\n")
