@@ -28,7 +28,6 @@ from .core import (
     Interval,
     PreconditionError,
     ToleranceConfig,
-    _probe,
     config_from_env,
     extend,
     require_exponent,
@@ -96,12 +95,11 @@ def _draw_interval(rng: random.Random, expr) -> Interval:
         if expr is None:
             return iv
         ext = extend(iv)
-        try:
-            for x in (ext.a, iv.a, iv.midpoint, iv.b, ext.b):
-                _probe(expr, x)  # overflow and NaN redraw like a domain hole
-        except DomainError:
-            continue
-        return iv
+        try:  # a hole, an overflow or a NaN at one of the five points redraws
+            if all(v == v for v in map(expr, (ext.a, iv.a, iv.midpoint, iv.b, ext.b))):
+                return iv
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
     raise PreconditionError("no interval passing the domain guard found in 200 draws")
 
 

@@ -12,6 +12,8 @@ floating-point inequality "satisfied" (a NaN side is a DomainError), and
 :func:`power_mean`, the one mean on the right side of every derivative bound.  Every
 hypothesis check lives here, so a failure raises the same error from every module: the one
 guard :func:`convexity_guard`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
+The guard samples a region in one pass, whose source :func:`scan_source` writes: ``exprlang``
+compiles it with each jet's lines, and this module, once, for any other callable.
 """
 
 from __future__ import annotations
@@ -186,22 +188,55 @@ def undefined(x: float, cause: Exception | None = None) -> DomainError:
     return DomainError(f"function undefined at x = {x!r}: {cause}" if cause else f"function undefined (NaN) at x = {x!r}")
 
 
-def _probe(fn: Callable[[float], float], x: float) -> float:
-    try:
-        value = fn(x)
-    except DomainError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise undefined(x, exc) from exc
-    if math.isnan(value):
-        raise undefined(x)
-    return value
-
-
 @functools.lru_cache(maxsize=8)
 def _unit_pairs(n: int) -> tuple[tuple[float, float], ...]:
     rng = random.Random(0)
     return tuple((rng.random(), rng.random()) for _ in range(n))
+
+
+# A region's sampling pass: the five structural points, whose values only find holes, then each pair's midpoint,
+# ends and gap, the worst kept as it goes.  Only the points' {point} can raise, so a failure is a hole at x.
+_SCAN = """\
+def scan(lo, hi, units{params}):
+    width, worst, worst_at = hi - lo, -inf, lo
+    try:
+        for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
+{point}
+        for u, w in units:
+            a = lo + width * u
+            b = lo + width * w
+            x = m = 0.5 * (a + b)
+{point}
+            f_m, x = v, a
+{point}
+            f_a, x = v, b
+{point}
+            gap = f_m - (0.5 * f_a + 0.5 * v)
+            if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
+                if gap != gap:
+                    raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
+                worst, worst_at = gap, m
+    except DomainError:
+        raise
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise undefined(x, exc) from exc
+    return worst, worst_at
+"""
+
+
+def scan_source(value: str, lines: list[str], params: str) -> str:
+    """``scan(lo, hi, units{params})``, returning the worst gap and its midpoint over the (u, v) pairs ``units``,
+    with ``lines`` and then ``value`` as f at each point x, where a NaN is a hole."""
+    point = (*lines, f"v = {value}", "if v != v: raise undefined(x)")
+    return _SCAN.format(params=params, point="\n".join(" " * 12 + line for line in point))
+
+
+@functools.cache
+def _generic_scan() -> Callable[..., tuple[float, float]]:
+    """The scan of any callable, passed last, compiled on first use: only a plain callable needs it, not a parsed f."""
+    namespace = {"DomainError": DomainError, "undefined": undefined, "inf": math.inf}
+    exec(compile(scan_source("f(x)", [], ", f"), "<scan>", "exec", 0, True), namespace)  # fixed source
+    return namespace["scan"]
 
 
 def sample_convexity(
@@ -215,11 +250,11 @@ def sample_convexity(
     """Probe midpoint convexity of ``f`` on ``iv`` at ``n`` random pairs (seed 0): the first
     2n values u of ``Random(0).random()``, put at ``a + (b - a) * u`` as ``uniform`` does.
 
-    The five structural points (endpoints, midpoint, quarter points) come first, then each pair's
-    midpoint and ends, so that a domain hole surfaces as the :class:`DomainError` of the first failing
-    point rather than as a spurious verdict; for a widened interval the quarter points equal the base
-    endpoints up to rounding.  A parsed function's evaluator carries a compiled ``loop`` over them all;
-    any other callable is probed one point at a time.
+    One pass, a ``scan`` of :func:`scan_source`, evaluates the five structural points (endpoints, midpoint,
+    quarter points), then each pair's midpoint and ends, so that a domain hole surfaces as the :class:`DomainError`
+    of the first failing point rather than as a spurious verdict; for a widened interval the quarter points equal
+    the base endpoints up to rounding.  A parsed function's evaluator carries a ``scan`` compiled with its jet's
+    lines; any other callable goes through the generic one, which calls it.
 
     The report's ``lhs`` is the worst observed gap ``f((x+y)/2) - (f(x)/2 + f(y)/2)``,
     an average that cannot overflow; convexity is "satisfied" when that gap stays below
@@ -228,29 +263,8 @@ def sample_convexity(
     if n < 3:
         raise ValueError(f"need at least 3 sample pairs, got n = {n}")
     lo, hi = iv.a, iv.b
-    width, values, hole = hi - lo, [], None
-    points = [lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi]
-    for u, v in _unit_pairs(n):
-        x = lo + width * u
-        y = lo + width * v
-        points += (0.5 * (x + y), x, y)
-    try:
-        if hasattr(f, "loop"):
-            f.loop(points, values)
-        else:
-            for x in points:
-                values.append(_probe(f, x))
-    except DomainError as exc:
-        hole = exc  # raised once the pairs sampled before it are scanned
-    worst, worst_at = -math.inf, lo
-    for mid, f_mid, f_x, f_y in zip(points[5::3], values[5::3], values[6::3], values[7::3]):
-        gap = f_mid - (0.5 * f_x + 0.5 * f_y)
-        if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
-            if gap != gap:
-                raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {mid!r}")
-            worst, worst_at = gap, mid
-    if hole is not None:
-        raise hole
+    units = _unit_pairs(n)
+    worst, worst_at = f.scan(lo, hi, units) if hasattr(f, "scan") else _generic_scan()(lo, hi, units, f)
     return make_report(label, worst, 0.0, {"lo": lo, "hi": hi, "pairs": n, "worst_at": worst_at}, cfg=cfg)
 
 
@@ -264,7 +278,7 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
     callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on it by :func:`sample_convexity`
     at ``pairs`` pairs, after 1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink
     samples as convex).  PreconditionError names the function, the interval and the worst gap; a domain
-    hole's DomainError names the function too.  |f^(order)|^q samples through the compiled loop of
+    hole's DomainError names the function too.  |f^(order)|^q samples through the compiled ``scan`` of
     ``f.compiled(order)``."""
     if order == 0:
         what, fn = "f", evaluator(f)
@@ -275,7 +289,7 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
-        fn.loop = functools.partial(jet.loop, q=q)
+        fn.scan = functools.partial(jet.scan, q=q)
     label = f"guard:{what}"
 
     def check(region: Interval) -> None:

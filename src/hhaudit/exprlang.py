@@ -18,8 +18,9 @@ Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
 emits straight-line Python for f, f', ..., f^(k) on first use, with the tree's constants
 as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value variant and
 the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet` computes f'''.  Next
-to each variant its source holds a ``loop`` over a list of points: the convexity guard samples
-f or |f^(k)|^q through it in one call.  Truncation drops operations but changes none, so it
+to each variant its source holds a ``scan`` of a region, from the template that :mod:`hhaudit.core`
+owns: the convexity guard samples f or |f^(k)|^q through it in one call, with the jet's own lines
+inlined at each point.  Truncation drops operations but changes none, so it
 is bit-exact; the value variant also drops the kink check of ``abs``, which is |0| there.  A
 numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``, is folded
 to its compiled value at 0, which is the only compiling that parsing does.  A number that is not
@@ -34,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import DomainError, undefined
+from .core import DomainError, scan_source, undefined
 
 
 class ParseError(ValueError):
@@ -389,14 +390,17 @@ class Jet3:
 
 
 class _Src(str):
-    """Python source of a float expression, with its operator precedence.  Arithmetic
-    and comparisons on it return the source of the result, parenthesized as needed,
-    so a formula written for floats emits its own code with its own grouping."""
+    """Python source of a float expression, with its operator precedence: 9, a name's, unless
+    :func:`_at_prec` sets another.  Arithmetic and comparisons on it return the source of the result,
+    parenthesized as needed, so a formula written for floats emits its own code with its own grouping."""
 
-    def __new__(cls, text: str, prec: int = 9):
-        self = super().__new__(cls, text)
-        self.prec = prec
-        return self
+    prec = 9
+
+
+def _at_prec(text: str, prec: int) -> _Src:
+    src = _Src(text)
+    src.prec = prec
+    return src
 
 
 def _operand(v: Any, prec: int) -> str:
@@ -412,10 +416,10 @@ _PRECEDENCE = {"+": ("add", 4, 4, 5), "-": ("sub", 4, 4, 5), "*": ("mul", 5, 5, 
                "<=": ("le", 3, 4, 4), "==": ("eq", 3, 4, 4), ">": ("gt", 3, 4, 4)}
 for _op, (_name, _p, _l, _r) in _PRECEDENCE.items():
     def _forward(a, b, op=_op, p=_p, left=_l, right=_r):
-        return _CUT if a is _CUT or b is _CUT else _Src(f"{_operand(a, left)} {op} {_operand(b, right)}", p)
+        return _CUT if a is _CUT or b is _CUT else _at_prec(f"{_operand(a, left)} {op} {_operand(b, right)}", p)
     setattr(_Src, f"__{_name}__", _forward)
     setattr(_Src, f"__r{_name}__", lambda a, b, f=_forward: f(b, a))
-_Src.__neg__ = lambda a: _CUT if a is _CUT else _Src(f"-{_operand(a, 6)}", 6)  # type: ignore[method-assign]
+_Src.__neg__ = lambda a: _CUT if a is _CUT else _at_prec(f"-{_operand(a, 6)}", 6)  # type: ignore[method-assign]
 
 # a coefficient above the compiled order: arithmetic on it is skipped, and emitting it is a SyntaxError
 _CUT = _Src("<cut>")
@@ -469,7 +473,7 @@ class _Emitter:
         return temps
 
     def pick(self, cond: _Src, a: Jet3, b: Jet3) -> Jet3:
-        return Jet3(*(_Src(f"{_operand(p, 2)} if {cond} else {_operand(q, 2)}", 1) for p, q in zip(a, b)))
+        return Jet3(*(_at_prec(f"{_operand(p, 2)} if {cond} else {_operand(q, 2)}", 1) for p, q in zip(a, b)))
 
     def compose(self, u: list[Any], g: Jet3) -> Jet3:
         """Chain rule to third order: u(g(x)) given the derivatives ``u`` of u at g.v0."""
@@ -497,20 +501,18 @@ class _Emitter:
 
 
 def _compile(e: Expr, order: int) -> Callable[..., Callable[[float], Any]]:
-    """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator.  Its
-    ``loop(points, out)``, which takes ``q`` too at order >= 1, runs the same lines at each point to append f or
-    |f^(order)|^q to ``out``, and at a failing point raises what :func:`hhaudit.core.sample_convexity` would."""
+    """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator.  The evaluator
+    carries as ``scan`` the guard's pass over a region from :func:`hhaudit.core.scan_source`, which runs the same lines
+    at each point to sample f or, taking ``q`` too at order >= 1, |f^(order)|^q."""
     out = _Emitter(order)
     coeffs = list(e._emit(out))[: order + 1]
-    jet_body, loop_body = ("".join(f"{pad}{line}\n" for line in out.lines) for pad in (" " * 4, " " * 8))
     value, q = (coeffs[0], "") if order == 0 else (f"abs({coeffs[order]}) ** q", ", q")
+    jet_body = "".join(f"    {line}\n" for line in out.lines)
+    scan = scan_source(value, out.lines, q).replace("\n", "\n  ")  # ends in the indent of the line after it
     namespace: dict[str, Any] = {}
     # safe to run (fixed names, float-repr literals); flags 0 and dont_inherit, so no caller's __future__ flags
-    exec(compile(f"def make({', '.join(out.consts)}):\n  def jet(x):\n{jet_body}    return {', '.join(coeffs)}\n"
-                 f"  def loop(points, out{q}):\n    for x in points:\n      try:\n{loop_body}        v = {value}\n"
-                 "      except DomainError:\n        raise\n      except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
-                 "        raise undefined(x, exc) from exc\n      if v != v:\n        raise undefined(x)\n      out.append(v)\n"
-                 "  jet.loop = loop\n  return jet\n", "<exprlang>", "exec", 0, True), _GLOBALS, namespace)
+    exec(compile(f"def make({', '.join(out.consts)}):\n  def jet(x):\n{jet_body}    return {', '.join(coeffs)}\n  {scan}"
+                 "jet.scan = scan\n  return jet\n", "<exprlang>", "exec", 0, True), _GLOBALS, namespace)
     return namespace["make"]
 
 

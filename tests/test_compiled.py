@@ -3,6 +3,7 @@ and the process cache that serves their factories to trees of one shape."""
 
 import dataclasses
 import gc
+import hashlib
 import math
 import pickle
 import struct
@@ -210,10 +211,26 @@ def test_value_and_first_derivative_skip_the_higher_terms():
         eval_jet(parse("1/x"), 1e-110)
     with pytest.raises(ZeroDivisionError):
         eval_jet(parse("log(x)"), 1e-160)
-    # the value variant of cosh calls cosh alone, in its loop too, and sinh likewise
+    # the value variant of cosh calls cosh alone, in its scan too, and sinh likewise
     for name, other in (("cosh", "sinh"), ("sinh", "cosh")):
         value = parse(f"{name}(x)").compiled(0)
-        assert other not in value.__code__.co_names and other not in value.loop.__code__.co_names
+        assert other not in value.__code__.co_names and other not in value.scan.__code__.co_names
+
+
+def test_the_emitted_jet_source_is_byte_identical():
+    """The jet lines, coefficients and constant names that the emitter writes at orders 0-3 for the audit battery,
+    the four audit-fresh templates and three folded exponents, as one sha256, recorded when ``_Src`` still set
+    each piece's precedence in its own ``__new__``."""
+    texts = ("x^2", "exp(x)+x^4", "cosh(x)", "x*log(x)", "1/x", "x^2-5",
+             "1.25*x^2+0.75*exp(0.3*x)", "1.25*cosh(0.75*x)+0.3*x", "1.25*x^4+0.75*x+0.3", "exp(1.25*x)+0.75*x^3+0.3",
+             "x^(1/3) + exp(x)^2^0.5 - sqrt(x)^-(2*3)")
+    digest = hashlib.sha256()
+    for text in texts:
+        for order in range(4):
+            out = exprlang._Emitter(order)
+            coeffs = list(parse(text)._emit(out))[: order + 1]
+            digest.update("\n".join([*out.lines, ", ".join(coeffs), ", ".join(out.consts)]).encode() + b"\0")
+    assert digest.hexdigest() == "20d1689fc4356b1e6570bff4218af73a5740770d04d2d451ad931a8dc2dd04d8"
 
 
 def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monkeypatch):
@@ -245,7 +262,7 @@ def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monk
     twin = parse(text)
     assert twin(2.0) == e(2.0) and twin.compiled(2)(3.0) == e.compiled(2)(3.0)
     assert len(sources) == 5
-    # the compiled functions, and the loops that the guards at orders 0-2 sample through, stay
+    # the compiled functions, and the scans that the guards at orders 0-2 sample through, stay
     # outside equality, hashing and pickling
     for order in (0, 1, 2):
         convexity_guard(e, order, 2.0)(Interval(1.0, 2.0))

@@ -1,5 +1,5 @@
 """The convexity guard on precomputed draws against the seeded guard in ``guard_oracle``, and
-:func:`~hhaudit.core.convexity_guard`, which samples a parsed function through its compiled loop,
+:func:`~hhaudit.core.convexity_guard`, which samples a parsed function through its compiled scan,
 against the same guard sampling point by point."""
 
 import math
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import guard_oracle
+from hhaudit import core
 from hhaudit.core import DomainError, Interval, PreconditionError, convexity_guard, evaluator, extend, sample_convexity
 from hhaudit.exprlang import parse, to_text
 
@@ -83,6 +84,39 @@ def test_a_pair_of_holes_names_the_first_draw():
     assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
 
 
+def _draws(n):
+    rng = random.Random(0)
+    return [(rng.random(), rng.random()) for _ in range(n)]
+
+
+def _inf_unless_hole(hole):
+    """inf everywhere on [0, 1] but at ``hole``, where it raises, as a plain callable."""
+    def f(x):
+        if x == hole:
+            raise ValueError("hole")
+        return math.inf
+    return f
+
+
+def test_an_early_nan_gap_is_raised_ahead_of_a_later_pairs_hole():
+    # every value is inf, so the first pair's gap is inf - inf; the fourth pair's left end is a hole
+    (u, v), *_, (hole, _) = _draws(4)
+    want = (DomainError, f"convexity gap undefined (inf - inf) at the midpoint x = {0.5 * (u + v)!r}")
+    for f in (parse(f"1e308*10 + log((x - {hole!r})^2)"), _inf_unless_hole(hole)):
+        assert _outcome(guard_oracle.sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
+        assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
+        assert _outcome(sample_convexity, evaluator(f), Interval(0.0, 1.0), 16, "convexity") == want
+
+
+def test_a_hole_at_the_quarter_point_is_raised_ahead_of_every_pair():
+    # the first pair's gap would be inf - inf, but no pair is evaluated after a structural hole
+    for f, cause in ((parse("1e308*10 + 1/(x - 0.25)"), "division by zero at x = 0.25"),
+                     (_inf_unless_hole(0.25), "function undefined at x = 0.25: hole")):
+        assert _outcome(guard_oracle.sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
+        assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
+        assert _outcome(sample_convexity, evaluator(f), Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
+
+
 def test_too_few_pairs_is_the_same_error():
     assert _outcome(sample_convexity, math.exp, Interval(0.0, 1.0), 2, "convexity") == (
         ValueError, "need at least 3 sample pairs, got n = 2")
@@ -140,9 +174,152 @@ def test_the_compiled_guard_loop_matches_the_point_by_point_guard(text, region, 
 
 
 def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
-    # a later pair's point is a hole of the log, so a loop that evaluated every point before
+    # a later pair's point is a hole of the log, so a pass that evaluated every point before
     # scanning the gaps would raise "f: log of nonpositive argument at x = ..." instead
     f = parse("x^4 + log((x - 2.3397441655619037e+77)^2 - 5.033759532751502e+150)")
     want = (DomainError, "f: convexity gap undefined (inf - inf) at the midpoint x = 2.8011881272326755e+77")
     assert _guard_outcome(_reference_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
     assert _guard_outcome(_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
+
+
+_BATTERY = ("x^2", "exp(x)+x^4", "cosh(x)", "x*log(x)", "1/x", "x^2-5")
+_WIDENED = ((1.0, 2.0), (0.25, 1.0), (300.0, 800.0))  # each widened: inside (0, inf), across 0, past exp's overflow
+
+
+def test_guards_of_the_battery_are_pinned_bit_for_bit(monkeypatch):
+    """The worst gap and its midpoint of every guard at orders 0-2, q = 1 and 2, over the battery on three
+    widened regions, as float.hex, or the exception's type and message; recorded before the guard became one pass."""
+    reports = []
+    original = core.sample_convexity
+
+    def recorded(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(core, "sample_convexity", recorded)
+    got = {}
+    for text in _BATTERY:
+        for order in (0, 1, 2):
+            for q in (1, 2):
+                for i, (a, b) in enumerate(_WIDENED):
+                    reports.clear()
+                    try:
+                        convexity_guard(parse(text), order, q)(extend(Interval(a, b)))
+                    except (ValueError, ArithmeticError) as exc:
+                        got[f"{text} {order} {q} {i}"] = (type(exc).__name__, str(exc))
+                    else:
+                        (report,) = reports
+                        got[f"{text} {order} {q} {i}"] = (report.lhs.hex(), report.inputs["worst_at"].hex())
+    assert got == _GUARD_PIN
+
+
+_GUARD_PIN = {
+    'x^2 0 1 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
+    'x^2 0 1 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
+    'x^2 0 1 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
+    'x^2 0 2 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
+    'x^2 0 2 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
+    'x^2 0 2 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
+    'x^2 1 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2 1 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2 1 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'x^2 1 2 0': ('-0x1.787fb01a94000p-7', '0x1.30974dbc1cad8p+1'),
+    'x^2 1 2 1': ('-0x1.a78fa61de7000p-8', '0x1.48e2f49a2b044p+0'),
+    'x^2 1 2 2': ('-0x1.670ea5ce18c00p+11', '0x1.eee783d36802ep+9'),
+    'x^2 2 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2 2 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2 2 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'x^2 2 2 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2 2 2 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2 2 2 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'exp(x)+x^4 0 1 0': ('-0x1.cf54400e55000p-4', '0x1.30974dbc1cad8p+1'),
+    'exp(x)+x^4 0 1 1': ('-0x1.21be1963438c0p-6', '0x1.1fd2fee36657cp-1'),
+    'exp(x)+x^4 0 1 2': ('DomainError', 'f: exp overflow at x = 800.0 (arg = 800.0)'),
+    'exp(x)+x^4 0 2 0': ('-0x1.cf54400e55000p-4', '0x1.30974dbc1cad8p+1'),
+    'exp(x)+x^4 0 2 1': ('-0x1.21be1963438c0p-6', '0x1.1fd2fee36657cp-1'),
+    'exp(x)+x^4 0 2 2': ('DomainError', 'f: exp overflow at x = 800.0 (arg = 800.0)'),
+    'exp(x)+x^4 1 1 0': ('-0x1.8f866a1435800p-4', '0x1.30974dbc1cad8p+1'),
+    'exp(x)+x^4 1 1 1': ('-0x1.c7f4108b78200p-6', '0x1.48e2f49a2b044p+0'),
+    'exp(x)+x^4 1 1 2': ('DomainError', "|f'|^q (q = 1): exp overflow at x = 800.0 (arg = 800.0)"),
+    'exp(x)+x^4 1 2 0': ('-0x1.f7aadab13e5d0p+3', '0x1.6a8ca9eceee52p+0'),
+    'exp(x)+x^4 1 2 1': ('-0x1.3fc7025151b4cp-2', '0x1.672b2ca6b71d9p-3'),
+    'exp(x)+x^4 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
+    'exp(x)+x^4 2 1 0': ('-0x1.997b5e171b000p-5', '0x1.30974dbc1cad8p+1'),
+    'exp(x)+x^4 2 1 1': ('-0x1.6d82225daec00p-6', '0x1.48e2f49a2b044p+0'),
+    'exp(x)+x^4 2 1 2': ('DomainError', "|f''|^q (q = 1): exp overflow at x = 800.0 (arg = 800.0)"),
+    'exp(x)+x^4 2 2 0': ('-0x1.5200993bc4f00p+4', '0x1.30974dbc1cad8p+1'),
+    'exp(x)+x^4 2 2 1': ('-0x1.3097cfa9f976ep+1', '0x1.672b2ca6b71d9p-3'),
+    'exp(x)+x^4 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
+    'cosh(x) 0 1 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
+    'cosh(x) 0 1 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 0 1 2': ('DomainError', 'f: cosh overflow at x = 800.0 (arg = 800.0)'),
+    'cosh(x) 0 2 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
+    'cosh(x) 0 2 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 0 2 2': ('DomainError', 'f: cosh overflow at x = 800.0 (arg = 800.0)'),
+    'cosh(x) 1 1 0': ('-0x1.f812aabf72c00p-8', '0x1.30974dbc1cad8p+1'),
+    'cosh(x) 1 1 1': ('-0x1.6164993c02000p-10', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 1 1 2': ('DomainError', "|f'|^q (q = 1): cosh overflow at x = 800.0 (arg = 800.0)"),
+    'cosh(x) 1 2 0': ('-0x1.8c40429db0120p-4', '0x1.6a8ca9eceee52p+0'),
+    'cosh(x) 1 2 1': ('-0x1.5be6ef94bca00p-7', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
+    'cosh(x) 2 1 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
+    'cosh(x) 2 1 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 2 1 2': ('DomainError', "|f''|^q (q = 1): cosh overflow at x = 800.0 (arg = 800.0)"),
+    'cosh(x) 2 2 0': ('-0x1.8c40429db0140p-4', '0x1.6a8ca9eceee52p+0'),
+    'cosh(x) 2 2 1': ('-0x1.5be6ef94bcb00p-7', '0x1.48e2f49a2b044p+0'),
+    'cosh(x) 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
+    'x*log(x) 0 1 0': ('-0x1.3c7691547f000p-11', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 0 1 1': ('DomainError', 'f: log of nonpositive argument at x = -0.125 (arg = -0.125)'),
+    'x*log(x) 0 1 2': ('-0x1.738171bb88000p-2', '0x1.eee783d36802ep+9'),
+    'x*log(x) 0 2 0': ('-0x1.3c7691547f000p-11', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 0 2 1': ('DomainError', 'f: log of nonpositive argument at x = -0.125 (arg = -0.125)'),
+    'x*log(x) 0 2 2': ('-0x1.738171bb88000p-2', '0x1.eee783d36802ep+9'),
+    'x*log(x) 1 1 0': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [0.5, 2.5] (worst gap 0.14591373174069666 near x = 1.0627410039996081)"),
+    'x*log(x) 1 1 1': ('DomainError', "|f'|^q (q = 1): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
+    'x*log(x) 1 1 2': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [50.0, 1050.0] (worst gap 0.5785471478280595 near x = 297.36034288987645)"),
+    'x*log(x) 1 2 0': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [0.5, 2.5] (worst gap 0.09065582392099802 near x = 1.7061561789053634)"),
+    'x*log(x) 1 2 1': ('DomainError', "|f'|^q (q = 2): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
+    'x*log(x) 1 2 2': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [50.0, 1050.0] (worst gap 6.01537232022342 near x = 297.36034288987645)"),
+    'x*log(x) 2 1 0': ('-0x1.bf4879dbaf000p-13', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 2 1 1': ('DomainError', "|f''|^q (q = 1): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
+    'x*log(x) 2 1 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
+    'x*log(x) 2 2 0': ('-0x1.1a0ab5efcf800p-12', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 2 2 1': ('DomainError', "|f''|^q (q = 2): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
+    'x*log(x) 2 2 2': ('-0x1.34da1d631ae00p-29', '0x1.eee783d36802ep+9'),
+    '1/x 0 1 0': ('-0x1.bf4879dbaf800p-13', '0x1.30974dbc1cad8p+1'),
+    '1/x 0 1 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 119.73345538080471 near x = 0.17537531741881088)'),
+    '1/x 0 1 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
+    '1/x 0 2 0': ('-0x1.bf4879dbaf800p-13', '0x1.30974dbc1cad8p+1'),
+    '1/x 0 2 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 119.73345538080471 near x = 0.17537531741881088)'),
+    '1/x 0 2 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
+    '1/x 1 1 0': ('-0x1.1a0ab5efcfa00p-12', '0x1.30974dbc1cad8p+1'),
+    '1/x 1 1 1': ('-0x1.d3386a84b8000p-10', '0x1.48e2f49a2b044p+0'),
+    '1/x 1 1 2': ('-0x1.34da1d631b200p-29', '0x1.eee783d36802ep+9'),
+    '1/x 1 2 0': ('-0x1.4c5ccdeb23880p-13', '0x1.30974dbc1cad8p+1'),
+    '1/x 1 2 1': ('-0x1.d8a6018b0b180p-9', '0x1.48e2f49a2b044p+0'),
+    '1/x 1 2 2': ('-0x1.13d5f04abad00p-47', '0x1.eee783d36802ep+9'),
+    '1/x 2 1 0': ('-0x1.da4bf0390fa00p-12', '0x1.30974dbc1cad8p+1'),
+    '1/x 2 1 1': ('-0x1.6bf94e001e900p-8', '0x1.48e2f49a2b044p+0'),
+    '1/x 2 1 2': ('-0x1.3fb75389d3600p-37', '0x1.eee783d36802ep+9'),
+    '1/x 2 2 0': ('-0x1.eda8fa57d7200p-13', '0x1.30974dbc1cad8p+1'),
+    '1/x 2 2 1': ('-0x1.2d6cbac1984c0p-6', '0x1.48e2f49a2b044p+0'),
+    '1/x 2 2 2': ('-0x1.368d22908c680p-64', '0x1.eee783d36802ep+9'),
+    'x^2-5 0 1 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
+    'x^2-5 0 1 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
+    'x^2-5 0 1 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
+    'x^2-5 0 2 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
+    'x^2-5 0 2 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
+    'x^2-5 0 2 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
+    'x^2-5 1 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2-5 1 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2-5 1 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'x^2-5 1 2 0': ('-0x1.787fb01a94000p-7', '0x1.30974dbc1cad8p+1'),
+    'x^2-5 1 2 1': ('-0x1.a78fa61de7000p-8', '0x1.48e2f49a2b044p+0'),
+    'x^2-5 1 2 2': ('-0x1.670ea5ce18c00p+11', '0x1.eee783d36802ep+9'),
+    'x^2-5 2 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2-5 2 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2-5 2 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'x^2-5 2 2 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
+    'x^2-5 2 2 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
+    'x^2-5 2 2 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+}

@@ -223,11 +223,11 @@ class TestAdaptiveMidpoint:
                 calls[order] += 1
                 return evaluator(x)
 
-            def loop(points, out, order=order, evaluator=evaluator, **q):  # the guards sample through it
-                calls[order] += len(points)
-                evaluator.loop(points, out, **q)
+            def scan(lo, hi, units, order=order, evaluator=evaluator, **q):  # the guards sample through it
+                calls[order] += 5 + 3 * len(units)
+                return evaluator.scan(lo, hi, units, **q)
 
-            counted.loop = loop
+            counted.scan = scan
             f._evaluators[order] = counted
         return calls
 
