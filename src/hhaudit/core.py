@@ -190,6 +190,8 @@ def undefined(x: float, cause: Exception | None = None) -> DomainError:
 
 @functools.lru_cache(maxsize=8)
 def _unit_pairs(n: int) -> tuple[tuple[float, float], ...]:
+    if n < 3:
+        raise ValueError(f"need at least 3 sample pairs, got n = {n}")
     rng = random.Random(0)
     return tuple((rng.random(), rng.random()) for _ in range(n))
 
@@ -260,8 +262,6 @@ def sample_convexity(
     an average that cannot overflow; convexity is "satisfied" when that gap stays below
     ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint, ahead of any later hole.
     """
-    if n < 3:
-        raise ValueError(f"need at least 3 sample pairs, got n = {n}")
     lo, hi = iv.a, iv.b
     units = _unit_pairs(n)
     worst, worst_at = f.scan(lo, hi, units) if hasattr(f, "scan") else _generic_scan()(lo, hi, units, f)
@@ -279,7 +279,8 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
     at ``pairs`` pairs, after 1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink
     samples as convex).  PreconditionError names the function, the interval and the worst gap; a domain
     hole's DomainError names the function too.  |f^(order)|^q samples through the compiled ``scan`` of
-    ``f.compiled(order)``."""
+    ``f.compiled(order)``.  ``check.panels(points)`` runs that scan, without a report, on each panel's widened
+    interval in turn; the first failure gets the prefix ``subinterval i [l, r]: ``, but not widen's ValueError."""
     if order == 0:
         what, fn = "f", evaluator(f)
     else:
@@ -290,16 +291,35 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
         fn.scan = functools.partial(jet.scan, q=q)
-    label = f"guard:{what}"
+
+    def refuted(lo: float, hi: float, worst: float, worst_at: float) -> PreconditionError:
+        return PreconditionError(f"{what} is not midpoint-convex on [{lo!r}, {hi!r}] (worst gap {worst!r} near x = {worst_at!r})")
 
     def check(region: Interval) -> None:
         try:
-            report = sample_convexity(fn, region, pairs, cfg=cfg, label=label)
+            report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
         except DomainError as exc:
             raise DomainError(f"{what}: {exc}") from exc
         if not report.satisfied:
-            raise PreconditionError(f"{what} is not midpoint-convex on [{report.inputs['lo']!r}, {report.inputs['hi']!r}]"
-                                    f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
+            raise refuted(report.inputs["lo"], report.inputs["hi"], report.lhs, report.inputs["worst_at"])
+
+    def panels(points: tuple[float, ...]) -> None:
+        scan, units = fn.scan if hasattr(fn, "scan") else functools.partial(_generic_scan(), f=fn), _unit_pairs(pairs)
+        for i, (left, right) in enumerate(zip(points, points[1:])):
+            lo, hi = widen(left, right)
+            try:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    extend(Interval(left, right))  # raises its overflow DomainError
+                try:
+                    worst, worst_at = scan(lo, hi, units)
+                except DomainError as exc:
+                    raise DomainError(f"{what}: {exc}") from None
+                if not 0.0 - worst >= -cfg.abs_tol:  # make_report's verdict
+                    raise refuted(lo, hi, worst, worst_at)
+            except (DomainError, PreconditionError) as exc:
+                raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+
+    check.panels = panels
     return check
 
 

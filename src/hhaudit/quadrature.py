@@ -1,9 +1,10 @@
-"""Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4
-and prop5 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked
-by :func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs per
-panel or, in :func:`adaptive_midpoint`, at 32 on the widened hull.  T1, T2 and the certificates
-are flat passes over ``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle`
-and, at second order, gives T1 the f values its panels carry.
+"""Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4 and prop5
+reports, and an adaptive certified midpoint integrator.  Hypotheses are checked by
+:func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs on each
+panel's widened interval or, in :func:`adaptive_midpoint`, at 32 on [a, b] (order 2) or on its
+widened hull (order 1).  T1, T2 and the certificates are flat passes over ``partition.points``;
+:func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at second order, gives T1 the f
+values its panels carry.
 
 The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
 convex and is O(h).  The second-order one needs f in C^2 and g = |f''|^q convex: on a
@@ -24,7 +25,6 @@ from typing import Iterator
 from .core import (
     BoundReport,
     DEFAULT_TOL,
-    DomainError,
     Interval,
     PreconditionError,
     ToleranceConfig,
@@ -100,13 +100,8 @@ def midpoint_T2(f, partition: Partition) -> float:
 
 
 def _guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig) -> None:
-    """One :func:`convexity_guard` at 16 pairs on each panel's widened interval; failures name the panel."""
-    check = convexity_guard(f, order, q, pairs=16, cfg=cfg)
-    for i, (left, right) in enumerate(partition.panels()):
-        try:
-            check(extend(Interval(left, right)))
-        except (DomainError, PreconditionError) as exc:
-            raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+    """:func:`convexity_guard`'s partition form at 16 pairs: each panel sampled on its widened interval."""
+    convexity_guard(f, order, q, pairs=16, cfg=cfg).panels(partition.points)
 
 
 def _first_order_term(jet1, q: float, left: float, right: float) -> float:
@@ -185,23 +180,23 @@ def adaptive_midpoint(
     """Refine the midpoint rule on ``iv`` until its certificate fits ``target`` (positive and
     finite), in the loop of :func:`integrate_ref` with a panel's certificate share as its error.
 
-    The order-2 derivative guard (no abs in f, |f''|^q convex on the widened full interval,
-    which holds every panel) selects the second-order share, (h^3/24) power_mean(q, |f''(l)|,
-    |f''(r)|).  :func:`refine`'s ``point`` runs the (f, f', f'') jet once per grid point, N + 1
-    for N final panels, tracks the peaks of |f|, |f'|, |f''| and gives each panel end (f, |f''|):
-    the shares read |f''|, and T1 sums the f values.  ``e2_bound`` is :func:`_rounding`'s bound
-    from trunc, the exact sum of the final shares, the widest final panel and those peaks.  Its
-    rounding term grows with N, so refinement also stops where no split can shrink it.  Where
-    that guard raises PreconditionError, the |f'|^q guard runs, the share is prop5's term (1/8 at
-    every q) at two f' evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1
-    evaluations of f.  T2 costs N.  ``order`` records which.  ``certified`` is ``e2_bound <=
-    target``: False after the panel cap, float resolution or the rounding floor stopped it short.
+    The order-2 derivative guard (no abs in f, |f''|^q convex on [a, b], which holds every panel)
+    selects the second-order share, (h^3/24) power_mean(q, |f''(l)|, |f''(r)|).  :func:`refine`'s
+    ``point`` runs the (f, f', f'') jet once per grid point, N + 1 for N final panels, tracks the
+    peaks of |f|, |f'|, |f''| and gives each panel end (f, |f''|): the shares read |f''|, and T1
+    sums the f values.  ``e2_bound`` is :func:`_rounding`'s bound from trunc, the exact sum of the
+    final shares, the widest final panel and those peaks.  Its rounding term grows with N, so
+    refinement also stops where no split can shrink it.  Where that guard raises PreconditionError,
+    the |f'|^q guard runs on the widened hull, the share is prop5's term (1/8 at every q) at two f'
+    evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1 evaluations of f.  T2
+    costs N.  ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after the
+    panel cap, float resolution or the rounding floor stopped it short.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
     a, b, hull = iv.a, iv.b, extend(iv)
     try:
-        convexity_guard(f, 2, q, cfg=cfg)(hull)
+        convexity_guard(f, 2, q, cfg=cfg)(iv)
     except PreconditionError:
         convexity_guard(f, 1, q, cfg=cfg)(hull)
         jet1, order = f.compiled(1), 1

@@ -3,7 +3,8 @@ in :mod:`hhaudit.quadrature`.
 
 Each panel here builds an ``Interval`` and an ``ExtendedInterval`` and checks
 both; ``Partition`` validates point by point; ``trapezoid_T1`` evaluates every
-interior node twice.  The flat passes must return the same floats bit for bit
+interior node twice; ``guard_panels`` checks each panel's widened ``Interval`` by
+its own guard call.  The flat passes must return the same floats bit for bit
 and raise the same exception types with the same messages.
 """
 
@@ -13,16 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from hhaudit import core
 from hhaudit.core import (
     DEFAULT_TOL,
     DomainError,
     Interval,
+    PreconditionError,
     ToleranceConfig,
     require_exponent,
 )
 from hhaudit.exprlang import Expr
 from hhaudit.hh_bounds import K1, k2_derived_constant
-from hhaudit.quadrature import _guard_panels
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,17 @@ def trapezoid_T1(f, partition: Partition) -> float:
     return total
 
 
+def guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
+    """One :func:`hhaudit.core.convexity_guard` check at 16 pairs of each panel's widened
+    ``Interval``, left to right; a failure names the panel, a panel too narrow to widen does not."""
+    check = core.convexity_guard(f, order, q, pairs=16, cfg=cfg)
+    for i, (left, right) in enumerate(partition.panels()):
+        try:
+            check(core.extend(Interval(left, right)))
+        except (DomainError, PreconditionError) as exc:
+            raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+
+
 def midpoint_error_bound(
     f: Expr,
     partition: Partition,
@@ -97,7 +110,7 @@ def midpoint_error_bound(
     if guard not in ("panel", "none"):
         raise ValueError(f"guard must be 'panel' or 'none', got {guard!r}")
     if guard == "panel":
-        _guard_panels(f, partition, 1, q, cfg)
+        guard_panels(f, partition, 1, q, cfg)
     jet1 = f.compiled(1)
     kconst = K1 if q == 1 else min(K1, k2_derived_constant(q))  # the runtime takes K1 alone
     total = 0.0

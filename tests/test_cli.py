@@ -163,7 +163,7 @@ class TestExitCodes:
         assert err == "error: number '1e999' is not finite (offset 0)\n"
 
     def test_integrate_guard_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "integrate", "--fn", "log(x)", "--a", "0.1", "--b", "1", "--err", "1e-4")
+        code, _, err = run_cli(capsys, "integrate", "--fn", "log(x-0.5)", "--a", "0.1", "--b", "1", "--err", "1e-4")
         assert code == 2
         assert "log" in err
 

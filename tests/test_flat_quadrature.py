@@ -1,5 +1,5 @@
-"""The flat quadrature passes against the per-object loops in ``quadrature_oracle``:
-the same floats bit for bit, the same exception types and messages."""
+"""The flat quadrature passes and the partition guard against the per-object loops in
+``quadrature_oracle``: the same floats bit for bit, the same exception types and messages."""
 
 import math
 import struct
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadrature_oracle as oracle
-from hhaudit.core import DomainError, Interval
+from hhaudit.core import DEFAULT_TOL, DomainError, Interval, PreconditionError
 from hhaudit.exprlang import parse
-from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
+from hhaudit.quadrature import Partition, _guard_panels, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
 
 _FUNCTIONS = {text: parse(text) for text in ("x^2", "x^3", "exp(x)", "cosh(x)", "log(x)", "x*log(x)", "1/x")}
 _SCALES = st.sampled_from((1.0, 1e-300, 1e300, 1e-8, 1e8))
@@ -41,11 +41,13 @@ def _points(draw):
 
 
 def _outcome(fn, *args, **kwargs):
-    """("ok", result bits) or (exception type, message)."""
+    """("ok", result bits, or None for no result) or (exception type, message)."""
     try:
         value = fn(*args, **kwargs)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+    if value is None:
+        return "ok", None
     if isinstance(value, float):
         return "ok", "nan" if math.isnan(value) else struct.pack("<d", value)
     return "ok", tuple(struct.pack("<d", x) for x in value.points)
@@ -129,3 +131,47 @@ def test_partition_messages_match_the_oracle(pts):
     want = _outcome(oracle.Partition, pts)
     assert want[0] is ValueError
     assert _outcome(Partition, pts) == want
+
+
+# f, the grid, and what the guard at order 0 and at order 1 (either q) meets first: None, or the
+# exception type with the start of its message
+_PARTITION_GUARDS = {
+    "convex": ("exp(x)", tuple(1.0 + i / 16 for i in range(17)), None, None),
+    "refuted at panel 2": ("-x^3", (-3.0, -2.0, -1.0, 1.0, 2.0), (PreconditionError, "subinterval 2 "), None),
+    "refuted at panels 0 and 3": ("10*x - x^4/4", (-4.0, -3.0, -2.0, -1.0, 0.5, 1.5, 2.5),
+                                  (PreconditionError, "subinterval 0 "), (PreconditionError, "subinterval 3 ")),
+    # the wide panel 1 reaches below 2.5, the narrow panel 0 does not
+    "hole in panel 1": ("log(x-2.5)", (3.0, 3.1, 5.0, 6.0),
+                        (PreconditionError, "subinterval 0 "), (DomainError, "subinterval 1 [3.1, 5.0]: |f'|^q")),
+    "convex, hole in panel 1": ("-log(x-2.5)", (3.0, 3.1, 5.0, 6.0),
+                                (DomainError, "subinterval 1 [3.1, 5.0]: f: "), (DomainError, "subinterval 1 ")),
+    "widened end overflows": ("exp(-x)", (2e307, 3e307, 5e307, 7e307),
+                              (DomainError, "subinterval 2 [5e+307, 7e+307]: widened interval of [5e+307, 7e+307]"
+                                            " overflows: (4e+307, inf)"),
+                              (DomainError, "subinterval 2 [5e+307, 7e+307]: widened interval")),
+    "inf - inf gap": ("-x^2", (1e199, 2e199, 1e200, 2e200),
+                      (DomainError, "subinterval 0 [1e+199, 2e+199]: f: convexity gap undefined (inf - inf)"),
+                      (DomainError, "subinterval 0 ")),
+    "too narrow to widen": ("x^2", (0.5, 1.0000000000000002, 1.0000000000000004, 2.0),
+                            (ValueError, "extended interval needs lo < mid < hi"),
+                            (ValueError, "extended interval needs lo < mid < hi")),
+    # panel 3, [1, 2], widens past 2.2: only the refutation of panel 2 may be reported
+    "refuted at panel 2, hole in panel 3": ("-x^3 - log(2.2 - x)", (-3.0, -2.0, -1.0, 1.0, 2.0),
+                                            (PreconditionError, "subinterval 2 "), (PreconditionError, "subinterval 2 ")),
+}
+
+
+@pytest.mark.parametrize("order, q", [(0, 1.0), (0, 2.0), (1, 1.0), (1, 2.0)])
+@pytest.mark.parametrize("case", list(_PARTITION_GUARDS))
+def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
+    fn, pts, *first = _PARTITION_GUARDS[case]
+    f = parse(fn)
+    want = _outcome(oracle.guard_panels, f, oracle.Partition(pts), order, q)
+    assert _outcome(_guard_panels, f, Partition(pts), order, q, DEFAULT_TOL) == want
+    if first[order] is None:
+        assert want == ("ok", None)
+    else:
+        assert want[0] is first[order][0] and want[1].startswith(first[order][1])
+    if case == "refuted at panel 2, hole in panel 3":
+        with pytest.raises(DomainError):
+            _guard_panels(f, Partition(pts[3:]), order, q, DEFAULT_TOL)

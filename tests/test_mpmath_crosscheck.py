@@ -157,6 +157,20 @@ def test_adaptive_midpoint_within_its_certificate(text, q, digits40):
     assert certified >= 8
 
 
+@pytest.mark.parametrize("text, exact, a, b, panels", [
+    ("sqrt(x)", mpmath.sqrt, 0.5, 2.0, 1836),
+    ("log(x)", mpmath.log, 0.05, 1.0, 5670),
+    ("x*log(x)", lambda t: t * mpmath.log(t), 0.1, 2.0, 6490),
+    ("x^1.5", lambda t: t ** mpf(1.5), 0.01, 1.0, 2338),
+])
+def test_second_order_guard_samples_the_interval_not_its_widened_hull(text, exact, a, b, panels, digits40):
+    """|f''|^q is convex on [a, b], where the second-order certificate reads it, but the widened
+    hull leaves the domain of f (or of f'') at its left end; guarding the hull refused these."""
+    res = adaptive_midpoint(parse(text), Interval(a, b), 1e-8)
+    assert (res.certified, res.order, res.partition.panel_count) == (True, 2, panels)
+    assert abs(mpf(res.t2) - mpmath.quad(exact, [mpf(a), mpf(b)])) <= res.e2_bound
+
+
 def test_abs_kink_stays_first_order(digits40):
     # f'' = 0 off the kink passes a sampled |f''| guard; a second-order certificate
     # of 0 would accept a t2 far from 0.29

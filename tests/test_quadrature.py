@@ -5,7 +5,7 @@ import time
 import pytest
 
 from hhaudit import core
-from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, extend
+from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, extend, widen
 from hhaudit.exprlang import parse
 from hhaudit.oracle import PANEL_CAP, integrate_ref
 from hhaudit.quadrature import (
@@ -180,7 +180,7 @@ class TestAdaptiveMidpoint:
 
     def test_guard_failure_propagates(self):
         with pytest.raises(DomainError):
-            adaptive_midpoint(parse("log(x)"), Interval(0.1, 1.0), 1e-4, 1.0)
+            adaptive_midpoint(parse("log(x-0.5)"), Interval(0.1, 1.0), 1e-4, 1.0)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError):
@@ -307,9 +307,25 @@ class TestAdaptiveMidpoint:
         assert abs(res.t2 - (2.0**3.5 - 1.0) / 3.5) <= res.e2_bound
 
 
+_PANELLED = parse("exp(x)")  # the function whose panels the partition cases guard
+
+
+def _count_scans(monkeypatch, record):
+    """Pass the (lo, hi, pairs) of every scan of _PANELLED's order-0 and order-1 evaluators to ``record``."""
+    for order in (0, 1):
+        jet = _PANELLED.compiled(order)
+
+        def counted(lo, hi, units, scan=jet.scan, **kwargs):
+            record(lo, hi, len(units))
+            return scan(lo, hi, units, **kwargs)
+
+        monkeypatch.setattr(jet, "scan", counted)
+
+
 @pytest.fixture
 def guard_pairs(monkeypatch):
-    """The pair count of each sample_convexity call, through the core binding that the guard calls."""
+    """The pair count of each region a guard samples: through the core binding of sample_convexity, which a
+    region's check calls, or through a scan of _PANELLED, which the partition form runs directly."""
     pairs = []
     original = core.sample_convexity
 
@@ -318,21 +334,33 @@ def guard_pairs(monkeypatch):
         return original(f, iv, n, **kwargs)
 
     monkeypatch.setattr(core, "sample_convexity", counted)
+    _count_scans(monkeypatch, lambda lo, hi, n: pairs.append(n))
     return pairs
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: midpoint_error_bound(parse("exp(x)"), Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [16] * 16),
-    (lambda: prop4_check(parse("exp(x)"), Partition.uniform(Interval(1.0, 2.0), 16)), [16] * 16),
-    # the |f''|^q guard passes on the widened hull, so the |f'|^q guard never runs
+    (lambda: midpoint_error_bound(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [16] * 16),
+    (lambda: prop4_check(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16)), [16] * 16),
+    # the |f''|^q guard passes on [a, b], so the |f'|^q guard never runs
     (lambda: adaptive_midpoint(parse("exp(x)"), Interval(0.0, 2.0), 1e-3), [32]),
     # abs refuses the |f''|^q guard before it samples, so only the |f'|^q guard samples
     (lambda: adaptive_midpoint(parse("x^2+abs(x+9)"), Interval(0.0, 1.0), 10.0), [32]),
 ], ids=["midpoint_error_bound", "prop4_check", "adaptive order 2", "adaptive order 1"])
 def test_guard_traffic(guard_pairs, call, want):
-    """One guard per panel at 16 pairs, or one on the widened hull at 32."""
+    """One scan per panel at 16 pairs, or one guard of a region at 32."""
     call()
     assert guard_pairs == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda partition: midpoint_error_bound(_PANELLED, partition, 2.0),
+    lambda partition: prop4_check(_PANELLED, partition),
+], ids=["midpoint_error_bound", "prop4_check"])
+def test_the_partition_guard_scans_each_widened_panel_once(monkeypatch, call):
+    partition, regions = Partition((1.0, 1.25, 1.5, 2.0, 3.0)), []
+    _count_scans(monkeypatch, lambda *region: regions.append(region))
+    call(partition)
+    assert regions == [(*widen(left, right), 16) for left, right in partition.panels()]
 
 
 @pytest.mark.parametrize("fn, a, b, target, q, want", [
