@@ -12,8 +12,8 @@ floating-point inequality "satisfied" (a NaN side is a DomainError), and
 :func:`power_mean`, the one mean on the right side of every derivative bound.  Every
 hypothesis check lives here, so a failure raises the same error from every module: the one
 guard :func:`convexity_guard`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
-The guard samples a region in one pass, whose source :func:`scan_source` writes: ``exprlang``
-compiles it with each jet's lines, and this module, once, for any other callable.
+The guard runs one pass per region, whose source :func:`scan_source` writes (``exprlang`` compiles
+it with each jet's lines, this module once for any other callable); :func:`sample_convexity` reports it.
 """
 
 from __future__ import annotations
@@ -241,6 +241,11 @@ def _generic_scan() -> Callable[..., tuple[float, float]]:
     return namespace["scan"]
 
 
+def _scan_of(f: Callable[[float], float]) -> Callable[..., tuple[float, float]]:
+    """``scan(lo, hi, units)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
+    return f.scan if hasattr(f, "scan") else functools.partial(_generic_scan(), f=f)
+
+
 def sample_convexity(
     f: Callable[[float], float],
     iv: Interval,
@@ -255,17 +260,14 @@ def sample_convexity(
     One pass, a ``scan`` of :func:`scan_source`, evaluates the five structural points (endpoints, midpoint,
     quarter points), then each pair's midpoint and ends, so that a domain hole surfaces as the :class:`DomainError`
     of the first failing point rather than as a spurious verdict; for a widened interval the quarter points equal
-    the base endpoints up to rounding.  A parsed function's evaluator carries a ``scan`` compiled with its jet's
-    lines; any other callable goes through the generic one, which calls it.
+    the base endpoints up to rounding.  The report view of the scan that :func:`convexity_guard` runs without one.
 
     The report's ``lhs`` is the worst observed gap ``f((x+y)/2) - (f(x)/2 + f(y)/2)``,
     an average that cannot overflow; convexity is "satisfied" when that gap stays below
     ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint, ahead of any later hole.
     """
-    lo, hi = iv.a, iv.b
-    units = _unit_pairs(n)
-    worst, worst_at = f.scan(lo, hi, units) if hasattr(f, "scan") else _generic_scan()(lo, hi, units, f)
-    return make_report(label, worst, 0.0, {"lo": lo, "hi": hi, "pairs": n, "worst_at": worst_at}, cfg=cfg)
+    worst, worst_at = _scan_of(f)(iv.a, iv.b, _unit_pairs(n))
+    return make_report(label, worst, 0.0, {"lo": iv.a, "hi": iv.b, "pairs": n, "worst_at": worst_at}, cfg=cfg)
 
 
 def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -275,47 +277,40 @@ def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
 
 def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: ToleranceConfig = DEFAULT_TOL):
     """The one hypothesis guard, set up once and returned as the check of a region: f (order 0, any
-    callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on it by :func:`sample_convexity`
-    at ``pairs`` pairs, after 1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink
-    samples as convex).  PreconditionError names the function, the interval and the worst gap; a domain
-    hole's DomainError names the function too.  |f^(order)|^q samples through the compiled ``scan`` of
-    ``f.compiled(order)``.  ``check.panels(points)`` runs that scan, without a report, on each panel's widened
-    interval in turn; the first failure gets the prefix ``subinterval i [l, r]: ``, but not widen's ValueError."""
+    callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on it at ``pairs`` pairs, after
+    1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  One body
+    per region runs the scan of f or ``f.compiled(order)`` that :func:`sample_convexity` reports, without a
+    report: PreconditionError names the function, the region and the worst gap; a domain hole's DomainError
+    names the function too.  ``check.panels(points)`` runs it on each panel's widened interval in turn; the
+    first failure gets the prefix ``subinterval i [l, r]: ``, but not widen's ValueError."""
     if order == 0:
-        what, fn = "f", evaluator(f)
+        what, scan = "f", _scan_of(evaluator(f))
     else:
         require_exponent(q)
         what = "|f" + "'" * order + f"|^q (q = {q!r})"
         if order == 2 and not f.twice_differentiable():
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
-        jet = f.compiled(order)
-        fn = lambda x: abs(jet(x)[order]) ** q
-        fn.scan = functools.partial(jet.scan, q=q)
+        scan = functools.partial(f.compiled(order).scan, q=q)
+    units = _unit_pairs(pairs)
 
-    def refuted(lo: float, hi: float, worst: float, worst_at: float) -> PreconditionError:
-        return PreconditionError(f"{what} is not midpoint-convex on [{lo!r}, {hi!r}] (worst gap {worst!r} near x = {worst_at!r})")
-
-    def check(region: Interval) -> None:
+    def region(lo: float, hi: float) -> None:
         try:
-            report = sample_convexity(fn, region, pairs, cfg=cfg, label=f"guard:{what}")
+            worst, worst_at = scan(lo, hi, units)
         except DomainError as exc:
-            raise DomainError(f"{what}: {exc}") from exc
-        if not report.satisfied:
-            raise refuted(report.inputs["lo"], report.inputs["hi"], report.lhs, report.inputs["worst_at"])
+            raise DomainError(f"{what}: {exc}") from None
+        if not 0.0 - worst >= -cfg.abs_tol:  # make_report's verdict
+            raise PreconditionError(f"{what} is not midpoint-convex on [{lo!r}, {hi!r}] (worst gap {worst!r} near x = {worst_at!r})")
+
+    def check(iv: Interval) -> None:
+        region(iv.a, iv.b)
 
     def panels(points: tuple[float, ...]) -> None:
-        scan, units = fn.scan if hasattr(fn, "scan") else functools.partial(_generic_scan(), f=fn), _unit_pairs(pairs)
         for i, (left, right) in enumerate(zip(points, points[1:])):
             lo, hi = widen(left, right)
             try:
                 if not (math.isfinite(lo) and math.isfinite(hi)):
                     extend(Interval(left, right))  # raises its overflow DomainError
-                try:
-                    worst, worst_at = scan(lo, hi, units)
-                except DomainError as exc:
-                    raise DomainError(f"{what}: {exc}") from None
-                if not 0.0 - worst >= -cfg.abs_tol:  # make_report's verdict
-                    raise refuted(lo, hi, worst, worst_at)
+                region(lo, hi)
             except (DomainError, PreconditionError) as exc:
                 raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
 

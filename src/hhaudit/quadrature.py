@@ -1,10 +1,10 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4 and prop5
 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked by
 :func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs on each
-panel's widened interval or, in :func:`adaptive_midpoint`, at 32 on [a, b] (order 2) or on its
-widened hull (order 1).  T1, T2 and the certificates are flat passes over ``partition.points``;
-:func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at second order, gives T1 the f
-values its panels carry.
+panel's widened interval or, in :func:`adaptive_midpoint`, at 32 on [a, b] (order 2) or, built
+only then, its widened hull (order 1).  T1, T2 and the certificates are flat passes over
+``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at
+second order, gives T1 the f values its panels carry.
 
 The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
 convex and is O(h).  The second-order one needs f in C^2 and g = |f''|^q convex: on a
@@ -25,6 +25,7 @@ from typing import Iterator
 from .core import (
     BoundReport,
     DEFAULT_TOL,
+    DomainError,
     Interval,
     PreconditionError,
     ToleranceConfig,
@@ -99,16 +100,19 @@ def midpoint_T2(f, partition: Partition) -> float:
     return total
 
 
-def _guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig) -> None:
-    """:func:`convexity_guard`'s partition form at 16 pairs: each panel sampled on its widened interval."""
-    convexity_guard(f, order, q, pairs=16, cfg=cfg).panels(partition.points)
+def _width_power(left: float, right: float, k: int) -> float:
+    """(dx)^k of the order-(k - 1) certificate share of [left, right]; DomainError where it overflows."""
+    try:
+        return (right - left) ** k
+    except OverflowError:
+        raise DomainError(f"the order-{k - 1} certificate share of [{left!r}, {right!r}] overflows: (dx)^{k}") from None
 
 
 def _first_order_term(jet1, q: float, left: float, right: float) -> float:
     """(dx)^2 (|f'(lo*)|^q + |f'(hi*)|^q)^(1/q) = (dx)^2 2^(1/q) power_mean(q, |f'(lo*)|, |f'(hi*)|),
     lo* and hi* the panel's widened ends."""
     lo, hi = widen(left, right)
-    return (right - left) ** 2 * 2.0 ** (1.0 / q) * power_mean(q, abs(jet1(lo)[1]), abs(jet1(hi)[1]))
+    return _width_power(left, right, 2) * 2.0 ** (1.0 / q) * power_mean(q, abs(jet1(lo)[1]), abs(jet1(hi)[1]))
 
 
 def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -116,7 +120,7 @@ def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: Tolerance
     each panel's widened interval: the sum of :func:`_first_order_term` times K1 = 1/8, which
     the derived Hoelder constant never undercuts."""
     require_exponent(q)  # before the panels, whose failures are prefixed with the panel
-    _guard_panels(f, partition, 1, q, cfg)
+    convexity_guard(f, 1, q, pairs=16, cfg=cfg).panels(partition.points)
     jet1 = f.compiled(1)
     total = 0.0
     for left, right in partition.panels():
@@ -129,7 +133,7 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
 
     The outer max-based sum of the chain is echoed in the report inputs.
     """
-    _guard_panels(f, partition, 0, 1.0, cfg)
+    convexity_guard(f, pairs=16, cfg=cfg).panels(partition.points)
     fx = evaluator(f)
     iv = Interval(partition.points[0], partition.points[-1])
     integral = integrate_ref(f, iv, cfg).value
@@ -187,25 +191,25 @@ def adaptive_midpoint(
     sums the f values.  ``e2_bound`` is :func:`_rounding`'s bound from trunc, the exact sum of the
     final shares, the widest final panel and those peaks.  Its rounding term grows with N, so
     refinement also stops where no split can shrink it.  Where that guard raises PreconditionError,
-    the |f'|^q guard runs on the widened hull, the share is prop5's term (1/8 at every q) at two f'
-    evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1 evaluations of f.  T2
-    costs N.  ``order`` records which.  ``certified`` is ``e2_bound <= target``: False after the
-    panel cap, float resolution or the rounding floor stopped it short.
+    the |f'|^q guard runs on the widened hull, built only then, the share is prop5's term (1/8 at
+    every q) at two f' evaluations per panel, ``point`` evaluates nothing and T1 costs N + 1
+    evaluations of f.  T2 costs N.  ``order`` records which.  ``certified`` is ``e2_bound <= target``:
+    False after the panel cap, float resolution or the rounding floor stopped it short.
     """
     if not 0.0 < target < math.inf:
         raise ValueError(f"target error must be positive and finite, got {target!r}")
-    a, b, hull = iv.a, iv.b, extend(iv)
+    a, b = iv.a, iv.b
     try:
         convexity_guard(f, 2, q, cfg=cfg)(iv)
     except PreconditionError:
-        convexity_guard(f, 1, q, cfg=cfg)(hull)
+        convexity_guard(f, 1, q, cfg=cfg)(extend(iv))
         jet1, order = f.compiled(1), 1
         share = lambda l, r, at_l, at_r: (0.0, K1 * _first_order_term(jet1, q, l, r))  # f' at widened ends
         panels, _, bound = refine(share, a, b, lambda _, e, heap: e <= target, lambda x: None)
         f_at = f
     else:
         jet2, peaks, failed, order = f.compiled(2), [0.0, 0.0, 0.0], [0], 2
-        share = lambda l, r, at_l, at_r: (0.0, (r - l) ** 3 * power_mean(q, at_l[1], at_r[1]))  # 24 times the share
+        share = lambda l, r, at_l, at_r: (0.0, _width_power(l, r, 3) * power_mean(q, at_l[1], at_r[1]))  # 24 times the share
 
         def point(x: float) -> tuple[float, float]:  # (f, |f''|) at a grid point; peaks tracks |f|, |f'|, |f''|
             jet = jet2(x)

@@ -1,9 +1,10 @@
+import collections
 import random
 
 import pytest
 
 from hhaudit.core import Interval
-from hhaudit.exprlang import parse
+from hhaudit.exprlang import Expr, parse
 from hhaudit.special_fns import normalized_I_series
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -15,6 +16,36 @@ CONVEX_BATTERY = ("x^2", "x^4", "exp(x)", "cosh(x)")
 @pytest.fixture
 def battery():
     return [(text, parse(text)) for text in CONVEX_BATTERY]
+
+
+Scan = collections.namedtuple("Scan", "order lo hi pairs result")
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Every scan that an evaluator of a parsed function runs during the test, the guards' one seam, in call
+    order: the evaluator's order, the region (lo, hi), the pair count, and the (worst gap, its midpoint) it
+    returned, or None where it raised.  Evaluators fetched before the test are counted too."""
+    log, wrapped, compiled = [], set(), Expr.compiled
+
+    def counting(self, order):
+        jet = compiled(self, order)
+        if jet not in wrapped:
+            wrapped.add(jet)
+
+            def scan(lo, hi, units, scan=jet.scan, **q):
+                result = None
+                try:
+                    result = scan(lo, hi, units, **q)
+                    return result
+                finally:
+                    log.append(Scan(order, lo, hi, len(units), result))
+
+            monkeypatch.setattr(jet, "scan", scan)
+        return jet
+
+    monkeypatch.setattr(Expr, "compiled", counting)
+    return log
 
 
 def draw_interval(rng: random.Random) -> Interval:

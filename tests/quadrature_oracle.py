@@ -126,5 +126,8 @@ def midpoint_error_bound(
         m = max(d_lo, d_hi)
         if m not in (0.0, math.inf):
             m *= (0.5 * (d_lo / m) ** q + 0.5 * (d_hi / m) ** q) ** (1.0 / q)
-        total += (right - left) ** 2 * 2.0 ** (1.0 / q) * m
+        try:
+            total += (right - left) ** 2 * 2.0 ** (1.0 / q) * m
+        except OverflowError:
+            raise DomainError(f"the order-1 certificate share of [{left!r}, {right!r}] overflows: (dx)^2") from None
     return kconst * total

@@ -167,6 +167,15 @@ class TestExitCodes:
         assert code == 2
         assert "log" in err
 
+    @pytest.mark.parametrize("fn, b, want", [
+        ("x^2", "1e154", "the order-2 certificate share of [1e+150, 1e+154] overflows: (dx)^3"),
+        ("abs(x)", "1e160", "the order-1 certificate share of [1e+150, 1e+160] overflows: (dx)^2"),
+    ])
+    def test_integrate_share_overflow_exits_two(self, capsys, fn, b, want):
+        code, out, err = run_cli(capsys, "integrate", "--fn", fn, "--a", "1e150", "--b", b, "--err", "1e300")
+        assert (code, out) == (2, "")
+        assert err == f"error: {want}\n"
+
 
 class TestVerify:
     def test_single_instance_reports(self, capsys):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadrature_oracle as oracle
-from hhaudit.core import DEFAULT_TOL, DomainError, Interval, PreconditionError
+from hhaudit.core import DomainError, Interval, PreconditionError, convexity_guard
 from hhaudit.exprlang import parse
-from hhaudit.quadrature import Partition, _guard_panels, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
+from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
 
 _FUNCTIONS = {text: parse(text) for text in ("x^2", "x^3", "exp(x)", "cosh(x)", "log(x)", "x*log(x)", "1/x")}
 _SCALES = st.sampled_from((1.0, 1e-300, 1e300, 1e-8, 1e8))
@@ -167,11 +167,11 @@ def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
     fn, pts, *first = _PARTITION_GUARDS[case]
     f = parse(fn)
     want = _outcome(oracle.guard_panels, f, oracle.Partition(pts), order, q)
-    assert _outcome(_guard_panels, f, Partition(pts), order, q, DEFAULT_TOL) == want
+    assert _outcome(convexity_guard(f, order, q, pairs=16).panels, pts) == want
     if first[order] is None:
         assert want == ("ok", None)
     else:
         assert want[0] is first[order][0] and want[1].startswith(first[order][1])
     if case == "refuted at panel 2, hole in panel 3":
         with pytest.raises(DomainError):
-            _guard_panels(f, Partition(pts[3:]), order, q, DEFAULT_TOL)
+            convexity_guard(f, order, q, pairs=16).panels(pts[3:])

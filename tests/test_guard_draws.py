@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import guard_oracle
-from hhaudit import core
-from hhaudit.core import DomainError, Interval, PreconditionError, convexity_guard, evaluator, extend, sample_convexity
+from hhaudit.core import (DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, evaluator, extend,
+                          sample_convexity)
 from hhaudit.exprlang import parse, to_text
 
 _TEXTS = ("x^2", "exp(x)", "cosh(x)", "1/x", "log(x)", "sqrt(x)", "x*log(x)", "x^2-x^2", "-x^2", "abs(x)")
@@ -122,9 +122,10 @@ def test_too_few_pairs_is_the_same_error():
         ValueError, "need at least 3 sample pairs, got n = 2")
 
 
-def _reference_guard(f, region, order, q, *, pairs):
+def _reference_guard(f, region, order, q, *, pairs, sample=guard_oracle.sample_convexity):
     """:func:`convexity_guard` of one region on ``guard_oracle``'s sampling, which calls f, or |f^(order)|^q from the
-    order-``order`` jet, one point at a time, with the same labels and messages."""
+    order-``order`` jet, one point at a time, with the same labels and messages; or on another ``sample`` of the
+    same signature.  Returns the passing report."""
     if order == 0:
         what, fn = "f", f.compiled(0)
     else:
@@ -134,12 +135,13 @@ def _reference_guard(f, region, order, q, *, pairs):
         jet = f.compiled(order)
         fn = lambda x: abs(jet(x)[order]) ** q
     try:
-        report = guard_oracle.sample_convexity(fn, region, pairs, label=f"guard:{what}")
+        report = sample(fn, region, pairs, label=f"guard:{what}")
     except DomainError as exc:
         raise DomainError(f"{what}: {exc}") from exc
     if not report.satisfied:
         raise PreconditionError(f"{what} is not midpoint-convex on [{region.a!r}, {region.b!r}]"
                                 f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
+    return report
 
 
 def _guard(f, region, order, q, *, pairs):
@@ -182,35 +184,61 @@ def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
     assert _guard_outcome(_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
 
 
+def test_both_forms_pass_a_worst_gap_of_exactly_abs_tol():
+    """A region and a panel (whose widened interval is [0, 1]) decide as the report does: a worst gap equal to
+    ``abs_tol`` passes, and one ulp less tolerance refutes it."""
+    f = parse("-x^2")
+    gap = sample_convexity(f, Interval(0.0, 1.0), 16).lhs
+    assert gap > 0.0
+    for tol, passes in ((gap, True), (math.nextafter(gap, 0.0), False)):
+        check = convexity_guard(f, pairs=16, cfg=ToleranceConfig(abs_tol=tol))
+        for run in (lambda: check(Interval(0.0, 1.0)), lambda: check.panels((0.25, 0.75))):
+            if passes:
+                run()
+            else:
+                with pytest.raises(PreconditionError, match="is not midpoint-convex on \\[0.0, 1.0\\]"):
+                    run()
+
+
 _BATTERY = ("x^2", "exp(x)+x^4", "cosh(x)", "x*log(x)", "1/x", "x^2-5")
 _WIDENED = ((1.0, 2.0), (0.25, 1.0), (300.0, 800.0))  # each widened: inside (0, inf), across 0, past exp's overflow
 
 
-def test_guards_of_the_battery_are_pinned_bit_for_bit(monkeypatch):
-    """The worst gap and its midpoint of every guard at orders 0-2, q = 1 and 2, over the battery on three
-    widened regions, as float.hex, or the exception's type and message; recorded before the guard became one pass."""
-    reports = []
-    original = core.sample_convexity
-
-    def recorded(*args, **kwargs):
-        reports.append(original(*args, **kwargs))
-        return reports[-1]
-
-    monkeypatch.setattr(core, "sample_convexity", recorded)
+def _battery(guard):
+    """``guard(f, region, order, q)`` of every case of ``_GUARD_PIN``, or the exception's type and message."""
     got = {}
     for text in _BATTERY:
         for order in (0, 1, 2):
             for q in (1, 2):
                 for i, (a, b) in enumerate(_WIDENED):
-                    reports.clear()
                     try:
-                        convexity_guard(parse(text), order, q)(extend(Interval(a, b)))
+                        got[f"{text} {order} {q} {i}"] = guard(parse(text), extend(Interval(a, b)), order, q)
                     except (ValueError, ArithmeticError) as exc:
                         got[f"{text} {order} {q} {i}"] = (type(exc).__name__, str(exc))
-                    else:
-                        (report,) = reports
-                        got[f"{text} {order} {q} {i}"] = (report.lhs.hex(), report.inputs["worst_at"].hex())
-    assert got == _GUARD_PIN
+    return got
+
+
+def test_guards_of_the_battery_are_pinned_bit_for_bit(scans):
+    """The worst gap and its midpoint of every guard at orders 0-2, q = 1 and 2, over the battery on three
+    widened regions, as float.hex, or the exception's type and message; recorded before the guard became one pass."""
+
+    def guard(f, region, order, q):
+        scans.clear()
+        convexity_guard(f, order, q)(region)
+        (scan,) = scans
+        return tuple(v.hex() for v in scan.result)
+
+    assert _battery(guard) == _GUARD_PIN
+
+
+def test_the_report_view_of_the_battery_is_pinned_bit_for_bit():
+    """:func:`sample_convexity`, which no guard calls, reports the same gaps and verdicts on the same cases."""
+
+    def guard(f, region, order, q):
+        report = _reference_guard(f, region, order, q, pairs=32, sample=sample_convexity)
+        return report.lhs.hex(), report.inputs["worst_at"].hex()
+
+    assert _battery(guard) == _GUARD_PIN
 
 
 _GUARD_PIN = {

@@ -1,7 +1,8 @@
 """Work counts of the per-instance evaluation context behind `verify --target all`.
 
-Counts come from wrapping the module-global bindings that the battery calls
-through, so they see exactly the calls a traced run sees.
+Guards are counted at their one seam, the compiled scan of each parsed function (the
+``scans`` fixture); the rest by wrapping the module-global bindings that the battery
+calls through.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import sys
 import pytest
 
 from hhaudit import cli, core, hh_bounds
-from hhaudit.core import DomainError, Interval, extend
+from hhaudit.core import DomainError, Interval, widen
 from hhaudit.exprlang import Expr, parse
 from hhaudit.hh_bounds import Instance, three_point_check
 
@@ -24,15 +25,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Record each sample_convexity, integrate_ref and bounds computation."""
-    log = {"guards": [], "integrals": [], "first_order": 0, "second_order": 0}
-
-    def wrap_guard(original):
-        def counted(f, iv, *args, **kwargs):
-            log["guards"].append((kwargs.get("label"), iv))
-            return original(f, iv, *args, **kwargs)
-        return counted
+def calls(monkeypatch, scans):
+    """Record each guard's scan, integrate_ref and bounds computation."""
+    log = {"guards": scans, "integrals": [], "first_order": 0, "second_order": 0}
 
     def wrap_integral(original):
         def counted(f, iv, *args, **kwargs):
@@ -48,7 +43,6 @@ def calls(monkeypatch):
             return original(self)
         return counted
 
-    monkeypatch.setattr(core, "sample_convexity", wrap_guard(core.sample_convexity))
     monkeypatch.setattr(hh_bounds, "integrate_ref", wrap_integral(hh_bounds.integrate_ref))
     for name in ("first_order", "second_order"):
         monkeypatch.setattr(Instance, f"_{name}", wrap_bounds(name))
@@ -87,7 +81,7 @@ def test_each_instance_starts_fresh(calls):
 def test_failing_widened_guard_probed_once_and_counted_per_target(calls):
     code, doc = verify("--target", "all", "--fn", "x*log(x)", "--a", "0.5", "--b", "2", "--q", "2")
     assert code == 0
-    widened_f = [iv for label, iv in calls["guards"] if label == "guard:f" and iv == extend(Interval(0.5, 2.0))]
+    widened_f = [scan for scan in calls["guards"] if scan.order == 0 and (scan.lo, scan.hi) == widen(0.5, 2.0)]
     assert len(widened_f) == 1
     assert len(calls["guards"]) == 4
     # k1, k2, thm2-thm7, cor1 and cor2 all need a hypothesis on the widened interval

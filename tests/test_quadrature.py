@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from hhaudit import core
 from hhaudit.core import DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, extend, widen
 from hhaudit.exprlang import parse
 from hhaudit.oracle import PANEL_CAP, integrate_ref
@@ -209,9 +208,24 @@ class TestAdaptiveMidpoint:
         assert not res.certified and res.order == 1
         assert res.partition.panel_count == panels
 
-    def test_level_zero_that_cannot_be_widened_raises(self):
+    def test_level_zero_that_cannot_be_widened_stays_one_panel_at_second_order(self):
+        # the second-order certificate reads f only on [a, b], so the widened hull is never built
+        res = adaptive_midpoint(parse("x"), Interval(1.0000000000000002, 1.0000000000000004), 1e-40, 1.0)
+        assert (res.order, res.partition.panel_count, res.certified) == (2, 1, False)
+
+    def test_level_zero_that_cannot_be_widened_raises_at_first_order(self):
+        # the fallback's |f'|^q guard and share read the widened hull, which does not exist here
         with pytest.raises(ValueError, match="extended interval needs lo < mid < hi"):
-            adaptive_midpoint(parse("x"), Interval(1.0000000000000002, 1.0000000000000004), 1e-40, 1.0)
+            adaptive_midpoint(parse("abs(x+9)"), Interval(1.0000000000000002, 1.0000000000000004), 1e-40, 1.0)
+
+    @pytest.mark.parametrize("fn, b, want", [
+        ("x^2", 1e154, "the order-2 certificate share of [1e+150, 1e+154] overflows: (dx)^3"),
+        ("abs(x)", 1e160, "the order-1 certificate share of [1e+150, 1e+160] overflows: (dx)^2"),
+    ])
+    def test_a_share_that_overflows_is_a_domain_error(self, fn, b, want):
+        with pytest.raises(DomainError) as info:
+            adaptive_midpoint(parse(fn), Interval(1e150, b), 1e300)
+        assert str(info.value) == want
 
     @staticmethod
     def _count_evaluations(f, orders):
@@ -310,34 +324,6 @@ class TestAdaptiveMidpoint:
 _PANELLED = parse("exp(x)")  # the function whose panels the partition cases guard
 
 
-def _count_scans(monkeypatch, record):
-    """Pass the (lo, hi, pairs) of every scan of _PANELLED's order-0 and order-1 evaluators to ``record``."""
-    for order in (0, 1):
-        jet = _PANELLED.compiled(order)
-
-        def counted(lo, hi, units, scan=jet.scan, **kwargs):
-            record(lo, hi, len(units))
-            return scan(lo, hi, units, **kwargs)
-
-        monkeypatch.setattr(jet, "scan", counted)
-
-
-@pytest.fixture
-def guard_pairs(monkeypatch):
-    """The pair count of each region a guard samples: through the core binding of sample_convexity, which a
-    region's check calls, or through a scan of _PANELLED, which the partition form runs directly."""
-    pairs = []
-    original = core.sample_convexity
-
-    def counted(f, iv, n, **kwargs):
-        pairs.append(n)
-        return original(f, iv, n, **kwargs)
-
-    monkeypatch.setattr(core, "sample_convexity", counted)
-    _count_scans(monkeypatch, lambda lo, hi, n: pairs.append(n))
-    return pairs
-
-
 @pytest.mark.parametrize("call, want", [
     (lambda: midpoint_error_bound(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [16] * 16),
     (lambda: prop4_check(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16)), [16] * 16),
@@ -346,21 +332,20 @@ def guard_pairs(monkeypatch):
     # abs refuses the |f''|^q guard before it samples, so only the |f'|^q guard samples
     (lambda: adaptive_midpoint(parse("x^2+abs(x+9)"), Interval(0.0, 1.0), 10.0), [32]),
 ], ids=["midpoint_error_bound", "prop4_check", "adaptive order 2", "adaptive order 1"])
-def test_guard_traffic(guard_pairs, call, want):
+def test_guard_traffic(scans, call, want):
     """One scan per panel at 16 pairs, or one guard of a region at 32."""
     call()
-    assert guard_pairs == want
+    assert [scan.pairs for scan in scans] == want
 
 
 @pytest.mark.parametrize("call", [
     lambda partition: midpoint_error_bound(_PANELLED, partition, 2.0),
     lambda partition: prop4_check(_PANELLED, partition),
 ], ids=["midpoint_error_bound", "prop4_check"])
-def test_the_partition_guard_scans_each_widened_panel_once(monkeypatch, call):
-    partition, regions = Partition((1.0, 1.25, 1.5, 2.0, 3.0)), []
-    _count_scans(monkeypatch, lambda *region: regions.append(region))
+def test_the_partition_guard_scans_each_widened_panel_once(scans, call):
+    partition = Partition((1.0, 1.25, 1.5, 2.0, 3.0))
     call(partition)
-    assert regions == [(*widen(left, right), 16) for left, right in partition.panels()]
+    assert [(scan.lo, scan.hi, scan.pairs) for scan in scans] == [(*widen(left, right), 16) for left, right in partition.panels()]
 
 
 @pytest.mark.parametrize("fn, a, b, target, q, want", [
