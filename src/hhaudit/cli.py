@@ -58,8 +58,8 @@ function grammar (--fn):
   power  := atom ('^' unary)?        exponent must be constant (no x^x)
   atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 functions: exp log sqrt sinh cosh abs; no implicit multiplication ("2x").
-at most {MAX_DEPTH} levels deep: each enclosing pair of parentheses, call, minus
-sign, '^' and binary operator adds a level, so a sum of n terms is n deep.
+at most {MAX_DEPTH} levels deep: each enclosing call, minus sign, '^' and binary
+operator adds a level, parentheses none, so a sum of n terms is n deep.
 
 random mode: when --a/--b are omitted, each trial draws a ~ U(0.5, 5) and
 width ~ U(0.1, 2) from the seeded generator, redrawing until the function is

@@ -8,10 +8,11 @@ Grammar (this is also the CLI's function-input format)::
     power  := atom ('^' unary)?        # exponent must be constant
     atom   := NUMBER | 'x' | NAME '(' expr ')' | '(' expr ')'
 
-Functions: ``exp``, ``log``, ``sqrt``, ``sinh``, ``cosh``, ``abs``.  ``^`` is
-right-associative and binds tighter than unary minus.  Implicit
-multiplication ("2x") is not recognized.  Text nested deeper than
-:data:`MAX_DEPTH` levels is a :class:`ParseError`.
+Functions: ``exp``, ``log``, ``sqrt``, ``sinh``, ``cosh``, ``abs``.  It is Python's expression grammar
+with ``^`` for ``**``, read by :func:`ast.parse`: ``^`` is right-associative and binds tighter than
+unary minus, and an integer with leading zeros ("007") is refused.  Implicit multiplication ("2x") is
+not recognized.  A tree deeper than :data:`MAX_DEPTH` levels is a :class:`ParseError`; parentheses
+add no level.
 
 Evaluation is forward Taylor-mode (Griewank & Walther, *Evaluating Derivatives*,
 2nd ed., ch. 13), compiled once per process per tree shape and order: :meth:`Expr.compiled`
@@ -29,8 +30,10 @@ finite, written or folded, is a :class:`ParseError`.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -39,7 +42,7 @@ from .core import DomainError, scan_source, undefined
 
 
 class ParseError(ValueError):
-    """Malformed function text; carries the byte offset of the failure."""
+    """Malformed function text; carries the character offset of the failure."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -177,146 +180,86 @@ class Call(Expr):
 
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sinh", "cosh", "abs")
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# a character outside the grammar's alphabet, or Python's own '**'
+_REFUSED = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]|(?<=\*)\*")
+# the end of a number with a letter or '_' after it, as in 2x, 0x10, 1_0 and 1j, so that Python reads only decimal
+# numbers, and in 1if, about which Python would warn
+_NUMBER_THEN_LETTER = re.compile(r"[0-9]\.?(?=[A-DF-Za-df-z_]|[eE](?![+-]?[0-9]))")
+# CPython 3.11.7 keeps the depth count of ast.parse's tree building per interpreter, not per thread:
+# threads parsing at once raised SystemError("AST constructor recursion depth mismatch")
+_AST_LOCK = threading.Lock()
+# x as a name, in the text of an exponent that holds only the grammar's names
+_X = re.compile(r"\bx\b")
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unrecognized character {text[pos]!r}", pos)
-        kind = m.lastgroup or "op"
-        tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
-
-
-# The deepest text the parser accepts: each pair of parentheses, call, minus sign, '^' and binary
-# operator around a token is a level.  At the default recursion limit, CPython 3.10 and 3.11 fail near
-# 195 levels in parse, 198 in == and hash, 330 in repr and compiled(3); 100 leaves half the stack.
+# The deepest tree the parser accepts: each number, x, minus sign, call, '^' and binary operator on a
+# path from the root is a level, and parentheses, which build no node, are none.  At the default
+# recursion limit, CPython 3.10 and 3.11 fail near 198 levels in == and hash, 330 in repr and
+# compiled(3); 100 leaves half the stack.
 MAX_DEPTH = 100
 
 
-def _contains_var(e: Expr) -> bool:
-    return isinstance(e, Var) or any(isinstance(c, Expr) and _contains_var(c) for c in vars(e).values())
+def parse(text: str) -> Expr:
+    """Parse function text into an AST; raises :class:`ParseError` with a character offset.  Python's parser
+    reads the text, ``^`` spelled ``**``, the walk keeps the grammar's nodes, and a :class:`SyntaxError` keeps
+    its message."""
+    text = re.sub(r"\s", " ", text)  # one line, at the same offsets
+    source = text.lstrip()  # Python reads leading spaces as an indent
+    if not source:
+        raise ParseError("empty expression", 0)
+    if bad := _REFUSED.search(text):
+        raise ParseError(f"unrecognized character {bad.group()!r}", bad.start())
+    if bad := _NUMBER_THEN_LETTER.search(text):
+        raise ParseError("invalid decimal literal", bad.start())
+    spelled = source.replace("^", "**")
 
+    def at(n: int) -> int:
+        """The offset in ``text`` of offset ``n`` in ``spelled``, where each caret is two characters."""
+        carets = [m.start() for m in re.finditer(r"\^", source)]
+        return len(text) - len(source) + n - sum(p + k < n for k, p in enumerate(carets))
 
-class _Parser:
-    """Recursive descent over the tokens.  Each method returns a node and the nesting
-    depth of its text, so that a tree too deep to evaluate is a :class:`ParseError`."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.nesting = 0  # unary() calls in progress, each a level of the depth
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, ops: str) -> _Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == "op" and tok.text in ops:
-            self.pos += 1
-            return tok
-        return None
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if not self.take(op):
-            raise ParseError(f"expected {op!r}, found {tok.text!r}" if tok.kind != "end" else f"expected {op!r}, found end of input", tok.offset)
-
-    def within(self, depth: int, tok: _Token) -> int:
+    def walk(node: ast.expr, depth: int) -> Expr:
         if depth > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
-        return depth
-
-    def expr(self, ops: str = "+-") -> tuple[Expr, int]:
-        """A sum of terms, or with ``ops`` "*/" a term: a product of unaries."""
-        node, depth = self.expr("*/") if ops == "+-" else self.unary()
-        while tok := self.take(ops):
-            right, right_depth = self.expr("*/") if ops == "+-" else self.unary()
-            node, depth = BinOp(tok.text, node, right), self.within(1 + max(depth, right_depth), tok)
-        return node, depth
-
-    def unary(self) -> tuple[Expr, int]:
-        # every cycle of the recursion passes through here, so this bounds the parser's own stack
-        self.nesting = self.within(self.nesting + 1, self.peek())
-        minus = self.take("-")
-        node, depth = self.unary() if minus else self.power()
-        self.nesting -= 1
-        return (Neg(node), self.within(depth + 1, minus)) if minus else (node, depth)
-
-    def power(self) -> tuple[Expr, int]:
-        node, depth = self.atom()
-        if caret := self.take("^"):
-            exponent, exponent_depth = self.unary()
-            if _contains_var(exponent):
-                raise ParseError("exponent must be constant (no x in exponent)", caret.offset)
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", at(node.col_offset))
+        kind = type(node)
+        if kind is ast.Constant and type(node.value) in (int, float):
+            if not math.isfinite(value := float(number := spelled[node.col_offset:node.end_col_offset])):
+                raise ParseError(f"number {number!r} is not finite", at(node.col_offset))
+            return Const(value)
+        if kind is ast.Name and node.id == "x":
+            return Var()
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return Neg(walk(node.operand, depth + 1))
+        if kind is ast.BinOp and (op := _OPERATORS.get(type(node.op))):
+            return BinOp(op, walk(node.left, depth + 1), walk(node.right, depth + 1))
+        if kind is ast.BinOp and type(node.op) is ast.Pow:
+            base, exponent = walk(node.left, depth + 1), walk(node.right, depth + 1)
+            caret = spelled.index("**", node.left.end_col_offset)
+            if _X.search(spelled, node.right.col_offset, node.right.end_col_offset):
+                raise ParseError("exponent must be constant (no x in exponent)", at(caret))
             try:
                 value = (exponent.value if isinstance(exponent, Const)
                          else -exponent.operand.value if isinstance(exponent, Neg) and isinstance(exponent.operand, Const)
                          else exponent.compiled(0)(0.0))
             except (DomainError, OverflowError) as exc:
-                raise ParseError(f"invalid constant exponent: {exc}", caret.offset) from None
+                raise ParseError(f"invalid constant exponent: {exc}", at(caret)) from None
             if not math.isfinite(value):
-                raise ParseError(f"constant exponent is not finite: {value!r}", caret.offset)
-            node, depth = Pow(node, value), self.within(1 + max(depth, exponent_depth), caret)
-        return node, depth
+                raise ParseError(f"constant exponent is not finite: {value!r}", at(caret))
+            return Pow(base, value)
+        if kind is ast.Call and getattr(node.func, "id", None) in _FUNCTIONS and len(node.args) == 1 and not node.keywords:
+            return Call(node.func.id, walk(node.args[0], depth + 1))
+        if (name := getattr(node.func if kind is ast.Call else node, "id", "x")) not in ("x", *_FUNCTIONS):
+            raise ParseError(f"unknown identifier {name!r}", at(node.col_offset))
+        raise ParseError(f"unexpected {text[at(node.col_offset):at(node.end_col_offset)]!r}", at(node.col_offset))
 
-    def atom(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.pos += 1
-            if not math.isfinite(value := float(tok.text)):
-                raise ParseError(f"number {tok.text!r} is not finite", tok.offset)
-            return Const(value), 1
-        if tok.kind == "name":
-            self.pos += 1
-            if tok.text == "x":
-                return Var(), 1
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg, depth = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg), self.within(depth + 1, tok)
-            raise ParseError(f"unknown identifier {tok.text!r}", tok.offset)
-        if self.take("("):
-            node, depth = self.expr()
-            self.expect_op(")")
-            return node, self.within(depth + 1, tok)
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.offset)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
-
-
-def parse(text: str) -> Expr:
-    """Parse function text into an AST; raises :class:`ParseError` with a byte offset."""
-    if not text or not text.strip():
-        raise ParseError("empty expression", 0)
-    parser = _Parser(text)
-    tree, _ = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.offset)
-    return tree
+    try:
+        with _AST_LOCK:
+            tree = ast.parse(spelled, mode="eval").body
+    except SyntaxError as exc:
+        raise ParseError(exc.msg, at(exc.offset - 1) if exc.offset else len(text)) from None
+    except (RecursionError, MemoryError):  # Python's parser gives out thousands of levels deep
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", 0) from None
+    return walk(tree, 1)
 
 
 def _number(v: float) -> str:
@@ -487,17 +430,18 @@ class _Emitter:
         return self.compose([v, -v * v, 2.0 * v**3, -6.0 * v**4], g)
 
     def int_power(self, g: Jet3, n: int) -> Jet3:
-        # square-and-multiply keeps integer powers exact without a sign/domain split
+        # square-and-multiply from g keeps integer powers exact without a sign/domain split (from the unit jet,
+        # 0 * inf would be nan where a power of g overflows, as x^2 in x^-2 at 1e200)
         if n < 0:
             return self.reciprocal(self.int_power(g, -n))
-        result = self.jet(Jet3(*map(self.lit, (1.0, 0.0, 0.0, 0.0))))
+        result = None
         while n:
             if n & 1:
-                result = self.jet(result * g)
+                result = g if result is None else self.jet(result * g)
             n >>= 1
             if n:
                 g = self.jet(g * g)
-        return result
+        return result or self.jet(Jet3(*map(self.lit, (1.0, 0.0, 0.0, 0.0))))
 
 
 def _compile(e: Expr, order: int) -> Callable[..., Callable[[float], Any]]:

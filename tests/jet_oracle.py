@@ -35,16 +35,16 @@ def _recip(g: Jet3, x: float) -> Jet3:
 
 
 def _int_power(g: Jet3, n: int, x: float) -> Jet3:
-    # square-and-multiply keeps integer powers exact without a sign/domain split
+    # square-and-multiply from g keeps integer powers exact without a sign/domain split
     if n == 0:
         return Jet3(1.0, 0.0, 0.0, 0.0)
     if n < 0:
         return _recip(_int_power(g, -n, x), x)
-    result = Jet3(1.0, 0.0, 0.0, 0.0)
+    result = None
     base = g
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base

@@ -104,17 +104,19 @@ class TestParse:
                 assert math.isclose(e(x), parse(canonical)(x), rel_tol=1e-15)
 
 
-# texts nested d levels deep, and the offset at which one level more is rejected
+# texts nested d levels deep, and the offset at which one level more is rejected: that of the node one level
+# too deep, found from the root down.  Parentheses build no node, so they add no level; 2d pairs of them are
+# refused only past 200, where Python's parser refuses them.
 _DEEP = {
-    "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1), lambda d: d - 1),
-    "sum": (lambda d: "+".join(["x"] * d), lambda d: 2 * d - 3),
+    "parentheses": (lambda d: "(" * 2 * d + "x" + ")" * 2 * d, lambda d: 200),
+    "sum": (lambda d: "+".join(["x"] * d), lambda d: 0),
     "calls": (lambda d: "sqrt(" * (d - 1) + "x" + ")" * (d - 1), lambda d: 5 * (d - 1)),
     "minus signs": (lambda d: "-" * (d - 1) + "x", lambda d: d - 1),
-    "computed exponent": (lambda d: "x^(" + "+".join(["1"] * (d - 2)) + ")", lambda d: 1),
-    # a long sum under one more construct: only the construct's own check can fire
+    "computed exponent": (lambda d: "x^(" + "+".join(["1"] * (d - 1)) + ")", lambda d: 3),
+    # a long sum under one more construct
     **{f"sum under {prefix}": (lambda d, prefix=prefix, levels=levels: prefix + "+".join(["x"] * (d - levels)) + ")",
-                               lambda d: 0)
-       for prefix, levels in (("(", 1), ("sqrt(", 1), ("-(", 2))},
+                               lambda d, prefix=prefix: len(prefix))
+       for prefix, levels in (("(", 0), ("sqrt(", 1), ("-(", 1))},
 }
 
 
@@ -129,9 +131,23 @@ def test_a_text_at_the_depth_limit_evaluates(shape):
 @pytest.mark.parametrize("shape", _DEEP)
 def test_a_text_one_level_deeper_is_a_parse_error(shape):
     text, offset = _DEEP[shape]
-    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as exc:
+    message = "too many nested parentheses" if shape == "parentheses" else f"nested deeper than {MAX_DEPTH} levels"
+    with pytest.raises(ParseError, match=message) as exc:
         parse(text(MAX_DEPTH + 1))
     assert exc.value.offset == offset(MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize("text", [
+    # Python's own constructs, outside the grammar
+    "x**2", "x//2", "+x", "x if x else 1", "not x", "x and x", "x < 1", "exp(x,)", "exp(x, x)", "exp(x=1)", "x.real",
+    "x(2)", "exp(x)(x)", "1_0", "0x10", "1j", "True", "None", "yield x", "\uff58",
+    # too deep for the walk or for Python's parser, which refuses more than 200 nested parentheses
+    pytest.param("x" + "+x" * 10**6, id="sum of 10^6 terms"), pytest.param("-" * 10**5 + "x", id="10^5 minus signs"),
+    pytest.param("(" * 300 + "x" + ")" * 300, id="300 parentheses"),
+])
+def test_a_text_outside_the_grammar_is_a_parse_error_and_nothing_else(text):
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 class TestJets:
