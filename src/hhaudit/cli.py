@@ -9,9 +9,9 @@ integral and the bounds run once; a failed guard counts in ``guarded_out`` per t
 Output is one compact JSON document per invocation, ``json.dumps(doc, sort_keys=True)``,
 so a fixed command and seed give identical bytes.  ``--pretty`` switches to a table.
 Exit codes: 0 when no violation was found, 1 when at least one violation finding was
-recorded, 2 on usage, parse, domain or parameter errors, reported as one ``error:``
-line, 3 when ``integrate`` ends uncertified.  :func:`main` catches them all:
-an uncaught exception would exit 1 with a traceback, a finding's code.
+recorded, 2 on usage, parse, domain or parameter errors and on a closed stdout, reported as
+one ``error:`` line, 3 when ``integrate`` ends uncertified.  :func:`main` and, for stdout,
+:func:`entry` catch them all: an uncaught one would exit 1, a finding's code, with a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -314,4 +315,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a pipe closed after main's print fails here, not at exit
+    except BrokenPipeError:  # stdout to devnull, so that Python's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 2
+    sys.exit(code)

@@ -71,7 +71,7 @@ def k2_derived_constant(q: float) -> float:
 
 def _gamma_ratio_power(p: float) -> float:
     """(sqrt(pi) Gamma(p+1) / (2 Gamma(p+3/2)))^(1/p)."""
-    log_ratio = 0.5 * math.log(math.pi) + math.lgamma(p + 1.0) - math.log(2.0) - math.lgamma(p + 1.5)
+    log_ratio = 0.5 * math.log(math.pi) + math.lgamma(p + 1.0) - _LN2 - math.lgamma(p + 1.5)
     return math.exp(log_ratio / p)
 
 

@@ -44,23 +44,25 @@ _WG = (
     0.3818300505051189449503698,
 )
 _WG_CENTER = 0.4179591836734693877551020
+_NODES = tuple(zip(_XGK, _WGK, (None, _WG[0], None, _WG[1], None, _WG[2], None)))
 
 PANEL_CAP = 1 << 16  # refinement adds one panel per split, so this is the only budget
 
 
 def _gk15_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One G7/K15 panel: returns (K15 value, |K15 - G7|)."""
+    """One G7/K15 panel: returns (K15 value, |K15 - G7|).  f runs at the centre c, then at c - dx and
+    c + dx for each row (Kronrod node, Kronrod weight, Gauss weight or None) of ``_NODES``, outermost first."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fc = f(center)
     resk = _WGK_CENTER * fc
     resg = _WG_CENTER * fc
-    for j, xk in enumerate(_XGK):
+    for xk, wk, wg in _NODES:
         dx = half * xk
         fsum = f(center - dx) + f(center + dx)
-        resk += _WGK[j] * fsum
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * fsum
+        resk += wk * fsum
+        if wg is not None:
+            resg += wg * fsum
     return half * resk, abs(half * (resk - resg))
 
 

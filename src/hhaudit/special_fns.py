@@ -14,6 +14,7 @@ The q-digamma and its derivatives run one series in r = min(q, 1/q), for every q
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import replace
 
@@ -33,6 +34,9 @@ from .core import (
 )
 from .oracle import integrate_ref
 
+_LN2 = math.log(2.0)
+# bessel_K's integral gets half of abs_tol, its tail the other half: one such config per cfg
+_body_cfg = functools.lru_cache(maxsize=16)(lambda cfg: replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=1e-15))
 
 def _check_finite(fn: str, **params: float) -> None:
     for name, value in params.items():
@@ -92,24 +96,23 @@ def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
 
 def _log_cosh(y: float) -> float:
     ay = abs(y)
-    return ay + math.log1p(math.exp(-2.0 * ay)) - math.log(2.0)
+    return ay + math.log1p(math.exp(-2.0 * ay)) - _LN2
 
 
 def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
     """Modified Bessel function of the second kind via its Laplace-type integral.
 
-    The integrand exp(-x cosh t) cosh(p t) decays beyond T at rate at least
-    x sinh T - |p|, so the tail past T is at most
-    exp(-x cosh T) cosh(p T) / (x sinh T - |p|); T grows until that majorant
-    plus the quadrature error fits within ``abs_tol``, or until sinh T would
-    overflow.  A value beyond the float range is a DomainError.
+    The integrand exp(-x cosh t) cosh(p t) decays beyond T at rate at least x sinh T - |p|,
+    so the tail past T is at most exp(-x cosh T) cosh(p T) / (x sinh T - |p|); T grows until
+    that majorant plus the quadrature error fits within ``abs_tol``, or until sinh T would
+    overflow.  A value beyond the float range is a DomainError.  The integrand computes log
+    cosh(p t) inline, grouped as :func:`_log_cosh` groups it, so it gives the same floats.
     """
     _check_finite("bessel_K", p=p, x=x)
     if x <= 0.0:
         raise DomainError(f"bessel_K needs x > 0, got {x!r}")
     ap = abs(p)
-    half_tol = 0.5 * cfg.abs_tol
-    log_target = math.log(half_tol)
+    log_target = math.log(0.5 * cfg.abs_tol)
     T = 1.0
     while T < 710.0:  # sinh overflows past 710.47
         lam = x * math.sinh(T) - ap
@@ -122,12 +125,13 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     else:
         raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
 
-    def integrand(t: float) -> float:
-        arg = -x * math.cosh(t) + _log_cosh(p * t)
-        return math.exp(arg) if arg > -745.0 else 0.0
+    def integrand(t: float, cosh=math.cosh, exp=math.exp, log1p=math.log1p) -> float:
+        apt = abs(p * t)  # _log_cosh(p * t), inline and grouped the same way
+        arg = -x * cosh(t) + (apt + log1p(exp(-2.0 * apt)) - _LN2)
+        return exp(arg) if arg > -745.0 else 0.0
 
     try:
-        body = integrate_ref(integrand, Interval(0.0, T), replace(cfg, abs_tol=half_tol, rel_tol=1e-15))
+        body = integrate_ref(integrand, Interval(0.0, T), _body_cfg(cfg))
     except OverflowError as exc:
         raise DomainError(f"second-kind Bessel function beyond the float range (p={p!r}, x={x!r})") from exc
     total_bound = tail + body.tail_bound

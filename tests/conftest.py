@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import random
 
 import pytest
@@ -46,6 +47,20 @@ def scans(monkeypatch):
 
     monkeypatch.setattr(Expr, "compiled", counting)
     return log
+
+
+def outcome_digest(calls) -> str:
+    """SHA-256 over each call's ``repr((value, terms_used, tail_bound))``, or its exception's type
+    and message: one hex string that changes if any float of any call moves by one ulp."""
+    lines = []
+    for call in calls:
+        try:
+            sr = call()
+        except Exception as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+        else:
+            lines.append(repr((sr.value, sr.terms_used, sr.tail_bound)))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def draw_interval(rng: random.Random) -> Interval:

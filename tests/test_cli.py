@@ -406,6 +406,21 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["counts"]["satisfied"] == 2
 
 
+@pytest.mark.parametrize("argv, read", [
+    # 200 trials print about 700 kB, more than a pipe holds: print meets the reader's closed end
+    (("verify", "--target", "all", "--fn", "exp(x)+x^4", "--trials", "200", "--seed", "7", "--q", "2"), 10),
+    # a short document fits the buffer: the flush after main meets the end closed before the start
+    (("special", "besselK", "--p", "0.5", "--x", "1"), 0),
+])
+def test_a_closed_stdout_exits_two_with_one_error_line(argv, read):
+    with subprocess.Popen([sys.executable, "-m", "hhaudit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: stdout was closed before the output was written\n"  # no Traceback
+
+
 def test_repeated_calls_in_one_process_match_separate_processes(capsys):
     # the argument parser is built once per process; usage errors must not leave state behind
     calls = [

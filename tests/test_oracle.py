@@ -7,11 +7,32 @@ from hhaudit import oracle
 from hhaudit.core import DEFAULT_TOL, ConvergenceError, DomainError, Interval, ToleranceConfig
 from hhaudit.exprlang import parse
 from hhaudit.oracle import _WG, _WG_CENTER, _WGK, _WGK_CENTER, _XGK, integrate_ref
+from conftest import outcome_digest
 
 
 def test_weights_sum_to_two():
     assert math.isclose(2.0 * sum(_WGK) + _WGK_CENTER, 2.0, rel_tol=1e-15)
     assert math.isclose(2.0 * sum(_WG) + _WG_CENTER, 2.0, rel_tol=1e-15)
+
+
+def test_integrate_ref_bit_for_bit():
+    """The mean integral and the lemma1 and lemma2 integrands (as :meth:`Instance.lemma_residual`
+    builds them) of the audit battery's six functions on seeded intervals, hashed."""
+    rng, cases = random.Random(29), []
+    for text in ("x^2", "exp(x)+x^4", "cosh(x)", "x*log(x)", "1/x", "x^2-5"):
+        f = parse(text)
+        jet1, jet2 = f.compiled(1), f.compiled(2)
+        for _ in range(8):
+            a = rng.uniform(0.1, 3.0)
+            b = a + rng.uniform(0.05, 2.0)
+            cases += [
+                (f, Interval(a, b)),
+                (lambda t, a=a, b=b, jet2=jet2: t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2], Interval(0.0, 1.0)),
+                (lambda t, a=a, b=b, jet1=jet1: t * jet1(b + (a - b) * t)[1], Interval(0.0, 0.5)),
+                (lambda t, a=a, b=b, jet1=jet1: (t - 1.0) * jet1(b + (a - b) * t)[1], Interval(0.5, 1.0)),
+            ]
+    digest = outcome_digest(lambda g=g, iv=iv: integrate_ref(g, iv) for g, iv in cases)
+    assert digest == "7758b43a3b5e2c94a1e2e2ae5057a50fbc3b0e3e6621913c6a189a4b9300d951"
 
 
 class TestIntegrateRef:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from hhaudit.special_fns import (
     qdigamma_prop_checks,
 )
 from hhaudit.hh_bounds import _gamma_ratio_power
-from conftest import normalized_I_identity
+from conftest import normalized_I_identity, outcome_digest
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -239,6 +240,16 @@ def test_q_digamma_family_bit_for_bit(q, order, want):
     runs the series in 1/q = 0.5, so terms and tails match and only the closed parts differ."""
     sr = q_digamma(q, 2.5) if order == 0 else q_digamma_deriv(q, 2.5, order)
     assert (sr.value.hex(), sr.terms_used, sr.tail_bound.hex()) == want
+
+
+def test_bessel_K_bit_for_bit():
+    """A seeded grid of orders p in [-5, 10] and arguments x in 10^[-3, 2.5], with an overflowing
+    value and an unboundable tail: every value, panel count, bound and error message, hashed."""
+    rng = random.Random(29)
+    grid = [(rng.uniform(-5.0, 10.0), 10.0 ** rng.uniform(-3.0, 2.5)) for _ in range(400)]
+    grid += [(800.0, 1.0), (0.0, 1e-310)]
+    digest = outcome_digest(lambda p=p, x=x: bessel_K(p, x) for p, x in grid)
+    assert digest == "b185c1ee17d1a5ff10f6dbace7e67fb0fcbacd0254e320375486c9e089a9d05b"
 
 
 def test_the_reflected_series_names_its_own_base_at_the_term_cap():
