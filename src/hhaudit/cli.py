@@ -9,9 +9,9 @@ integral and the bounds run once; a failed guard counts in ``guarded_out`` per t
 Output is one compact JSON document per invocation, ``json.dumps(doc, sort_keys=True)``,
 so a fixed command and seed give identical bytes.  ``--pretty`` switches to a table.
 Exit codes: 0 when no violation was found, 1 when at least one violation finding was
-recorded, 2 on usage, parse, domain or parameter errors and on a closed stdout, reported as
-one ``error:`` line, 3 when ``integrate`` ends uncertified.  :func:`main` and, for stdout,
-:func:`entry` catch them all: an uncaught one would exit 1, a finding's code, with a traceback.
+recorded, 2 on usage, parse, domain or parameter errors and on a closed stdout or stderr, reported
+as one ``error:`` line where stderr is open, 3 when ``integrate`` ends uncertified.  :func:`main` and,
+for a closed stream, :func:`entry` catch them all: an uncaught one would exit 1, a finding's code.
 """
 
 from __future__ import annotations
@@ -300,8 +300,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value that starts with '-' as an option unless it looks like -1 or -.5, so an
+    # option that takes a value is joined with such a token: "--a -1e-3" is read as "--a=-1e-3"
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        last = tokens[-1] if tokens else ""
+        takes_value = last.startswith("--") and "=" not in last and last not in ("--pretty", "--help")
+        if takes_value and token.startswith("-") and not token.startswith("--"):
+            tokens[-1] = f"{last}={token}"
+        else:
+            tokens.append(token)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(tokens)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -318,8 +328,12 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()  # a pipe closed after main's print fails here, not at exit
-    except BrokenPipeError:  # stdout to devnull, so that Python's flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written", file=sys.stderr)
+    except BrokenPipeError:  # the closed stream to devnull, so that Python's flush at exit cannot fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        try:
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+        except BrokenPipeError:  # stderr was the closed one: main's own error line met it
+            os.dup2(null, sys.stderr.fileno())
         code = 2
     sys.exit(code)

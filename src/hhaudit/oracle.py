@@ -2,8 +2,8 @@
 
 :func:`refine` is the one refinement loop, with the panel rule as an argument.
 :func:`integrate_ref` runs it with the Gauss-Kronrod (G7/K15) rule: the ground truth for
-every integral left-hand side and identity residual and for the Laplace-type integral of
-``bessel_K``.  The certified midpoint rule of :mod:`hhaudit.quadrature` runs it with its
+every integral left-hand side and identity residual of the audit (``bessel_K`` sums its own
+trapezoid rule).  The certified midpoint rule of :mod:`hhaudit.quadrature` runs it with its
 certificate shares.  The rules stay of different families, so certificate audits are
 never self-confirming.
 """

@@ -4,25 +4,22 @@ and prop8/prop9 built on them.  Every parameter and argument must be finite.
 
 The first-kind Bessel functions come from their power series with a ratio-test
 tail bound; the second-kind ones from the Laplace-type integral
-``K_p(x) = int_0^inf exp(-x cosh t) cosh(p t) dt`` with an explicit tail
-majorant, evaluated by the reference integrator.  The normalized function
-``nI_p(x) = 2^p Gamma(p+1) x^-p I_p(x)`` is summed from its own series (a
-series in x^2, equal to 1 at x = 0) so small arguments suffer no cancellation.
+``K_p(x) = int_0^inf exp(-x cosh t) cosh(p t) dt`` as a trapezoid sum with a proven
+bound.  The normalized function ``nI_p(x) = 2^p Gamma(p+1) x^-p I_p(x)`` is summed
+from its own series (a series in x^2, equal to 1 at x = 0) so small arguments
+suffer no cancellation.
 The q-digamma and its derivatives run one series in r = min(q, 1/q), for every q.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
-from dataclasses import replace
 
 from .core import (
     ConvergenceError,
     DEFAULT_TOL,
     DomainError,
-    Interval,
     PreconditionError,
     SeriesResult,
     ToleranceConfig,
@@ -32,11 +29,8 @@ from .core import (
     require_positive_widening,
     widen,
 )
-from .oracle import integrate_ref
 
 _LN2 = math.log(2.0)
-# bessel_K's integral gets half of abs_tol, its tail the other half: one such config per cfg
-_body_cfg = functools.lru_cache(maxsize=16)(lambda cfg: replace(cfg, abs_tol=0.5 * cfg.abs_tol, rel_tol=1e-15))
 
 def _check_finite(fn: str, **params: float) -> None:
     for name, value in params.items():
@@ -79,7 +73,9 @@ def normalized_I_series(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) 
 
 
 def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
-    """Modified Bessel function of the first kind by its power series, x >= 0."""
+    """Modified Bessel function of the first kind by its power series, x >= 0.  The normalized series is
+    at least 1 for p > -1 and its tail at most ``abs_tol``, so ``tail_bound`` <= abs_tol |value|: within
+    max(abs_tol, rel_tol |value|) whenever abs_tol <= rel_tol (the default) or |value| <= 1."""
     _check_first_kind(p, x)
     if x < 0.0:
         raise DomainError(f"bessel_I needs x >= 0, got {x!r}")
@@ -94,53 +90,54 @@ def bessel_I(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     return SeriesResult(prefactor * value, terms, prefactor * tail)
 
 
-def _log_cosh(y: float) -> float:
-    ay = abs(y)
-    return ay + math.log1p(math.exp(-2.0 * ay)) - _LN2
-
-
 def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesResult:
-    """Modified Bessel function of the second kind via its Laplace-type integral.
+    """K_p(x) = int_0^inf g(t) dt, g(t) = exp(-x cosh t) cosh(p t), as the trapezoid sum h (g(0)/2 + sum_k g(k h)).
 
-    The integrand exp(-x cosh t) cosh(p t) decays beyond T at rate at least x sinh T - |p|,
-    so the tail past T is at most exp(-x cosh T) cosh(p T) / (x sinh T - |p|); T grows until
-    that majorant plus the quadrature error fits within ``abs_tol``, or until sinh T would
-    overflow.  A value beyond the float range is a DomainError.  The integrand computes log
-    cosh(p t) inline, grouped as :func:`_log_cosh` groups it, so it gives the same floats.
+    On |Im t| <= s < pi/2, |g| <= exp(-x cos s cosh t) cosh(p t), so the sum errs by at most
+    2 K_p(x cos s) / (e^(2 pi s/h) - 1) (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1): as
+    e^y y^m K_p(y) increases in y for m = max(|p|, 1/2), at most eps K_p(x), with h making
+    eps = 2 sec(s)^m e^(x (1 - cos s)) / (e^(2 pi s/h) - 1) about 2^-53.  The sum stops past the peak,
+    once g(t) / (x sinh t - |p|), a majorant of the integral beyond t, is below 2^-56 of it.
+    ``tail_bound`` is eps / (1 - eps) of the value, that majorant, and the rounding of the n positive
+    terms (Higham, ch. 3): each exponent errs by at most 4 (x cosh t + |p| t) + 3 units, largest at
+    the last node, and each term may underflow by 2^-1074.  It must fit max(abs_tol, rel_tol |value|).
+    A value beyond the float range is a DomainError; reaching t = 710, where cosh overflows, or 2^16
+    nodes first is a ConvergenceError.
     """
     _check_finite("bessel_K", p=p, x=x)
     if x <= 0.0:
         raise DomainError(f"bessel_K needs x > 0, got {x!r}")
     ap = abs(p)
-    log_target = math.log(0.5 * cfg.abs_tol)
-    T = 1.0
-    while T < 710.0:  # sinh overflows past 710.47
-        lam = x * math.sinh(T) - ap
-        if lam > 0.0:
-            log_tail = -x * math.cosh(T) + _log_cosh(ap * T) - math.log(lam)
-            if log_tail <= log_target:
-                tail = math.exp(log_tail) if log_tail > -745.0 else 0.0
-                break
-        T *= 1.25
-    else:
-        raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
-
-    def integrand(t: float, cosh=math.cosh, exp=math.exp, log1p=math.log1p) -> float:
-        apt = abs(p * t)  # _log_cosh(p * t), inline and grouped the same way
-        arg = -x * cosh(t) + (apt + log1p(exp(-2.0 * apt)) - _LN2)
-        return exp(arg) if arg > -745.0 else 0.0
-
+    m = max(ap, 0.5)
+    s = min(1.4, 8.0 / math.hypot(math.sqrt(m), math.sqrt(x)))  # for large m + x, near the s that maximizes h
+    one_minus_cos = 2.0 * math.sin(0.5 * s) ** 2
+    log_c = _LN2 - m * math.log1p(-one_minus_cos) + x * one_minus_cos  # eps = e^log_c / (e^(2 pi s/h) - 1)
+    h = 2.0 * math.pi * s / (log_c + 53.0 * _LN2)
+    h -= h % (math.ulp(h) * 2.0**27)  # 26 bits, so that every node k h is exact
+    eps = 1.0 / (math.exp(2.0 * math.pi * s / h - log_c) - math.exp(-log_c))
+    total = 0.5 * math.exp(-x)
     try:
-        body = integrate_ref(integrand, Interval(0.0, T), _body_cfg(cfg))
+        for k in range(1, min(int(710.0 / h), 1 << 16)):
+            t = k * h
+            apt = ap * t
+            arg = -x * math.cosh(t) + (apt + math.log1p(math.exp(-2.0 * apt)) - _LN2)  # + log cosh(p t)
+            g = math.exp(arg) if arg > -745.0 else 0.0
+            total += g
+            lam = x * math.sinh(t) - ap
+            if lam > 0.0 and g <= 2.0**-56 * h * total * lam:
+                break
+        else:
+            raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
+        value = h * total
+        if value == math.inf:  # finite terms whose sum overflows
+            raise OverflowError
     except OverflowError as exc:
         raise DomainError(f"second-kind Bessel function beyond the float range (p={p!r}, x={x!r})") from exc
-    total_bound = tail + body.tail_bound
-    if total_bound > cfg.abs_tol:
-        raise ConvergenceError(
-            f"second-kind integral error bound {total_bound!r} exceeds abs_tol "
-            f"(p={p!r}, x={x!r}; the value is too large for an absolute target)"
-        )
-    return SeriesResult(body.value, body.terms_used, total_bound)
+    rounding = (2 * k + 4.0 * (x * math.cosh(t) + apt) + 10) * 2.0**-53 * value + k * 1e-323
+    bound = eps / (1.0 - eps) * value + g / lam + rounding
+    if bound > max(cfg.abs_tol, cfg.rel_tol * value):
+        raise ConvergenceError(f"second-kind sum error bound {bound!r} exceeds its target (p={p!r}, x={x!r})")
+    return SeriesResult(value, k + 1, bound)
 
 
 def _check_q_x(q: float, x: float) -> None:

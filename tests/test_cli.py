@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -258,18 +259,20 @@ class TestVerify:
         assert code == 2
         assert "p > 1" in err
 
-    def test_random_prop7_counts_a_stalled_integral_as_guarded_out(self, capsys):
-        # trial 10 draws [0.6145..., 1.7431...], where bessel_K(3, 0.0502) misses its absolute target
+    def test_random_prop7_guards_out_only_the_interval_outside_its_hypothesis(self, capsys):
+        # trial 36 draws [0.6957..., 2.1321...], where 3a > b fails; every K_p(x) of the others evaluates
         code, out, _ = run_cli(capsys, "verify", "--target", "prop7", "--p", "2", "--trials", "40", "--seed", "1")
         assert code == 0
-        counts = json.loads(out)["counts"]
-        assert counts["checked"] == 40 and counts["guarded_out"] == 2
+        doc = json.loads(out)
+        assert doc["counts"]["checked"] == 40 and doc["counts"]["guarded_out"] == 1
+        assert 36 not in {r["inputs"]["trial"] for r in doc["reports"]}
 
-    def test_fixed_prop7_stalled_integral_exits_two(self, capsys):
+    def test_fixed_prop7_with_a_large_second_kind_value_exits_zero(self, capsys):
+        # trial 10's interval: K_3(0.0502) = 6.3e4 is within its relative target
         code, out, err = run_cli(capsys, "verify", "--target", "prop7", "--p", "2",
                                  "--a", "0.6145063744705737", "--b", "1.7431900727782172")
-        assert (code, out) == (2, "")
-        assert "second-kind integral error bound" in err
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts"]["satisfied"] == 1
 
     def test_second_order_target_on_an_abs_kink_exits_two(self, capsys):
         # f'' = 0 off the kink samples as convex; unguarded, thm4 compares lhs 0.31 with rhs 0
@@ -419,6 +422,32 @@ def test_a_closed_stdout_exits_two_with_one_error_line(argv, read):
         err = proc.stderr.read().decode()
     assert proc.returncode == 2
     assert err == "error: stdout was closed before the output was written\n"  # no Traceback
+
+
+def test_a_closed_stderr_exits_two():
+    # the read end is closed before the child starts: main's error line, then entry's, meet the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hhaudit", "verify", "--target", "eq1", "--fn", "x^^2", "--a", "1",
+                               "--b", "2"], stdout=subprocess.PIPE, stderr=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--target", "eq1", "--fn", "x^2", "--a", "-1e-3", "--b", "1"), 0),
+    (("verify", "--target", "eq1", "--fn", "-x^2+5", "--a", "1", "--b", "2"), 2),  # concave: one error line
+    (("special", "besselK", "--p", "-.5e1", "--x", "2"), 0),
+])
+def test_a_value_that_starts_with_a_minus_reads_as_its_equals_form(capsys, argv, code):
+    # argparse alone takes "-1e-3" or "-x^2+5" after an option for an option, and prints its usage
+    i = next(i for i, token in enumerate(argv) if token[:1] == "-" != token[1:2])
+    joined = (*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :])
+    got = run_cli(capsys, *argv)
+    assert got == run_cli(capsys, *joined)
+    assert got[0] == code and len(got[2].splitlines()) == code // 2
 
 
 def test_repeated_calls_in_one_process_match_separate_processes(capsys):

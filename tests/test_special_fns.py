@@ -76,6 +76,15 @@ class TestBesselFirstKind:
         with pytest.raises(ConvergenceError):
             normalized_I_series(0.5, 8.0, cfg)
 
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 2.5, 10.0, 100.0])
+    def test_tail_bound_within_the_relative_target(self, p):
+        # the normalized series is at least 1, so tail_bound <= abs_tol |value|, within
+        # max(abs_tol, rel_tol |value|) at any size: I_100(300) is 2.9e121, its bound 1.7e47
+        for x in (0.1, 1.0, 10.0, 50.0, 300.0):
+            sr = bessel_I(p, x)
+            assert sr.tail_bound <= DEFAULT_TOL.abs_tol * sr.value
+            assert sr.tail_bound <= max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * sr.value)
+
 
 class TestBesselSecondKind:
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.0])
@@ -99,7 +108,7 @@ class TestBesselSecondKind:
             bessel_K(1.0, 0.0)
 
     def test_tail_search_ends_before_sinh_overflows(self):
-        # at x = 1e-310 no T with finite sinh T bounds the tail
+        # at x = 1e-310 the sum reaches t = 710, where cosh overflows, before its tail is bounded
         with pytest.raises(ConvergenceError, match=r"not boundable \(p=0.0, x=1e-310\)"):
             bessel_K(0.0, 1e-310)
 
@@ -244,12 +253,12 @@ def test_q_digamma_family_bit_for_bit(q, order, want):
 
 def test_bessel_K_bit_for_bit():
     """A seeded grid of orders p in [-5, 10] and arguments x in 10^[-3, 2.5], with an overflowing
-    value and an unboundable tail: every value, panel count, bound and error message, hashed."""
+    value and an unboundable tail: every value, node count, bound and error message, hashed."""
     rng = random.Random(29)
     grid = [(rng.uniform(-5.0, 10.0), 10.0 ** rng.uniform(-3.0, 2.5)) for _ in range(400)]
     grid += [(800.0, 1.0), (0.0, 1e-310)]
     digest = outcome_digest(lambda p=p, x=x: bessel_K(p, x) for p, x in grid)
-    assert digest == "b185c1ee17d1a5ff10f6dbace7e67fb0fcbacd0254e320375486c9e089a9d05b"
+    assert digest == "72f3681c0222022d79d3c00a0c0b611e211c684cf4e1ce4b8b7f722409abe603"
 
 
 def test_the_reflected_series_names_its_own_base_at_the_term_cap():

@@ -59,8 +59,7 @@ def test_function_targets_need_fn(capsys, target):
 
 
 def test_prop6_evaluates_no_second_kind_function(capsys, bessel_calls):
-    # prop7's bessel_K at the widened lo = 0.025 exceeds the absolute target;
-    # prop6 must not run it
+    # only prop7 reads K_p: prop6 must not evaluate it, here at the widened lo = 0.025
     code, out, err = verify(capsys, "--target", "prop6", "--p", "2", "--a", "0.6", "--b", "1.75")
     assert (code, err) == (0, "")
     assert [r["label"] for r in json.loads(out)["reports"]] == PROP6_LABELS
