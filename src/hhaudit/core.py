@@ -12,7 +12,7 @@ floating-point inequality "satisfied" (a NaN side is a DomainError), and
 :func:`power_mean`, the one mean on the right side of every derivative bound.  Every
 hypothesis check lives here, so a failure raises the same error from every module: the one
 guard :func:`convexity_guard`, 1 <= q < inf, ``0 < a < b`` and a widened interval in (0, inf).
-The guard runs one pass per region, whose source :func:`scan_source` writes (``exprlang`` compiles
+The guard runs one grid pass per region, whose source :func:`scan_source` writes (``exprlang`` compiles
 it with each jet's lines, this module once for any other callable); :func:`sample_convexity` reports it.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -188,36 +187,34 @@ def undefined(x: float, cause: Exception | None = None) -> DomainError:
     return DomainError(f"function undefined at x = {x!r}: {cause}" if cause else f"function undefined (NaN) at x = {x!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_pairs(n: int) -> tuple[tuple[float, float], ...]:
-    if n < 3:
-        raise ValueError(f"need at least 3 sample pairs, got n = {n}")
-    rng = random.Random(0)
-    return tuple((rng.random(), rng.random()) for _ in range(n))
+def _grid_steps(n: int) -> int:
+    """``n`` as the step count of a guard's grid: a positive multiple of 4, so that the quarter points are grid points."""
+    if n < 4 or n % 4:
+        raise ValueError(f"need a positive multiple of 4 grid steps, got n = {n}")
+    return n
 
 
-# A region's sampling pass: the five structural points, whose values only find holes, then each pair's midpoint,
-# ends and gap, the worst kept as it goes.  Only the points' {point} can raise, so a failure is a hole at x.
+# A region's sampling pass over the grid x_i = lo + i (hi - lo)/n, x_n = hi: each point's value, the gap of the triple it
+# closes (midpoint m, one point back), then the widest triple's.  Only {point}, the jet inlined once, raises: a hole at x.
 _SCAN = """\
-def scan(lo, hi, units{params}):
-    width, worst, worst_at = hi - lo, -inf, lo
+def scan(lo, hi, n{params}):
+    step, worst, worst_at, fs, x = (hi - lo) / n, -inf, lo, [], lo
     try:
-        for x in (lo, (3.0 * lo + hi) / 4.0, 0.5 * (lo + hi), (lo + 3.0 * hi) / 4.0, hi):
+        for i in range(1, n + 2):
 {point}
-        for u, w in units:
-            a = lo + width * u
-            b = lo + width * w
-            x = m = 0.5 * (a + b)
-{point}
-            f_m, x = v, a
-{point}
-            f_a, x = v, b
-{point}
-            gap = f_m - (0.5 * f_a + 0.5 * v)
-            if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
-                if gap != gap:
-                    raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
-                worst, worst_at = gap, m
+            fs.append(v)
+            if i > 2:
+                gap = fs[-2] - (0.5 * fs[-3] + 0.5 * v)
+                if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
+                    if gap != gap:
+                        raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
+                    worst, worst_at = gap, m
+            m, x = x, lo + i * step if i < n else hi
+        gap, m = fs[n // 2] - (0.5 * fs[0] + 0.5 * v), lo + n // 2 * step
+        if not gap <= worst:
+            if gap != gap:
+                raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
+            worst, worst_at = gap, m
     except DomainError:
         raise
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -227,8 +224,8 @@ def scan(lo, hi, units{params}):
 
 
 def scan_source(value: str, lines: list[str], params: str) -> str:
-    """``scan(lo, hi, units{params})``, returning the worst gap and its midpoint over the (u, v) pairs ``units``,
-    with ``lines`` and then ``value`` as f at each point x, where a NaN is a hole."""
+    """``scan(lo, hi, n{params})``, returning the worst gap and its midpoint over the triples of the ``n``-step grid
+    on [lo, hi], with ``lines`` and then ``value`` as f at each point x, where a NaN is a hole."""
     point = (*lines, f"v = {value}", "if v != v: raise undefined(x)")
     return _SCAN.format(params=params, point="\n".join(" " * 12 + line for line in point))
 
@@ -242,7 +239,7 @@ def _generic_scan() -> Callable[..., tuple[float, float]]:
 
 
 def _scan_of(f: Callable[[float], float]) -> Callable[..., tuple[float, float]]:
-    """``scan(lo, hi, units)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
+    """``scan(lo, hi, n)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
     return f.scan if hasattr(f, "scan") else functools.partial(_generic_scan(), f=f)
 
 
@@ -254,20 +251,21 @@ def sample_convexity(
     cfg: ToleranceConfig = DEFAULT_TOL,
     label: str = "convexity",
 ) -> BoundReport:
-    """Probe midpoint convexity of ``f`` on ``iv`` at ``n`` random pairs (seed 0): the first
-    2n values u of ``Random(0).random()``, put at ``a + (b - a) * u`` as ``uniform`` does.
+    """Probe midpoint convexity of ``f`` on ``iv`` over the grid x_i = a + i (b - a)/n, x_n = b, of ``n`` steps.
 
-    One pass, a ``scan`` of :func:`scan_source`, evaluates the five structural points (endpoints, midpoint,
-    quarter points), then each pair's midpoint and ends, so that a domain hole surfaces as the :class:`DomainError`
-    of the first failing point rather than as a spurious verdict; for a widened interval the quarter points equal
-    the base endpoints up to rounding.  The report view of the scan that :func:`convexity_guard` runs without one.
+    One pass, a ``scan`` of :func:`scan_source`, evaluates each point once, in grid order, and forms the gap of
+    each consecutive triple (x_{i-2}, x_{i-1}, x_i) as soon as x_i is known, then that of the widest triple
+    (a, mid, b), so that a domain hole surfaces as the :class:`DomainError` of the first failing point rather than
+    as a spurious verdict.  4 divides n, so the ends, quarter points and midpoint are grid points; for a widened
+    interval the quarter points equal the base endpoints up to rounding.  The report view of the scan that
+    :func:`convexity_guard` runs without one.
 
-    The report's ``lhs`` is the worst observed gap ``f((x+y)/2) - (f(x)/2 + f(y)/2)``,
-    an average that cannot overflow; convexity is "satisfied" when that gap stays below
-    ``abs_tol``.  A gap of inf - inf is a DomainError naming the midpoint, ahead of any later hole.
+    The report's ``lhs`` is the worst observed gap ``f(m) - (f(l)/2 + f(r)/2)`` of a triple (l, m, r),
+    an average that cannot overflow; convexity is "satisfied" when that gap stays below ``abs_tol``.
+    The first NaN gap (inf - inf) in grid order is a DomainError naming its midpoint, ahead of any later hole.
     """
-    worst, worst_at = _scan_of(f)(iv.a, iv.b, _unit_pairs(n))
-    return make_report(label, worst, 0.0, {"lo": iv.a, "hi": iv.b, "pairs": n, "worst_at": worst_at}, cfg=cfg)
+    worst, worst_at = _scan_of(f)(iv.a, iv.b, _grid_steps(n))
+    return make_report(label, worst, 0.0, {"lo": iv.a, "hi": iv.b, "steps": n, "worst_at": worst_at}, cfg=cfg)
 
 
 def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
@@ -275,9 +273,9 @@ def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
     return f.compiled(0) if hasattr(f, "compiled") else f
 
 
-def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: ToleranceConfig = DEFAULT_TOL):
+def convexity_guard(f, order: int = 0, q: float = 1.0, *, steps: int = 32, cfg: ToleranceConfig = DEFAULT_TOL):
     """The one hypothesis guard, set up once and returned as the check of a region: f (order 0, any
-    callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on it at ``pairs`` pairs, after
+    callable) or |f^(order)|^q (order 1 or 2, f parsed) midpoint-convex on its grid of ``steps`` steps, after
     1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  One body
     per region runs the scan of f or ``f.compiled(order)`` that :func:`sample_convexity` reports, without a
     report: PreconditionError names the function, the region and the worst gap; a domain hole's DomainError
@@ -291,11 +289,11 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, pairs: int = 32, cfg: 
         if order == 2 and not f.twice_differentiable():
             raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
         scan = functools.partial(f.compiled(order).scan, q=q)
-    units = _unit_pairs(pairs)
+    n = _grid_steps(steps)
 
     def region(lo: float, hi: float) -> None:
         try:
-            worst, worst_at = scan(lo, hi, units)
+            worst, worst_at = scan(lo, hi, n)
         except DomainError as exc:
             raise DomainError(f"{what}: {exc}") from None
         if not 0.0 - worst >= -cfg.abs_tol:  # make_report's verdict

@@ -21,7 +21,7 @@ as arguments, so x^2 - c compiles once for every c.  ``f(x)`` runs the value var
 the bound checks the (f, f') and (f, f', f'') ones; only :func:`eval_jet` computes f'''.  Next
 to each variant its source holds a ``scan`` of a region, from the template that :mod:`hhaudit.core`
 owns: the convexity guard samples f or |f^(k)|^q through it in one call, with the jet's own lines
-inlined at each point.  Truncation drops operations but changes none, so it
+inlined once, at the grid pass's one point.  Truncation drops operations but changes none, so it
 is bit-exact; the value variant also drops the kink check of ``abs``, which is |0| there.  A
 numeric exponent, negated or not, is kept as it is; a computed one, such as ``1/3``, is folded
 to its compiled value at 0, which is the only compiling that parsing does.  A number that is not
@@ -446,8 +446,8 @@ class _Emitter:
 
 def _compile(e: Expr, order: int) -> Callable[..., Callable[[float], Any]]:
     """The factory that binds the constants of ``e``'s shape and returns its order-``order`` evaluator.  The evaluator
-    carries as ``scan`` the guard's pass over a region from :func:`hhaudit.core.scan_source`, which runs the same lines
-    at each point to sample f or, taking ``q`` too at order >= 1, |f^(order)|^q."""
+    carries as ``scan`` the guard's pass over a region's grid from :func:`hhaudit.core.scan_source`, which runs the same
+    lines at each point to sample f or, taking ``q`` too at order >= 1, |f^(order)|^q."""
     out = _Emitter(order)
     coeffs = list(e._emit(out))[: order + 1]
     value, q = (coeffs[0], "") if order == 0 else (f"abs({coeffs[order]}) ** q", ", q")

@@ -17,7 +17,7 @@ sides are closed-form evaluations.  The derivative bounds share one left
 side per order: :meth:`Instance.first_order` and :meth:`Instance.second_order`
 return it with a mapping from each target name to its right side.  Every
 bound operation first checks its hypothesis on the widened interval with
-:func:`hhaudit.core.convexity_guard` (convexity sampled at 32 pairs;
+:func:`hhaudit.core.convexity_guard` (convexity sampled on a 32-step grid;
 1 <= q < inf) and fails loudly rather than silently evaluating outside a
 function's domain.  :class:`Instance` holds one function on one interval and
 computes each guard, the mean integral and the shared bounds once for all

@@ -1,8 +1,8 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4 and prop5
 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked by
-:func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled at 16 pairs on each
-panel's widened interval or, in :func:`adaptive_midpoint`, at 32 on [a, b] (order 2) or, built
-only then, its widened hull (order 1).  T1, T2 and the certificates are flat passes over
+:func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled on a 16-step grid on each
+panel's widened interval or, in :func:`adaptive_midpoint`, on a 32-step one on [a, b] (order 2) or,
+built only then, its widened hull (order 1).  T1, T2 and the certificates are flat passes over
 ``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at
 second order, gives T1 the f values its panels carry.
 
@@ -120,7 +120,7 @@ def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: Tolerance
     each panel's widened interval: the sum of :func:`_first_order_term` times K1 = 1/8, which
     the derived Hoelder constant never undercuts."""
     require_exponent(q)  # before the panels, whose failures are prefixed with the panel
-    convexity_guard(f, 1, q, pairs=16, cfg=cfg).panels(partition.points)
+    convexity_guard(f, 1, q, steps=16, cfg=cfg).panels(partition.points)
     jet1 = f.compiled(1)
     total = 0.0
     for left, right in partition.panels():
@@ -133,7 +133,7 @@ def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TO
 
     The outer max-based sum of the chain is echoed in the report inputs.
     """
-    convexity_guard(f, pairs=16, cfg=cfg).panels(partition.points)
+    convexity_guard(f, steps=16, cfg=cfg).panels(partition.points)
     fx = evaluator(f)
     iv = Interval(partition.points[0], partition.points[-1])
     integral = integrate_ref(f, iv, cfg).value

@@ -102,7 +102,7 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     terms (Higham, ch. 3): each exponent errs by at most 4 (x cosh t + |p| t) + 3 units, largest at
     the last node, and each term may underflow by 2^-1074.  It must fit max(abs_tol, rel_tol |value|).
     A value beyond the float range is a DomainError; reaching t = 710, where cosh overflows, or 2^16
-    nodes first is a ConvergenceError.
+    nodes first is a ConvergenceError, each with its own message.
     """
     _check_finite("bessel_K", p=p, x=x)
     if x <= 0.0:
@@ -127,6 +127,8 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
             if lam > 0.0 and g <= 2.0**-56 * h * total * lam:
                 break
         else:
+            if 710.0 / h > 1 << 16:  # the node cap, not t = 710, stopped the sum
+                raise ConvergenceError(f"second-kind sum not converged within 2^16 nodes (p={p!r}, x={x!r})")
             raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
         value = h * total
         if value == math.inf:  # finite terms whose sum overflows

@@ -19,13 +19,13 @@ def battery():
     return [(text, parse(text)) for text in CONVEX_BATTERY]
 
 
-Scan = collections.namedtuple("Scan", "order lo hi pairs result")
+Scan = collections.namedtuple("Scan", "order lo hi steps result")
 
 
 @pytest.fixture
 def scans(monkeypatch):
     """Every scan that an evaluator of a parsed function runs during the test, the guards' one seam, in call
-    order: the evaluator's order, the region (lo, hi), the pair count, and the (worst gap, its midpoint) it
+    order: the evaluator's order, the region (lo, hi), the grid's step count, and the (worst gap, its midpoint) it
     returned, or None where it raised.  Evaluators fetched before the test are counted too."""
     log, wrapped, compiled = [], set(), Expr.compiled
 
@@ -34,13 +34,13 @@ def scans(monkeypatch):
         if jet not in wrapped:
             wrapped.add(jet)
 
-            def scan(lo, hi, units, scan=jet.scan, **q):
+            def scan(lo, hi, n, scan=jet.scan, **q):
                 result = None
                 try:
-                    result = scan(lo, hi, units, **q)
+                    result = scan(lo, hi, n, **q)
                     return result
                 finally:
-                    log.append(Scan(order, lo, hi, len(units), result))
+                    log.append(Scan(order, lo, hi, n, result))
 
             monkeypatch.setattr(jet, "scan", scan)
         return jet

@@ -88,9 +88,9 @@ def trapezoid_T1(f, partition: Partition) -> float:
 
 
 def guard_panels(f, partition: Partition, order: int, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-    """One :func:`hhaudit.core.convexity_guard` check at 16 pairs of each panel's widened
+    """One :func:`hhaudit.core.convexity_guard` check on a 16-step grid of each panel's widened
     ``Interval``, left to right; a failure names the panel, a panel too narrow to widen does not."""
-    check = core.convexity_guard(f, order, q, pairs=16, cfg=cfg)
+    check = core.convexity_guard(f, order, q, steps=16, cfg=cfg)
     for i, (left, right) in enumerate(partition.panels()):
         try:
             check(core.extend(Interval(left, right)))

@@ -70,7 +70,18 @@ class TestExitCodes:
         # x^2 is inf on the whole interval, so every gap of eq1's guard is inf - inf
         code, out, err = run_cli(capsys, "verify", "--target", "eq1", "--fn", "x^2", "--a", "1e200", "--b", "2e200")
         assert (code, out) == (2, "")
-        assert err == "error: f: convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200\n"
+        assert err == "error: f: convexity gap undefined (inf - inf) at the midpoint x = 1.03125e+200\n"
+
+    @pytest.mark.parametrize("argv", [
+        # x^3 is concave left of 0; |f'|^2 = (3x^2 - 1)^2 is not convex on the widened [0.205, 1.305]
+        ("--target", "eq1", "--fn", "x^3", "--a=-0.42", "--b=2.02"),
+        ("--target", "thm2", "--fn", "x^3-x", "--a=0.48", "--b=1.03", "--q", "2"),
+    ], ids=["eq1 x^3", "thm2 x^3-x"])
+    def test_a_grid_guard_refutes_what_the_pairs_missed(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "is not midpoint-convex" in err
 
     def test_derivative_guard_domain_error_names_its_hypothesis(self, capsys):
         # thm2's |f'|^q guard probes the widened interval [0, 2], where log is undefined

@@ -1,6 +1,7 @@
 """The compiled evaluators against the recursive jet interpreter in ``jet_oracle``,
 and the process cache that serves their factories to trees of one shape."""
 
+import collections
 import dataclasses
 import gc
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import jet_oracle
 from hhaudit import exprlang
-from hhaudit.core import DomainError, Interval, convexity_guard
+from hhaudit.core import DomainError, Interval, convexity_guard, scan_source
 from hhaudit.exprlang import BinOp, Call, Const, Neg, ParseError, Pow, Var, eval_jet, parse, to_text
 
 _FUNCTIONS = ("exp", "log", "sqrt", "sinh", "cosh", "abs")
@@ -217,6 +218,26 @@ def test_value_and_first_derivative_skip_the_higher_terms():
         assert other not in value.__code__.co_names and other not in value.scan.__code__.co_names
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("text", ["x^2", "exp(x)+x^4", "cosh(x)", "x*log(x)", "1/x", "x^2-5"])
+def test_a_variant_source_holds_each_jet_line_twice(monkeypatch, text, order):
+    """The factory source of each of the audit battery's variants holds every line of its jet exactly twice: once
+    in ``jet`` and once in ``scan``, which inlines them at its one point of the grid pass."""
+    sources = []
+    monkeypatch.setattr(exprlang, "compile", lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    exprlang._compile(parse(text), order)
+    (source,) = sources
+    out = exprlang._Emitter(order)
+    list(parse(text)._emit(out))
+    held = collections.Counter(line.strip() for line in source.splitlines())
+    template = {line.strip() for line in scan_source("v", [], "").splitlines()}
+    own = [line for line in dict.fromkeys(out.lines) if line.strip() not in template]
+    assert own
+    for line in own:
+        assert held[line.strip()] == 2 * out.lines.count(line), line
+
+
 def test_the_emitted_jet_source_is_byte_identical():
     """The jet lines, coefficients and constant names that the emitter writes at orders 0-3 for the audit battery,
     the four audit-fresh templates and three folded exponents, as one sha256, recorded when an integer power
@@ -263,15 +284,15 @@ def test_numeric_exponents_compile_nothing_and_a_computed_one_compiles_once(monk
     assert twin(2.0) == e(2.0) and twin.compiled(2)(3.0) == e.compiled(2)(3.0)
     assert len(sources) == 5
     # the compiled functions, and the scans that the guards at orders 0-2 sample through, stay
-    # outside equality, hashing and pickling
+    # outside equality, hashing and pickling (on [2, 3]: f'' < 0 near 1, which the order-0 guard refutes)
     for order in (0, 1, 2):
-        convexity_guard(e, order, 2.0)(Interval(1.0, 2.0))
+        convexity_guard(e, order, 2.0)(Interval(2.0, 3.0))
     assert e == parse(text) and hash(e) == hash(parse(text))
     again = pickle.loads(pickle.dumps(e))
     assert "_evaluators" not in vars(again)
     assert again == e and again(2.0) == e(2.0)
     for order in (0, 1, 2):
-        convexity_guard(again, order, 2.0)(Interval(1.0, 2.0))
+        convexity_guard(again, order, 2.0)(Interval(2.0, 3.0))
 
 
 def test_compiled_rejects_orders_above_three():

@@ -151,21 +151,21 @@ class TestPowerMean:
 
 class TestSampleConvexity:
     def test_convex_square(self):
-        r = sample_convexity(parse("x^2"), Interval(-1.0, 3.0), 50)
+        r = sample_convexity(parse("x^2"), Interval(-1.0, 3.0), 48)
         assert r.satisfied
 
     def test_concave_square_violates(self):
-        r = sample_convexity(parse("-(x^2)"), Interval(-1.0, 3.0), 50)
+        r = sample_convexity(parse("-(x^2)"), Interval(-1.0, 3.0), 48)
         assert not r.satisfied
         assert r.lhs > 0
 
     def test_pole_inside_reports_domain_error(self):
         # the quarter point of [-1, 3] is exactly 0, where 1/x is undefined
         with pytest.raises(DomainError, match="x = 0.0"):
-            sample_convexity(parse("1/x"), Interval(-1.0, 3.0), 50)
+            sample_convexity(parse("1/x"), Interval(-1.0, 3.0), 48)
 
     def test_accepts_base_interval_and_callables(self):
-        r = sample_convexity(lambda x: x * x, Interval(0.0, 1.0), 10)
+        r = sample_convexity(lambda x: x * x, Interval(0.0, 1.0), 12)
         assert r.satisfied
 
     def test_needs_three_pairs(self):
@@ -173,18 +173,18 @@ class TestSampleConvexity:
             sample_convexity(parse("x^2"), Interval(0.0, 1.0), 2)
 
     def test_deterministic_for_fixed_seed(self):
-        a = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 25)
-        b = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 25)
+        a = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 24)
+        b = sample_convexity(parse("exp(x)"), Interval(0.0, 1.0), 24)
         assert a == b
 
     def test_an_overflowing_average_does_not_pass_a_concave_function(self):
         # f(x) + f(y) overflows to inf here; f(x)/2 + f(y)/2 does not
         r = sample_convexity(parse("1.7e308 - 1e300*x^2"), Interval(1.0, 2.0), 32)
         assert not r.satisfied
-        assert r.lhs == 1.328326528410059e+299
+        assert r.lhs == 2.4999999500927996e+299
 
     def test_an_undefined_gap_is_a_domain_error_naming_the_midpoint(self):
         # -x^2 is -inf on the whole interval, so every gap is inf - inf
         with pytest.raises(DomainError) as exc:
             sample_convexity(parse("-x^2"), Interval(1e200, 2e200), 32)
-        assert str(exc.value) == "convexity gap undefined (inf - inf) at the midpoint x = 1.801188127232675e+200"
+        assert str(exc.value) == "convexity gap undefined (inf - inf) at the midpoint x = 1.03125e+200"

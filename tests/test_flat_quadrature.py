@@ -149,10 +149,12 @@ _PARTITION_GUARDS = {
                               (DomainError, "subinterval 2 [5e+307, 7e+307]: widened interval of [5e+307, 7e+307]"
                                             " overflows: (4e+307, inf)"),
                               (DomainError, "subinterval 2 [5e+307, 7e+307]: widened interval")),
-    # f overflows to -inf; |f'| = 2x stays finite, and only its square overflows
+    # f overflows to -inf; |f'| = 2x stays finite, and only its square overflows.  The grid's points are not
+    # exact midpoints of their neighbours, so the affine 2x shows gaps of its rounding, far above abs_tol here
     "inf - inf gap": ("-x^2", (1e199, 2e199, 1e200, 2e200),
                       (DomainError, "subinterval 0 [1e+199, 2e+199]: f: convexity gap undefined (inf - inf)"),
-                      {1.0: None, 2.0: (DomainError, "subinterval 0 [1e+199, 2e+199]: |f'|^q (q = 2.0): ")}),
+                      {1.0: (PreconditionError, "subinterval 0 [1e+199, 2e+199]: |f'|^q (q = 1.0) is not midpoint-convex"),
+                       2.0: (DomainError, "subinterval 0 [1e+199, 2e+199]: |f'|^q (q = 2.0): ")}),
     "too narrow to widen": ("x^2", (0.5, 1.0000000000000002, 1.0000000000000004, 2.0),
                             (ValueError, "extended interval needs lo < mid < hi"),
                             (ValueError, "extended interval needs lo < mid < hi")),
@@ -168,7 +170,7 @@ def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
     fn, pts, *first = _PARTITION_GUARDS[case]
     f = parse(fn)
     want = _outcome(oracle.guard_panels, f, oracle.Partition(pts), order, q)
-    assert _outcome(convexity_guard(f, order, q, pairs=16).panels, pts) == want
+    assert _outcome(convexity_guard(f, order, q, steps=16).panels, pts) == want
     expected = first[order].get(q) if isinstance(first[order], dict) else first[order]
     if expected is None:
         assert want == ("ok", None)
@@ -176,4 +178,4 @@ def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
         assert want[0] is expected[0] and want[1].startswith(expected[1])
     if case == "refuted at panel 2, hole in panel 3":
         with pytest.raises(DomainError):
-            convexity_guard(f, order, q, pairs=16).panels(pts[3:])
+            convexity_guard(f, order, q, steps=16).panels(pts[3:])

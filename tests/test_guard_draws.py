@@ -1,9 +1,8 @@
-"""The convexity guard on precomputed draws against the seeded guard in ``guard_oracle``, and
-:func:`~hhaudit.core.convexity_guard`, which samples a parsed function through its compiled scan,
-against the same guard sampling point by point."""
+"""The convexity guard's grid pass against ``guard_oracle.grid``, which samples the same grid one call of f
+per point, and :func:`~hhaudit.core.convexity_guard`, which samples a parsed function through its compiled
+scan, against the same guard sampling point by point."""
 
 import math
-import random
 import struct
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import guard_oracle
 from hhaudit.core import (DomainError, Interval, PreconditionError, ToleranceConfig, convexity_guard, evaluator, extend,
                           sample_convexity)
-from hhaudit.exprlang import parse, to_text
+from hhaudit.exprlang import parse
 
 _TEXTS = ("x^2", "exp(x)", "cosh(x)", "1/x", "log(x)", "sqrt(x)", "x*log(x)", "x^2-x^2", "-x^2", "abs(x)")
 _CALLABLES = (lambda x: x * x, math.exp, lambda x: 1.0 / x, math.log, math.sqrt,
@@ -46,47 +45,42 @@ def _spans(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(f=st.one_of(st.sampled_from(_TEXTS).map(_EXPRS.get), st.sampled_from(_CALLABLES)),
-       iv=_spans(), n=st.sampled_from((3, 16, 32, 50, 200)), label=st.sampled_from(("convexity", "guard:f")))
-def test_precomputed_draws_match_the_seeded_guard_bitwise(f, iv, n, label):
-    want = _outcome(guard_oracle.sample_convexity, f, iv, n, label)
+       iv=_spans(), n=st.sampled_from((4, 16, 32, 48, 200)), label=st.sampled_from(("convexity", "guard:f")))
+def test_the_scan_matches_the_grid_reference_bitwise(f, iv, n, label):
+    want = _outcome(guard_oracle.grid, f, iv, n, label)
     assert _outcome(sample_convexity, f, iv, n, label) == want
     assert _outcome(sample_convexity, evaluator(f), iv, n, label) == want
 
 
 @pytest.mark.parametrize("text, iv, n", [
-    ("1/x", Interval(-1.0, 1.0), 16),  # a hole at a structural point
-    ("log(x)", Interval(-1e-300, 1e-300), 3),
+    ("1/x", Interval(-1.0, 1.0), 16),  # a hole at the grid's midpoint
+    ("log(x)", Interval(-1e-300, 1e-300), 4),
     ("x^2-x^2", Interval(1e200, 3e200), 32),  # inf - inf is NaN
     ("-x^2", extend(Interval(-2.0, 5.0)), 200),  # concave: a finite worst gap
-    ("x^2", Interval(-1e300, 1e300), 50),
+    ("x^2", Interval(-1e300, 1e300), 48),
 ])
-def test_named_spans_match_the_seeded_guard(text, iv, n):
+def test_named_spans_match_the_grid_reference(text, iv, n):
     f = _EXPRS[text]
-    want = _outcome(guard_oracle.sample_convexity, f, iv, n, "convexity")
+    want = _outcome(guard_oracle.grid, f, iv, n, "convexity")
     assert _outcome(sample_convexity, f, iv, n, "convexity") == want
     assert _outcome(sample_convexity, evaluator(f), iv, n, "convexity") == want
 
 
-def test_a_pair_of_holes_names_the_first_draw():
-    # defined at the structural points and around the first pair's midpoint only,
-    # so both points of that pair are holes and the draw probed first is named
-    rng = random.Random(0)
-    u, v = rng.random(), rng.random()
-    defined = {0.0, 0.25, 0.5, 0.75, 1.0}
+def _forms(f):
+    """f as a plain callable and, where f is parsed, as its compiled evaluator too."""
+    return (f, evaluator(f)) if hasattr(f, "compiled") else (f,)
 
+
+def test_the_first_hole_in_grid_order_is_named():
+    # defined up to the quarter point of [0, 1] only, so every later grid point is a hole and x_5 is named
     def f(x):
-        if x in defined or abs(x - 0.5 * (u + v)) < 0.25 * abs(u - v):
+        if x <= 0.25:
             return x * x
         raise ValueError("hole")
 
-    want = _outcome(guard_oracle.sample_convexity, f, Interval(0.0, 1.0), 16, "convexity")
-    assert want == (DomainError, f"function undefined at x = {u!r}: hole")
+    want = (DomainError, "function undefined at x = 0.3125: hole")
+    assert _outcome(guard_oracle.grid, f, Interval(0.0, 1.0), 16, "convexity") == want
     assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
-
-
-def _draws(n):
-    rng = random.Random(0)
-    return [(rng.random(), rng.random()) for _ in range(n)]
 
 
 def _inf_unless_hole(hole):
@@ -98,59 +92,50 @@ def _inf_unless_hole(hole):
     return f
 
 
-def test_an_early_nan_gap_is_raised_ahead_of_a_later_pairs_hole():
-    # every value is inf, so the first pair's gap is inf - inf; the fourth pair's left end is a hole
-    (u, v), *_, (hole, _) = _draws(4)
-    want = (DomainError, f"convexity gap undefined (inf - inf) at the midpoint x = {0.5 * (u + v)!r}")
-    for f in (parse(f"1e308*10 + log((x - {hole!r})^2)"), _inf_unless_hole(hole)):
-        assert _outcome(guard_oracle.sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
-        assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
-        assert _outcome(sample_convexity, evaluator(f), Interval(0.0, 1.0), 16, "convexity") == want
+def test_an_early_nan_gap_is_raised_ahead_of_a_later_hole():
+    # every value is inf, so the gap of the first triple is inf - inf; x_5 = 0.3125 is a hole
+    want = (DomainError, "convexity gap undefined (inf - inf) at the midpoint x = 0.0625")
+    for f in (parse("1e308*10 + log((x - 0.3125)^2)"), _inf_unless_hole(0.3125)):
+        assert _outcome(guard_oracle.grid, f, Interval(0.0, 1.0), 16, "convexity") == want
+        for form in _forms(f):
+            assert _outcome(sample_convexity, form, Interval(0.0, 1.0), 16, "convexity") == want
 
 
-def test_a_hole_at_the_quarter_point_is_raised_ahead_of_every_pair():
-    # the first pair's gap would be inf - inf, but no pair is evaluated after a structural hole
-    for f, cause in ((parse("1e308*10 + 1/(x - 0.25)"), "division by zero at x = 0.25"),
-                     (_inf_unless_hole(0.25), "function undefined at x = 0.25: hole")):
-        assert _outcome(guard_oracle.sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
-        assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
-        assert _outcome(sample_convexity, evaluator(f), Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
+def test_a_hole_is_raised_after_a_refuting_gap():
+    # 1/(x - 1/4) is concave left of its pole, so the first triples refute; the pole at x_4 still raises
+    for f, cause in ((parse("1/(x - 0.25)"), "division by zero at x = 0.25"),
+                     (lambda x: 1.0 / (x - 0.25), "function undefined at x = 0.25: float division by zero")):
+        assert _outcome(guard_oracle.grid, f, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
+        for form in _forms(f):
+            assert _outcome(sample_convexity, form, Interval(0.0, 1.0), 16, "convexity") == (DomainError, cause)
 
 
-def test_too_few_pairs_is_the_same_error():
-    assert _outcome(sample_convexity, math.exp, Interval(0.0, 1.0), 2, "convexity") == (
-        ValueError, "need at least 3 sample pairs, got n = 2")
+def test_the_widest_triple_comes_last_and_names_the_midpoint():
+    # inf at the ends and the midpoint only: the consecutive gaps are -inf or inf, the widest one inf - inf
+    def f(x):
+        return math.inf if x in (0.0, 0.5, 1.0) else x * x
+
+    want = (DomainError, "convexity gap undefined (inf - inf) at the midpoint x = 0.5")
+    assert _outcome(guard_oracle.grid, f, Interval(0.0, 1.0), 16, "convexity") == want
+    assert _outcome(sample_convexity, f, Interval(0.0, 1.0), 16, "convexity") == want
 
 
-def _reference_guard(f, region, order, q, *, pairs, sample=guard_oracle.sample_convexity):
-    """:func:`convexity_guard` of one region on ``guard_oracle``'s sampling, which calls f, or |f^(order)|^q from the
-    order-``order`` jet, one point at a time, with the same labels and messages; or on another ``sample`` of the
-    same signature.  Returns the passing report."""
-    if order == 0:
-        what, fn = "f", f.compiled(0)
-    else:
-        what = "|f" + "'" * order + f"|^q (q = {q!r})"
-        if order == 2 and "abs" in to_text(f):
-            raise PreconditionError(f"{what} bounds need f twice differentiable, and f contains abs")
-        jet = f.compiled(order)
-        fn = lambda x: abs(jet(x)[order]) ** q
+@pytest.mark.parametrize("n", [0, 2, 3, 6, 50])
+def test_a_step_count_that_4_does_not_divide_is_refused(n):
+    want = (ValueError, f"need a positive multiple of 4 grid steps, got n = {n}")
+    assert _outcome(guard_oracle.grid, math.exp, Interval(0.0, 1.0), n, "convexity") == want
+    assert _outcome(sample_convexity, math.exp, Interval(0.0, 1.0), n, "convexity") == want
+    with pytest.raises(ValueError, match=f"got n = {n}$"):
+        convexity_guard(math.exp, steps=n)
+
+
+def _guard(f, region, order, q, *, steps):
+    convexity_guard(f, order, q, steps=steps)(region)
+
+
+def _guard_outcome(guard, f, region, order, q, steps):
     try:
-        report = sample(fn, region, pairs, label=f"guard:{what}")
-    except DomainError as exc:
-        raise DomainError(f"{what}: {exc}") from exc
-    if not report.satisfied:
-        raise PreconditionError(f"{what} is not midpoint-convex on [{region.a!r}, {region.b!r}]"
-                                f" (worst gap {report.lhs!r} near x = {report.inputs['worst_at']!r})")
-    return report
-
-
-def _guard(f, region, order, q, *, pairs):
-    convexity_guard(f, order, q, pairs=pairs)(region)
-
-
-def _guard_outcome(guard, f, region, order, q, pairs):
-    try:
-        guard(f, region, order, q, pairs=pairs)
+        guard(f, region, order, q, steps=steps)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
     return None
@@ -168,19 +153,19 @@ def _regions(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(text=st.sampled_from(_TEXTS), region=_regions(), order=st.sampled_from((0, 1, 2)),
-       q=st.sampled_from((1, 2, 2.0, 3.5, 300)), pairs=st.sampled_from((3, 16, 32)))
-def test_the_compiled_guard_loop_matches_the_point_by_point_guard(text, region, order, q, pairs):
+       q=st.sampled_from((1, 2, 2.0, 3.5, 300)), steps=st.sampled_from((4, 16, 32)))
+def test_the_compiled_guard_loop_matches_the_point_by_point_guard(text, region, order, q, steps):
     f = parse(text)
-    want = _guard_outcome(_reference_guard, f, region, order, q, pairs)
-    assert _guard_outcome(_guard, f, region, order, q, pairs) == want
+    want = _guard_outcome(guard_oracle.guard, f, region, order, q, steps)
+    assert _guard_outcome(_guard, f, region, order, q, steps) == want
 
 
 def test_a_nan_gap_is_raised_ahead_of_a_hole_at_a_later_point():
-    # a later pair's point is a hole of the log, so a pass that evaluated every point before
-    # scanning the gaps would raise "f: log of nonpositive argument at x = ..." instead
-    f = parse("x^4 + log((x - 2.3397441655619037e+77)^2 - 5.033759532751502e+150)")
-    want = (DomainError, "f: convexity gap undefined (inf - inf) at the midpoint x = 2.8011881272326755e+77")
-    assert _guard_outcome(_reference_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
+    # x^4 is inf on the region, and the log's hole is the grid's midpoint 2.5e77, so a pass that evaluated
+    # every point before forming the gaps would raise "f: log of nonpositive argument at x = 2.5e+77 ..." instead
+    f = parse("x^4 + log((x - 2.5e77)^2 - 1)")
+    want = (DomainError, "f: convexity gap undefined (inf - inf) at the midpoint x = 2.0625e+77")
+    assert _guard_outcome(guard_oracle.guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
     assert _guard_outcome(_guard, f, Interval(2e77, 3e77), 0, 1.0, 16) == want
 
 
@@ -191,7 +176,7 @@ def test_both_forms_pass_a_worst_gap_of_exactly_abs_tol():
     gap = sample_convexity(f, Interval(0.0, 1.0), 16).lhs
     assert gap > 0.0
     for tol, passes in ((gap, True), (math.nextafter(gap, 0.0), False)):
-        check = convexity_guard(f, pairs=16, cfg=ToleranceConfig(abs_tol=tol))
+        check = convexity_guard(f, steps=16, cfg=ToleranceConfig(abs_tol=tol))
         for run in (lambda: check(Interval(0.0, 1.0)), lambda: check.panels((0.25, 0.75))):
             if passes:
                 run()
@@ -220,7 +205,7 @@ def _battery(guard):
 
 def test_guards_of_the_battery_are_pinned_bit_for_bit(scans):
     """The worst gap and its midpoint of every guard at orders 0-2, q = 1 and 2, over the battery on three
-    widened regions, as float.hex, or the exception's type and message; recorded before the guard became one pass."""
+    widened regions, as float.hex, or the exception's type and message; recorded from ``guard_oracle.grid``."""
 
     def guard(f, region, order, q):
         scans.clear()
@@ -231,123 +216,125 @@ def test_guards_of_the_battery_are_pinned_bit_for_bit(scans):
     assert _battery(guard) == _GUARD_PIN
 
 
-def test_the_report_view_of_the_battery_is_pinned_bit_for_bit():
-    """:func:`sample_convexity`, which no guard calls, reports the same gaps and verdicts on the same cases."""
+@pytest.mark.parametrize("sample", [sample_convexity, guard_oracle.grid], ids=["sample_convexity", "reference"])
+def test_the_report_view_of_the_battery_is_pinned_bit_for_bit(sample):
+    """:func:`sample_convexity`, which no guard calls, and ``guard_oracle.grid`` report the same gaps and verdicts
+    on the same cases."""
 
     def guard(f, region, order, q):
-        report = _reference_guard(f, region, order, q, pairs=32, sample=sample_convexity)
+        report = guard_oracle.guard(f, region, order, q, steps=32, sample=sample)
         return report.lhs.hex(), report.inputs["worst_at"].hex()
 
     assert _battery(guard) == _GUARD_PIN
 
 
 _GUARD_PIN = {
-    'x^2 0 1 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
-    'x^2 0 1 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
-    'x^2 0 1 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
-    'x^2 0 2 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
-    'x^2 0 2 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
-    'x^2 0 2 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
-    'x^2 1 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2 1 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2 1 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
-    'x^2 1 2 0': ('-0x1.787fb01a94000p-7', '0x1.30974dbc1cad8p+1'),
-    'x^2 1 2 1': ('-0x1.a78fa61de7000p-8', '0x1.48e2f49a2b044p+0'),
-    'x^2 1 2 2': ('-0x1.670ea5ce18c00p+11', '0x1.eee783d36802ep+9'),
-    'x^2 2 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2 2 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2 2 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
-    'x^2 2 2 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2 2 2 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2 2 2 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
-    'exp(x)+x^4 0 1 0': ('-0x1.cf54400e55000p-4', '0x1.30974dbc1cad8p+1'),
-    'exp(x)+x^4 0 1 1': ('-0x1.21be1963438c0p-6', '0x1.1fd2fee36657cp-1'),
-    'exp(x)+x^4 0 1 2': ('DomainError', 'f: exp overflow at x = 800.0 (arg = 800.0)'),
-    'exp(x)+x^4 0 2 0': ('-0x1.cf54400e55000p-4', '0x1.30974dbc1cad8p+1'),
-    'exp(x)+x^4 0 2 1': ('-0x1.21be1963438c0p-6', '0x1.1fd2fee36657cp-1'),
-    'exp(x)+x^4 0 2 2': ('DomainError', 'f: exp overflow at x = 800.0 (arg = 800.0)'),
-    'exp(x)+x^4 1 1 0': ('-0x1.8f866a1435800p-4', '0x1.30974dbc1cad8p+1'),
-    'exp(x)+x^4 1 1 1': ('-0x1.c7f4108b78200p-6', '0x1.48e2f49a2b044p+0'),
-    'exp(x)+x^4 1 1 2': ('DomainError', "|f'|^q (q = 1): exp overflow at x = 800.0 (arg = 800.0)"),
-    'exp(x)+x^4 1 2 0': ('-0x1.f7aadab13e5d0p+3', '0x1.6a8ca9eceee52p+0'),
-    'exp(x)+x^4 1 2 1': ('-0x1.3fc7025151b4cp-2', '0x1.672b2ca6b71d9p-3'),
-    'exp(x)+x^4 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
-    'exp(x)+x^4 2 1 0': ('-0x1.997b5e171b000p-5', '0x1.30974dbc1cad8p+1'),
-    'exp(x)+x^4 2 1 1': ('-0x1.6d82225daec00p-6', '0x1.48e2f49a2b044p+0'),
-    'exp(x)+x^4 2 1 2': ('DomainError', "|f''|^q (q = 1): exp overflow at x = 800.0 (arg = 800.0)"),
-    'exp(x)+x^4 2 2 0': ('-0x1.5200993bc4f00p+4', '0x1.30974dbc1cad8p+1'),
-    'exp(x)+x^4 2 2 1': ('-0x1.3097cfa9f976ep+1', '0x1.672b2ca6b71d9p-3'),
-    'exp(x)+x^4 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
-    'cosh(x) 0 1 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
-    'cosh(x) 0 1 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 0 1 2': ('DomainError', 'f: cosh overflow at x = 800.0 (arg = 800.0)'),
-    'cosh(x) 0 2 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
-    'cosh(x) 0 2 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 0 2 2': ('DomainError', 'f: cosh overflow at x = 800.0 (arg = 800.0)'),
-    'cosh(x) 1 1 0': ('-0x1.f812aabf72c00p-8', '0x1.30974dbc1cad8p+1'),
-    'cosh(x) 1 1 1': ('-0x1.6164993c02000p-10', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 1 1 2': ('DomainError', "|f'|^q (q = 1): cosh overflow at x = 800.0 (arg = 800.0)"),
-    'cosh(x) 1 2 0': ('-0x1.8c40429db0120p-4', '0x1.6a8ca9eceee52p+0'),
-    'cosh(x) 1 2 1': ('-0x1.5be6ef94bca00p-7', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
-    'cosh(x) 2 1 0': ('-0x1.006512acf6800p-7', '0x1.30974dbc1cad8p+1'),
-    'cosh(x) 2 1 1': ('-0x1.9c01c33812400p-10', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 2 1 2': ('DomainError', "|f''|^q (q = 1): cosh overflow at x = 800.0 (arg = 800.0)"),
-    'cosh(x) 2 2 0': ('-0x1.8c40429db0140p-4', '0x1.6a8ca9eceee52p+0'),
-    'cosh(x) 2 2 1': ('-0x1.5be6ef94bcb00p-7', '0x1.48e2f49a2b044p+0'),
-    'cosh(x) 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 550.0: (34, 'Numerical result out of range')"),
-    'x*log(x) 0 1 0': ('-0x1.3c7691547f000p-11', '0x1.30974dbc1cad8p+1'),
+    'x^2 0 1 0': ('-0x1.0000000000000p-8', '0x1.2000000000000p-1'),
+    'x^2 0 1 1': ('-0x1.2000000000000p-9', '-0x1.4000000000000p-4'),
+    'x^2 0 1 2': ('-0x1.e848000000000p+9', '0x1.4500000000000p+6'),
+    'x^2 0 2 0': ('-0x1.0000000000000p-8', '0x1.2000000000000p-1'),
+    'x^2 0 2 1': ('-0x1.2000000000000p-9', '-0x1.4000000000000p-4'),
+    'x^2 0 2 2': ('-0x1.e848000000000p+9', '0x1.4500000000000p+6'),
+    'x^2 1 1 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2 1 1 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2 1 1 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
+    'x^2 1 2 0': ('-0x1.0000000000000p-6', '0x1.2000000000000p-1'),
+    'x^2 1 2 1': ('-0x1.2000000000000p-7', '-0x1.4000000000000p-4'),
+    'x^2 1 2 2': ('-0x1.e848000000000p+11', '0x1.4500000000000p+6'),
+    'x^2 2 1 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2 2 1 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2 2 1 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
+    'x^2 2 2 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2 2 2 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2 2 2 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
+    'exp(x)+x^4 0 1 0': ('-0x1.63dc2d5087400p-7', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 0 1 1': ('-0x1.1bd4b6a926400p-10', '-0x1.0000000000000p-5'),
+    'exp(x)+x^4 0 1 2': ('DomainError', 'f: exp overflow at x = 737.5 (arg = 737.5)'),
+    'exp(x)+x^4 0 2 0': ('-0x1.63dc2d5087400p-7', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 0 2 1': ('-0x1.1bd4b6a926400p-10', '-0x1.0000000000000p-5'),
+    'exp(x)+x^4 0 2 2': ('DomainError', 'f: exp overflow at x = 737.5 (arg = 737.5)'),
+    'exp(x)+x^4 1 1 0': ('-0x1.e82e16a843a00p-6', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 1 1 1': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [-0.125, 1.375] (worst gap 0.0010436812091725312 near x = -0.078125)"),
+    'exp(x)+x^4 1 1 2': ('DomainError', "|f'|^q (q = 1): exp overflow at x = 737.5 (arg = 737.5)"),
+    'exp(x)+x^4 1 2 0': ('-0x1.137dc56cd9ff0p-2', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 1 2 1': ('-0x1.3e6e486e24000p-12', '-0x1.4000000000000p-4'),
+    'exp(x)+x^4 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 362.5: (34, 'Numerical result out of range')"),
+    'exp(x)+x^4 2 1 0': ('-0x1.9c170b5421d00p-5', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 2 1 1': ('-0x1.c0a67bd5b4b20p-6', '-0x1.4000000000000p-4'),
+    'exp(x)+x^4 2 1 2': ('DomainError', "|f''|^q (q = 1): exp overflow at x = 737.5 (arg = 737.5)"),
+    'exp(x)+x^4 2 2 0': ('-0x1.78648df2c9160p+0', '0x1.2000000000000p-1'),
+    'exp(x)+x^4 2 2 1': ('-0x1.bfebc0dd18b40p-5', '-0x1.0000000000000p-5'),
+    'exp(x)+x^4 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 362.5: (34, 'Numerical result out of range')"),
+    'cosh(x) 0 1 0': ('-0x1.29ad137b01e00p-9', '0x1.2000000000000p-1'),
+    'cosh(x) 0 1 1': ('-0x1.201680b8d0000p-10', '0x1.0000000000000p-6'),
+    'cosh(x) 0 1 2': ('DomainError', 'f: cosh overflow at x = 737.5 (arg = 737.5)'),
+    'cosh(x) 0 2 0': ('-0x1.29ad137b01e00p-9', '0x1.2000000000000p-1'),
+    'cosh(x) 0 2 1': ('-0x1.201680b8d0000p-10', '0x1.0000000000000p-6'),
+    'cosh(x) 0 2 2': ('DomainError', 'f: cosh overflow at x = 737.5 (arg = 737.5)'),
+    'cosh(x) 1 1 0': ('-0x1.2f87438e36400p-10', '0x1.2000000000000p-1'),
+    'cosh(x) 1 1 1': ('-0x1.203d84e76a000p-14', '0x1.0000000000000p-4'),
+    'cosh(x) 1 1 2': ('DomainError', "|f'|^q (q = 1): cosh overflow at x = 737.5 (arg = 737.5)"),
+    'cosh(x) 1 2 0': ('-0x1.b4641b9d06cc0p-8', '0x1.2000000000000p-1'),
+    'cosh(x) 1 2 1': ('-0x1.205a0b8d9db18p-9', '0x1.0000000000000p-6'),
+    'cosh(x) 1 2 2': ('DomainError', "|f'|^q (q = 2): function undefined at x = 362.5: (34, 'Numerical result out of range')"),
+    'cosh(x) 2 1 0': ('-0x1.29ad137b01e00p-9', '0x1.2000000000000p-1'),
+    'cosh(x) 2 1 1': ('-0x1.201680b8d0000p-10', '0x1.0000000000000p-6'),
+    'cosh(x) 2 1 2': ('DomainError', "|f''|^q (q = 1): cosh overflow at x = 737.5 (arg = 737.5)"),
+    'cosh(x) 2 2 0': ('-0x1.b4641b9d06c00p-8', '0x1.2000000000000p-1'),
+    'cosh(x) 2 2 1': ('-0x1.205a0b8d9da00p-9', '0x1.0000000000000p-6'),
+    'cosh(x) 2 2 2': ('DomainError', "|f''|^q (q = 2): function undefined at x = 362.5: (34, 'Numerical result out of range')"),
+    'x*log(x) 0 1 0': ('-0x1.a4260b4ace000p-11', '0x1.3800000000000p+1'),
     'x*log(x) 0 1 1': ('DomainError', 'f: log of nonpositive argument at x = -0.125 (arg = -0.125)'),
-    'x*log(x) 0 1 2': ('-0x1.738171bb88000p-2', '0x1.eee783d36802ep+9'),
-    'x*log(x) 0 2 0': ('-0x1.3c7691547f000p-11', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 0 1 2': ('-0x1.eadfe21dcc000p-2', '0x1.fd60000000000p+9'),
+    'x*log(x) 0 2 0': ('-0x1.a4260b4ace000p-11', '0x1.3800000000000p+1'),
     'x*log(x) 0 2 1': ('DomainError', 'f: log of nonpositive argument at x = -0.125 (arg = -0.125)'),
-    'x*log(x) 0 2 2': ('-0x1.738171bb88000p-2', '0x1.eee783d36802ep+9'),
-    'x*log(x) 1 1 0': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [0.5, 2.5] (worst gap 0.14591373174069666 near x = 1.0627410039996081)"),
+    'x*log(x) 0 2 2': ('-0x1.eadfe21dcc000p-2', '0x1.fd60000000000p+9'),
+    'x*log(x) 1 1 0': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [0.5, 2.5] (worst gap 0.29389333245105953 near x = 1.5)"),
     'x*log(x) 1 1 1': ('DomainError', "|f'|^q (q = 1): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
-    'x*log(x) 1 1 2': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [50.0, 1050.0] (worst gap 0.5785471478280595 near x = 297.36034288987645)"),
-    'x*log(x) 1 2 0': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [0.5, 2.5] (worst gap 0.09065582392099802 near x = 1.7061561789053634)"),
+    'x*log(x) 1 1 2': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [50.0, 1050.0] (worst gap 0.8756340539366585 near x = 550.0)"),
+    'x*log(x) 1 2 0': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [0.5, 2.5] (worst gap 0.0921677591769463 near x = 1.5)"),
     'x*log(x) 1 2 1': ('DomainError', "|f'|^q (q = 2): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
-    'x*log(x) 1 2 2': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [50.0, 1050.0] (worst gap 6.01537232022342 near x = 297.36034288987645)"),
-    'x*log(x) 2 1 0': ('-0x1.bf4879dbaf000p-13', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 1 2 2': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [50.0, 1050.0] (worst gap 9.717612536954434 near x = 550.0)"),
+    'x*log(x) 2 1 0': ('-0x1.1b04370012000p-12', '0x1.3800000000000p+1'),
     'x*log(x) 2 1 1': ('DomainError', "|f''|^q (q = 1): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
-    'x*log(x) 2 1 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
-    'x*log(x) 2 2 0': ('-0x1.1a0ab5efcf800p-12', '0x1.30974dbc1cad8p+1'),
+    'x*log(x) 2 1 2': ('-0x1.f0560ccb24000p-21', '0x1.fd60000000000p+9'),
+    'x*log(x) 2 2 0': ('-0x1.5c7b11369a400p-12', '0x1.3800000000000p+1'),
     'x*log(x) 2 2 1': ('DomainError', "|f''|^q (q = 2): log of nonpositive argument at x = -0.125 (arg = -0.125)"),
-    'x*log(x) 2 2 2': ('-0x1.34da1d631ae00p-29', '0x1.eee783d36802ep+9'),
-    '1/x 0 1 0': ('-0x1.bf4879dbaf800p-13', '0x1.30974dbc1cad8p+1'),
-    '1/x 0 1 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 119.73345538080471 near x = 0.17537531741881088)'),
-    '1/x 0 1 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
-    '1/x 0 2 0': ('-0x1.bf4879dbaf800p-13', '0x1.30974dbc1cad8p+1'),
-    '1/x 0 2 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 119.73345538080471 near x = 0.17537531741881088)'),
-    '1/x 0 2 2': ('-0x1.8ddba9e678000p-21', '0x1.eee783d36802ep+9'),
-    '1/x 1 1 0': ('-0x1.1a0ab5efcfa00p-12', '0x1.30974dbc1cad8p+1'),
-    '1/x 1 1 1': ('-0x1.d3386a84b8000p-10', '0x1.48e2f49a2b044p+0'),
-    '1/x 1 1 2': ('-0x1.34da1d631b200p-29', '0x1.eee783d36802ep+9'),
-    '1/x 1 2 0': ('-0x1.4c5ccdeb23880p-13', '0x1.30974dbc1cad8p+1'),
-    '1/x 1 2 1': ('-0x1.d8a6018b0b180p-9', '0x1.48e2f49a2b044p+0'),
-    '1/x 1 2 2': ('-0x1.13d5f04abad00p-47', '0x1.eee783d36802ep+9'),
-    '1/x 2 1 0': ('-0x1.da4bf0390fa00p-12', '0x1.30974dbc1cad8p+1'),
-    '1/x 2 1 1': ('-0x1.6bf94e001e900p-8', '0x1.48e2f49a2b044p+0'),
-    '1/x 2 1 2': ('-0x1.3fb75389d3600p-37', '0x1.eee783d36802ep+9'),
-    '1/x 2 2 0': ('-0x1.eda8fa57d7200p-13', '0x1.30974dbc1cad8p+1'),
-    '1/x 2 2 1': ('-0x1.2d6cbac1984c0p-6', '0x1.48e2f49a2b044p+0'),
-    '1/x 2 2 2': ('-0x1.368d22908c680p-64', '0x1.eee783d36802ep+9'),
-    'x^2-5 0 1 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
-    'x^2-5 0 1 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
-    'x^2-5 0 1 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
-    'x^2-5 0 2 0': ('-0x1.787fb01a94000p-9', '0x1.30974dbc1cad8p+1'),
-    'x^2-5 0 2 1': ('-0x1.a78fa61de7000p-10', '0x1.48e2f49a2b044p+0'),
-    'x^2-5 0 2 2': ('-0x1.670ea5ce18c00p+9', '0x1.eee783d36802ep+9'),
-    'x^2-5 1 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2-5 1 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2-5 1 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
-    'x^2-5 1 2 0': ('-0x1.787fb01a94000p-7', '0x1.30974dbc1cad8p+1'),
-    'x^2-5 1 2 1': ('-0x1.a78fa61de7000p-8', '0x1.48e2f49a2b044p+0'),
-    'x^2-5 1 2 2': ('-0x1.670ea5ce18c00p+11', '0x1.eee783d36802ep+9'),
-    'x^2-5 2 1 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2-5 2 1 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2-5 2 1 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
-    'x^2-5 2 2 0': ('0x0.0p+0', '0x1.0d1aaa4468676p+1'),
-    'x^2-5 2 2 1': ('0x0.0p+0', '0x1.13a7ff669c9b1p+0'),
-    'x^2-5 2 2 2': ('0x0.0p+0', '0x1.a998148d9be9ep+9'),
+    'x*log(x) 2 2 2': ('-0x1.7667c7b706600p-29', '0x1.fd60000000000p+9'),
+    '1/x 0 1 0': ('-0x1.1b04370011c00p-12', '0x1.3800000000000p+1'),
+    '1/x 0 1 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 72.0 near x = 0.015625)'),
+    '1/x 0 1 2': ('-0x1.f0560ccb24000p-21', '0x1.fd60000000000p+9'),
+    '1/x 0 2 0': ('-0x1.1b04370011c00p-12', '0x1.3800000000000p+1'),
+    '1/x 0 2 1': ('PreconditionError', 'f is not midpoint-convex on [-0.125, 1.375] (worst gap 72.0 near x = 0.015625)'),
+    '1/x 0 2 2': ('-0x1.f0560ccb24000p-21', '0x1.fd60000000000p+9'),
+    '1/x 1 1 0': ('-0x1.5c7b11369a200p-12', '0x1.3800000000000p+1'),
+    '1/x 1 1 1': ('PreconditionError', "|f'|^q (q = 1) is not midpoint-convex on [-0.125, 1.375] (worst gap 3456.0 near x = 0.015625)"),
+    '1/x 1 1 2': ('-0x1.7667c7b706400p-29', '0x1.fd60000000000p+9'),
+    '1/x 1 2 0': ('-0x1.877dbe477ec00p-13', '0x1.3800000000000p+1'),
+    '1/x 1 2 1': ('PreconditionError', "|f'|^q (q = 2) is not midpoint-convex on [-0.125, 1.375] (worst gap 16220160.0 near x = 0.015625)"),
+    '1/x 1 2 2': ('-0x1.3bc5edfc21f80p-47', '0x1.fd60000000000p+9'),
+    '1/x 2 1 0': ('-0x1.1e16f57780a00p-11', '0x1.3800000000000p+1'),
+    '1/x 2 1 1': ('PreconditionError', "|f''|^q (q = 1) is not midpoint-convex on [-0.125, 1.375] (worst gap 487424.0 near x = 0.015625)"),
+    '1/x 2 1 2': ('-0x1.78a1580a07700p-37', '0x1.fd60000000000p+9'),
+    '1/x 2 2 0': ('-0x1.1533aee8c7480p-12', '0x1.3800000000000p+1'),
+    '1/x 2 2 1': ('PreconditionError', "|f''|^q (q = 2) is not midpoint-convex on [-0.125, 1.375] (worst gap 272696868864.0 near x = 0.015625)"),
+    '1/x 2 2 2': ('-0x1.4fc70401b6380p-64', '0x1.fd60000000000p+9'),
+    'x^2-5 0 1 0': ('-0x1.0000000000000p-8', '0x1.2000000000000p-1'),
+    'x^2-5 0 1 1': ('-0x1.2000000000000p-9', '-0x1.4000000000000p-4'),
+    'x^2-5 0 1 2': ('-0x1.e848000000000p+9', '0x1.4500000000000p+6'),
+    'x^2-5 0 2 0': ('-0x1.0000000000000p-8', '0x1.2000000000000p-1'),
+    'x^2-5 0 2 1': ('-0x1.2000000000000p-9', '-0x1.4000000000000p-4'),
+    'x^2-5 0 2 2': ('-0x1.e848000000000p+9', '0x1.4500000000000p+6'),
+    'x^2-5 1 1 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2-5 1 1 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2-5 1 1 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
+    'x^2-5 1 2 0': ('-0x1.0000000000000p-6', '0x1.2000000000000p-1'),
+    'x^2-5 1 2 1': ('-0x1.2000000000000p-7', '-0x1.4000000000000p-4'),
+    'x^2-5 1 2 2': ('-0x1.e848000000000p+11', '0x1.4500000000000p+6'),
+    'x^2-5 2 1 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2-5 2 1 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2-5 2 1 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
+    'x^2-5 2 2 0': ('0x0.0p+0', '0x1.2000000000000p-1'),
+    'x^2-5 2 2 1': ('0x0.0p+0', '-0x1.4000000000000p-4'),
+    'x^2-5 2 2 2': ('0x0.0p+0', '0x1.4500000000000p+6'),
 }

@@ -117,7 +117,7 @@ def test_audit_battery_script_honours_hh_tol():
         argv = [sys.executable, "scripts/audit_battery.py", "--trials", "10", "--q", "2"]
         return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True).stdout
 
-    default, loose = run("1e-12"), run("0.05")
+    default, loose = run("1e-12"), run("0.1")
     # a looser tolerance passes more |f'|^q guards, so fewer thm2 instances are guarded out
     guarded = [int(next(line for line in out.splitlines() if line.startswith("thm2")).split()[3])
                for out in (default, loose)]

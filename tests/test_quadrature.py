@@ -237,9 +237,9 @@ class TestAdaptiveMidpoint:
                 calls[order] += 1
                 return evaluator(x)
 
-            def scan(lo, hi, units, order=order, evaluator=evaluator, **q):  # the guards sample through it
-                calls[order] += 5 + 3 * len(units)
-                return evaluator.scan(lo, hi, units, **q)
+            def scan(lo, hi, n, order=order, evaluator=evaluator, **q):  # the guards sample through it
+                calls[order] += n + 1
+                return evaluator.scan(lo, hi, n, **q)
 
             counted.scan = scan
             f._evaluators[order] = counted
@@ -333,9 +333,9 @@ _PANELLED = parse("exp(x)")  # the function whose panels the partition cases gua
     (lambda: adaptive_midpoint(parse("x^2+abs(x+9)"), Interval(0.0, 1.0), 10.0), [32]),
 ], ids=["midpoint_error_bound", "prop4_check", "adaptive order 2", "adaptive order 1"])
 def test_guard_traffic(scans, call, want):
-    """One scan per panel at 16 pairs, or one guard of a region at 32."""
+    """One scan per panel of a 16-step grid, or one guard of a region on a 32-step one."""
     call()
-    assert [scan.pairs for scan in scans] == want
+    assert [scan.steps for scan in scans] == want
 
 
 @pytest.mark.parametrize("call", [
@@ -345,7 +345,7 @@ def test_guard_traffic(scans, call, want):
 def test_the_partition_guard_scans_each_widened_panel_once(scans, call):
     partition = Partition((1.0, 1.25, 1.5, 2.0, 3.0))
     call(partition)
-    assert [(scan.lo, scan.hi, scan.pairs) for scan in scans] == [(*widen(left, right), 16) for left, right in partition.panels()]
+    assert [(scan.lo, scan.hi, scan.steps) for scan in scans] == [(*widen(left, right), 16) for left, right in partition.panels()]
 
 
 @pytest.mark.parametrize("fn, a, b, target, q, want", [

@@ -112,6 +112,12 @@ class TestBesselSecondKind:
         with pytest.raises(ConvergenceError, match=r"not boundable \(p=0.0, x=1e-310\)"):
             bessel_K(0.0, 1e-310)
 
+    def test_the_node_cap_has_its_own_message(self):
+        # at p = x = 1e10 the step is so small that the 2^16-node cap stops the sum long before t = 710
+        with pytest.raises(ConvergenceError) as info:
+            bessel_K(1e10, 1e10)
+        assert str(info.value) == "second-kind sum not converged within 2^16 nodes (p=10000000000.0, x=10000000000.0)"
+
     def test_a_value_beyond_the_float_range_is_a_domain_error(self):
         with pytest.raises(DomainError, match=r"beyond the float range \(p=800.0, x=1.0\)"):
             bessel_K(800.0, 1.0)
