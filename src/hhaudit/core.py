@@ -18,6 +18,7 @@ it with each jet's lines, this module once for any other callable); :func:`sampl
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -183,8 +184,10 @@ def make_report(
 
 
 def undefined(x: float, cause: Exception | None = None) -> DomainError:
-    """What sampling raises where f raised ``cause`` at ``x``, or returned NaN (no cause)."""
-    return DomainError(f"function undefined at x = {x!r}: {cause}" if cause else f"function undefined (NaN) at x = {x!r}")
+    """What sampling raises where f raised ``cause`` at ``x``, or returned NaN (no cause), with ``at`` = x."""
+    exc = DomainError(f"function undefined at x = {x!r}: {cause}" if cause else f"function undefined (NaN) at x = {x!r}")
+    exc.at = x
+    return exc
 
 
 def _grid_steps(n: int) -> int:
@@ -194,28 +197,32 @@ def _grid_steps(n: int) -> int:
     return n
 
 
-# A region's sampling pass over the grid x_i = lo + i (hi - lo)/n, x_n = hi: each point's value, the gap of the triple it
-# closes (midpoint m, one point back), then the widest triple's.  Only {point}, the jet inlined once, raises: a hole at x.
+# At x_i: f from {point} (the jet inlined once), the gap of the triple it closes (midpoint m, one point back), and at a
+# multiple k of ``wide`` that of the stride-``wide`` triple; a DomainError's ``at`` is x, set to m for a NaN gap.
 _SCAN = """\
-def scan(lo, hi, n{params}):
-    step, worst, worst_at, fs, x = (hi - lo) / n, -inf, lo, [], lo
+def scan(lo, hi, n, wide{params}):
+    step, worst, worst_at, x, f1, wb, k = (hi - lo) / n, -inf, lo, lo, 0.0, 0.0, 0
     try:
-        for i in range(1, n + 2):
+        for i in range(n + 1):
 {point}
-            fs.append(v)
-            if i > 2:
-                gap = fs[-2] - (0.5 * fs[-3] + 0.5 * v)
+            if i > 1:
+                gap = f1 - (0.5 * f2 + 0.5 * v)
                 if not gap <= worst:  # a NaN gap compares false both ways, so it lands here
                     if gap != gap:
-                        raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
+                        raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{(x := m)!r}}")
                     worst, worst_at = gap, m
-            m, x = x, lo + i * step if i < n else hi
-        gap, m = fs[n // 2] - (0.5 * fs[0] + 0.5 * v), lo + n // 2 * step
-        if not gap <= worst:
-            if gap != gap:
-                raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{m!r}}")
-            worst, worst_at = gap, m
-    except DomainError:
+            if i == k:
+                if i > wide:
+                    gap, m = wb - (0.5 * wa + 0.5 * v), lo + (i - wide) * step
+                    if not gap <= worst:
+                        if gap != gap:
+                            raise DomainError(f"convexity gap undefined (inf - inf) at the midpoint x = {{(x := m)!r}}")
+                        worst, worst_at = gap, m
+                wa, wb, k = wb, v, k + wide
+            f2, f1 = f1, v
+            m, x = x, lo + (i + 1) * step if i + 1 < n else hi
+    except DomainError as exc:
+        exc.at = x
         raise
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise undefined(x, exc) from exc
@@ -224,8 +231,10 @@ def scan(lo, hi, n{params}):
 
 
 def scan_source(value: str, lines: list[str], params: str) -> str:
-    """``scan(lo, hi, n{params})``, returning the worst gap and its midpoint over the triples of the ``n``-step grid
-    on [lo, hi], with ``lines`` and then ``value`` as f at each point x, where a NaN is a hole."""
+    """``scan(lo, hi, n, wide{params})``: with ``lines`` then ``value`` as f at each x (a NaN is a hole), one pass over
+    x_i = lo + i (hi - lo)/n, x_n = hi, keeping two values and two at multiples of ``wide``, for the worst gap and its
+    midpoint over the consecutive triples and the stride-``wide`` ones centred on multiples of it: for a region wide =
+    n/2, (lo, mid, hi); for a uniform partition's union, the panels' widest triples (:func:`convexity_guard`)."""
     point = (*lines, f"v = {value}", "if v != v: raise undefined(x)")
     return _SCAN.format(params=params, point="\n".join(" " * 12 + line for line in point))
 
@@ -239,7 +248,7 @@ def _generic_scan() -> Callable[..., tuple[float, float]]:
 
 
 def _scan_of(f: Callable[[float], float]) -> Callable[..., tuple[float, float]]:
-    """``scan(lo, hi, n)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
+    """``scan(lo, hi, n, wide)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
     return f.scan if hasattr(f, "scan") else functools.partial(_generic_scan(), f=f)
 
 
@@ -264,7 +273,7 @@ def sample_convexity(
     an average that cannot overflow; convexity is "satisfied" when that gap stays below ``abs_tol``.
     The first NaN gap (inf - inf) in grid order is a DomainError naming its midpoint, ahead of any later hole.
     """
-    worst, worst_at = _scan_of(f)(iv.a, iv.b, _grid_steps(n))
+    worst, worst_at = _scan_of(f)(iv.a, iv.b, _grid_steps(n), n // 2)
     return make_report(label, worst, 0.0, {"lo": iv.a, "hi": iv.b, "steps": n, "worst_at": worst_at}, cfg=cfg)
 
 
@@ -279,8 +288,12 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, steps: int = 32, cfg: 
     1 <= q < inf and, at order 2, f twice differentiable (f'' = 0 off a kink samples as convex).  One body
     per region runs the scan of f or ``f.compiled(order)`` that :func:`sample_convexity` reports, without a
     report: PreconditionError names the function, the region and the worst gap; a domain hole's DomainError
-    names the function too.  ``check.panels(points)`` runs it on each panel's widened interval in turn; the
-    first failure gets the prefix ``subinterval i [l, r]: ``, but not widen's ValueError."""
+    names the function too.  ``check.panels(points)`` widens every panel (widen's ValueError, unprefixed), then,
+    for a uniform partition, runs one body on the union of the widened panels, which overlap, so it is the same
+    hypothesis, on (``steps``/2)(m + 1) steps that hold each panel's grid up to rounding (:func:`scan_source`), and
+    for any other one body per widened panel, at the panel's own resolution.  Failures, an overflowing widened end
+    too, are prefixed ``subinterval i [l, r]: ``: the panel scanned, or in the union the panel i with x_i < x <=
+    x_{i+1} at the hole or the worst gap's midpoint x (the end panel for x beyond the ends)."""
     if order == 0:
         what, scan = "f", _scan_of(evaluator(f))
     else:
@@ -291,29 +304,44 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, steps: int = 32, cfg: 
         scan = functools.partial(f.compiled(order).scan, q=q)
     n = _grid_steps(steps)
 
-    def region(lo: float, hi: float) -> None:
+    def region(lo: float, hi: float, count: int = n, where: Callable[[float], str] = lambda x: "") -> None:
         try:
-            worst, worst_at = scan(lo, hi, n)
+            worst, worst_at = scan(lo, hi, count, n // 2)
         except DomainError as exc:
-            raise DomainError(f"{what}: {exc}") from None
+            raise DomainError(f"{where(exc.at)}{what}: {exc}") from None
         if not 0.0 - worst >= -cfg.abs_tol:  # make_report's verdict
-            raise PreconditionError(f"{what} is not midpoint-convex on [{lo!r}, {hi!r}] (worst gap {worst!r} near x = {worst_at!r})")
+            raise PreconditionError(f"{where(worst_at)}{what} is not midpoint-convex on [{lo!r}, {hi!r}] (worst gap {worst!r} near x = {worst_at!r})")
 
     def check(iv: Interval) -> None:
         region(iv.a, iv.b)
 
     def panels(points: tuple[float, ...]) -> None:
+        name = lambda i: f"subinterval {i} [{points[i]!r}, {points[i + 1]!r}]: "
         for i, (left, right) in enumerate(zip(points, points[1:])):
-            lo, hi = widen(left, right)
-            try:
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    extend(Interval(left, right))  # raises its overflow DomainError
-                region(lo, hi)
-            except (DomainError, PreconditionError) as exc:
-                raise type(exc)(f"subinterval {i} [{left!r}, {right!r}]: {exc}") from None
+            lo, hi = widen(left, right)  # a panel too narrow to widen raises, unprefixed, before any evaluation
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                try:
+                    extend(Interval(left, right))
+                except DomainError as exc:
+                    raise DomainError(name(i) + str(exc)) from None
+        if not _uniform(points):
+            for i, (left, right) in enumerate(zip(points, points[1:])):
+                region(*widen(left, right), n, lambda x, i=i: name(i))
+            return
+        # x_i < x <= x_{i+1} names panel i, and x beyond the ends the end panel
+        where = lambda x: name(min(max(bisect.bisect_left(points, x), 1), len(points) - 1) - 1)
+        region(widen(points[0], points[1])[0], hi, n // 2 * len(points), where)  # panel 0's lo* to panel m - 1's hi*
 
     check.panels = panels
     return check
+
+
+def _uniform(points: tuple[float, ...]) -> bool:
+    """Whether every x_i is x_0 + i (x_m - x_0)/m up to rounding (16 ulps, and at most 1/64 of a panel): then each
+    widened panel's grid is part of the union's grid up to rounding, and one scan of the union holds them all."""
+    x0, h = points[0], (points[-1] - points[0]) / (len(points) - 1)
+    tol = min(16.0 * math.ulp(max(abs(x0), abs(points[-1]))), h / 64.0)
+    return all(abs(x - (x0 + i * h)) <= tol for i, x in enumerate(points))
 
 
 def require_exponent(q: float) -> None:

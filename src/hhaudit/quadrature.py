@@ -1,9 +1,10 @@
 """Composite trapezoid/midpoint rules, the midpoint error certificates, their prop4 and prop5
 reports, and an adaptive certified midpoint integrator.  Hypotheses are checked by
-:func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled on a 16-step grid on each
-panel's widened interval or, in :func:`adaptive_midpoint`, on a 32-step one on [a, b] (order 2) or,
-built only then, its widened hull (order 1).  T1, T2 and the certificates are flat passes over
-``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at
+:func:`hhaudit.core.convexity_guard`: 1 <= q < inf, and convexity sampled on each panel's widened
+interval at 16 steps, for a uniform partition by one scan of their union (they overlap, so it is the hypothesis
+on each), or, in :func:`adaptive_midpoint`, on a 32-step grid on [a, b] (order 2) or, built only then, its
+widened hull (order 1).  T1, T2 and the certificates are flat
+passes over ``partition.points``; :func:`adaptive_midpoint` refines in :mod:`hhaudit.oracle` and, at
 second order, gives T1 the f values its panels carry.
 
 The first-order certificate (:func:`midpoint_error_bound`, prop5's form) needs |f'|^q
@@ -34,7 +35,6 @@ from .core import (
     extend,
     make_report,
     power_mean,
-    require_exponent,
     sample_convexity,  # unused here; hhbench's self-tests read this binding
     widen,
 )
@@ -116,10 +116,10 @@ def _first_order_term(jet1, q: float, left: float, right: float) -> float:
 
 
 def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Certified bound on the composite midpoint error from |f'|^q convexity, sampled on
-    each panel's widened interval: the sum of :func:`_first_order_term` times K1 = 1/8, which
-    the derived Hoelder constant never undercuts."""
-    require_exponent(q)  # before the panels, whose failures are prefixed with the panel
+    """Certified bound on the composite midpoint error from |f'|^q convexity, sampled on each panel's
+    widened interval, for a uniform partition by one scan of their union (they overlap, so it is convexity
+    on each): the sum of :func:`_first_order_term` times K1 = 1/8, which the derived Hoelder constant never
+    undercuts."""
     convexity_guard(f, 1, q, steps=16, cfg=cfg).panels(partition.points)
     jet1 = f.compiled(1)
     total = 0.0
@@ -129,10 +129,9 @@ def midpoint_error_bound(f: Expr, partition: Partition, q: float, cfg: Tolerance
 
 
 def prop4_check(f: Expr, partition: Partition, cfg: ToleranceConfig = DEFAULT_TOL) -> BoundReport:
-    """The printed chain |2 int f - T2| <= sum dx |f(lo*) + f(hi*)|/2 (fragile).
-
-    The outer max-based sum of the chain is echoed in the report inputs.
-    """
+    """The printed chain |2 int f - T2| <= sum dx |f(lo*) + f(hi*)|/2 (fragile), f convex sampled on each
+    widened panel, for a uniform partition by one scan of their union, which is the same hypothesis since
+    they overlap.  The outer max-based sum of the chain is echoed in the report inputs."""
     convexity_guard(f, steps=16, cfg=cfg).panels(partition.points)
     fx = evaluator(f)
     iv = Interval(partition.points[0], partition.points[-1])

@@ -19,14 +19,14 @@ def battery():
     return [(text, parse(text)) for text in CONVEX_BATTERY]
 
 
-Scan = collections.namedtuple("Scan", "order lo hi steps result")
+Scan = collections.namedtuple("Scan", "order lo hi steps wide result")
 
 
 @pytest.fixture
 def scans(monkeypatch):
     """Every scan that an evaluator of a parsed function runs during the test, the guards' one seam, in call
-    order: the evaluator's order, the region (lo, hi), the grid's step count, and the (worst gap, its midpoint) it
-    returned, or None where it raised.  Evaluators fetched before the test are counted too."""
+    order: the evaluator's order, the region (lo, hi), the grid's step count, the stride of its wide triples, and the
+    (worst gap, its midpoint) it returned, or None where it raised.  Evaluators fetched before the test are counted too."""
     log, wrapped, compiled = [], set(), Expr.compiled
 
     def counting(self, order):
@@ -34,13 +34,13 @@ def scans(monkeypatch):
         if jet not in wrapped:
             wrapped.add(jet)
 
-            def scan(lo, hi, n, scan=jet.scan, **q):
+            def scan(lo, hi, n, wide, scan=jet.scan, **q):
                 result = None
                 try:
-                    result = scan(lo, hi, n, **q)
+                    result = scan(lo, hi, n, wide, **q)
                     return result
                 finally:
-                    log.append(Scan(order, lo, hi, n, result))
+                    log.append(Scan(order, lo, hi, n, wide, result))
 
             monkeypatch.setattr(jet, "scan", scan)
         return jet

@@ -195,7 +195,7 @@ class TestJets:
         assert f(1.0) == 0.0 and math.copysign(1.0, f(1.0)) == 1.0
         # the guard's pass too: the 4-step grid on [0.5, 1.5] has the kink at its midpoint, so the triples around
         # it read -0.25 and -0.5 there, and the affine ones either side 0
-        assert f.compiled(0).scan(0.5, 1.5, 4) == (0.0, 0.75)
+        assert f.compiled(0).scan(0.5, 1.5, 4, 2) == (0.0, 0.75)
         with pytest.raises(DomainError, match="abs is not differentiable at 0"):
             f.compiled(1)(1.0)
 

@@ -1,5 +1,7 @@
 """The flat quadrature passes and the partition guard against the per-object loops in
-``quadrature_oracle``: the same floats bit for bit, the same exception types and messages."""
+``quadrature_oracle``: the same floats bit for bit, the same exception types and messages.  A uniform
+partition's guard is one scan of the union of its widened panels instead of the per-panel loop: it is held to the
+loop's outcome class in ``test_guard_union.py``, and the panel it names is pinned here."""
 
 import math
 import struct
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import quadrature_oracle as oracle
-from hhaudit.core import DomainError, Interval, PreconditionError, convexity_guard
+from hhaudit.core import DomainError, Interval, PreconditionError, _uniform, convexity_guard
 from hhaudit.exprlang import parse
 from hhaudit.quadrature import Partition, adaptive_midpoint, midpoint_error_bound, trapezoid_T1
 
@@ -87,8 +89,17 @@ def test_midpoint_error_bound_and_trapezoid_match_the_oracle(pts, fn, q, levels)
             break
     new = Partition(old.points)
     f = _FUNCTIONS[fn]
-    want = _outcome(oracle.midpoint_error_bound, f, old, q, guard="panel")
-    assert _outcome(midpoint_error_bound, f, new, q) == want
+    got = _outcome(midpoint_error_bound, f, new, q)
+    if _uniform(new.points):
+        # one scan of the union; past it, the flat pass is the oracle's unguarded loop bit for bit
+        guard = _outcome(convexity_guard(f, 1, q, steps=16).panels, new.points)
+        assert got == (guard if guard[0] != "ok" else _outcome(oracle.midpoint_error_bound, f, old, q, guard="none"))
+    else:
+        want = _outcome(oracle.midpoint_error_bound, f, old, q, guard="panel")
+        # every panel is widened before any is scanned, so a later panel too narrow to widen, or whose widened end
+        # overflows, comes ahead of an earlier panel's failure, which the loop met first
+        assert got == want or ((got[0] is ValueError or "widened interval of" in got[1])
+                               and want[0] in (PreconditionError, DomainError))
     assert _outcome(trapezoid_T1, f, new) == _outcome(oracle.trapezoid_T1, f, old)
 
 
@@ -161,12 +172,19 @@ _PARTITION_GUARDS = {
     # panel 3, [1, 2], widens past 2.2: only the refutation of panel 2 may be reported
     "refuted at panel 2, hole in panel 3": ("-x^3 - log(2.2 - x)", (-3.0, -2.0, -1.0, 1.0, 2.0),
                                             (PreconditionError, "subinterval 2 "), (PreconditionError, "subinterval 2 ")),
+    # a dip of depth 100 and width 1e-7 inside the narrow panel 0: its own grid, of step 1.25e-5, refutes it, where
+    # one scan of the union at the mean panel density, of step 0.17, held no point of panel 0's widened interval
+    "refuted in a narrow panel": ("x^2 - 1e-12/(1e-14 + (x-1.00005)^2)", (1.0, 1.0001, 3.0),
+                                  (PreconditionError, "subinterval 0 [1.0, 1.0001]: f is not midpoint-convex on "
+                                                      "[0.99995, 1.00015] (worst gap 49.99"),
+                                  (PreconditionError, "subinterval 0 [1.0, 1.0001]: |f'|^q")),
 }
 
 
 @pytest.mark.parametrize("order, q", [(0, 1.0), (0, 2.0), (1, 1.0), (1, 2.0)])
 @pytest.mark.parametrize("case", list(_PARTITION_GUARDS))
 def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
+    """All but "convex" are non-uniform partitions, guarded panel by panel; "convex" passes either way."""
     fn, pts, *first = _PARTITION_GUARDS[case]
     f = parse(fn)
     want = _outcome(oracle.guard_panels, f, oracle.Partition(pts), order, q)
@@ -179,3 +197,37 @@ def test_the_partition_guard_matches_the_per_panel_loop(case, order, q):
     if case == "refuted at panel 2, hole in panel 3":
         with pytest.raises(DomainError):
             convexity_guard(f, order, q, steps=16).panels(pts[3:])
+
+
+# f, a uniform grid, the failure the union scan meets at both orders, and the per-panel loop's.  The panel named is
+# the one whose [x_i, x_{i+1}] holds the hole or the worst gap's midpoint x: x_i < x <= x_{i+1}, so a shared end
+# goes to the panel on its left, and the end panel for x beyond the ends.  The region named is the union.
+_UNION_FAILURES = {
+    "hole left of x_0": ("log(x-0.3)", (0.5, 1.0, 1.5), (DomainError, "subinterval 0 [0.5, 1.0]: "), DomainError),
+    "hole right of x_m": ("-log(2.2 - x)", (1.0, 1.5, 2.0), (DomainError, "subinterval 1 [1.5, 2.0]: "), DomainError),
+    "hole at a shared end": ("1/(x-1)", (0.0, 1.0, 2.0, 3.0),
+                             (DomainError, "subinterval 0 [0.0, 1.0]: "), DomainError),
+    # a hole anywhere in the union raises ahead of a refutation, as in any region: the loop refuted panel 2 first
+    "refuted at panel 2, hole in panel 4": ("-x^3 - log(2.2 - x)", (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0),
+                                            (DomainError, "subinterval 4 [1.0, 2.0]: "), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("order, q", [(0, 1.0), (1, 1.0), (1, 2.0)])
+@pytest.mark.parametrize("case", list(_UNION_FAILURES))
+def test_the_union_scan_names_the_panel_of_its_failure(case, order, q):
+    fn, pts, (error, prefix), loop = _UNION_FAILURES[case]
+    f = parse(fn)
+    assert _uniform(pts)
+    got = _outcome(convexity_guard(f, order, q, steps=16).panels, pts)
+    assert got[0] is error and got[1].startswith(prefix)
+    assert _outcome(oracle.guard_panels, f, oracle.Partition(pts), order, q)[0] is loop
+
+
+def test_the_union_scan_names_the_union_and_the_panel_of_the_worst_gap():
+    """-x^3 on (-1, 0, 1): the worst gap of the union [-1.5, 1.5] is at 0.5, in panel 1; the loop refuted panel 0."""
+    f = parse("-x^3")
+    got = _outcome(convexity_guard(f, steps=16).panels, (-1.0, 0.0, 1.0))
+    assert got == (PreconditionError, "subinterval 1 [0.0, 1.0]: f is not midpoint-convex on [-1.5, 1.5] (worst gap 1.5 near x = 0.5)")
+    want = _outcome(oracle.guard_panels, f, oracle.Partition((-1.0, 0.0, 1.0)), 0, 1.0)
+    assert want[0] is PreconditionError and want[1].startswith("subinterval 0 [-1.0, 0.0]: f is not midpoint-convex on [-1.5, 0.5] ")

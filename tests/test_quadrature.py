@@ -89,8 +89,10 @@ class TestMidpointErrorBound:
             midpoint_error_bound(parse("x^2"), Partition((0.0, 1.0)), 0.5)
 
     def test_domain_failure_names_subinterval(self):
-        with pytest.raises((DomainError, PreconditionError), match="subinterval 0"):
+        # the widened end -0.35 is the hole: left of x_0, so panel 0 is named
+        with pytest.raises(DomainError) as info:
             midpoint_error_bound(parse("log(x)"), Partition((0.1, 1.0)), 1.0)
+        assert str(info.value) == "subinterval 0 [0.1, 1.0]: |f'|^q (q = 1.0): log of nonpositive argument at x = -0.35 (arg = -0.35)"
 
     def test_certificate_soundness_battery(self, battery):
         rng = random.Random(31)
@@ -237,9 +239,9 @@ class TestAdaptiveMidpoint:
                 calls[order] += 1
                 return evaluator(x)
 
-            def scan(lo, hi, n, order=order, evaluator=evaluator, **q):  # the guards sample through it
+            def scan(lo, hi, n, wide, order=order, evaluator=evaluator, **q):  # the guards sample through it
                 calls[order] += n + 1
-                return evaluator.scan(lo, hi, n, **q)
+                return evaluator.scan(lo, hi, n, wide, **q)
 
             counted.scan = scan
             f._evaluators[order] = counted
@@ -325,15 +327,16 @@ _PANELLED = parse("exp(x)")  # the function whose panels the partition cases gua
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: midpoint_error_bound(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [16] * 16),
-    (lambda: prop4_check(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16)), [16] * 16),
+    # a uniform partition: one scan of the union of the 16 widened panels, 8 steps a panel and 8 more
+    (lambda: midpoint_error_bound(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16), 2.0), [136]),
+    (lambda: prop4_check(_PANELLED, Partition.uniform(Interval(1.0, 2.0), 16)), [136]),
     # the |f''|^q guard passes on [a, b], so the |f'|^q guard never runs
     (lambda: adaptive_midpoint(parse("exp(x)"), Interval(0.0, 2.0), 1e-3), [32]),
     # abs refuses the |f''|^q guard before it samples, so only the |f'|^q guard samples
     (lambda: adaptive_midpoint(parse("x^2+abs(x+9)"), Interval(0.0, 1.0), 10.0), [32]),
 ], ids=["midpoint_error_bound", "prop4_check", "adaptive order 2", "adaptive order 1"])
 def test_guard_traffic(scans, call, want):
-    """One scan per panel of a 16-step grid, or one guard of a region on a 32-step one."""
+    """One scan of a uniform partition's union on 8(m + 1) steps, or one guard of a region on a 32-step one."""
     call()
     assert [scan.steps for scan in scans] == want
 
@@ -343,9 +346,23 @@ def test_guard_traffic(scans, call, want):
     lambda partition: prop4_check(_PANELLED, partition),
 ], ids=["midpoint_error_bound", "prop4_check"])
 def test_the_partition_guard_scans_each_widened_panel_once(scans, call):
+    """A non-uniform partition: one 16-step scan of each panel's widened interval, at that panel's own resolution."""
     partition = Partition((1.0, 1.25, 1.5, 2.0, 3.0))
     call(partition)
     assert [(scan.lo, scan.hi, scan.steps) for scan in scans] == [(*widen(left, right), 16) for left, right in partition.panels()]
+
+
+@pytest.mark.parametrize("call", [
+    lambda partition: midpoint_error_bound(_PANELLED, partition, 2.0),
+    lambda partition: prop4_check(_PANELLED, partition),
+], ids=["midpoint_error_bound", "prop4_check"])
+def test_the_partition_guard_scans_the_union_of_a_uniform_partition_once(scans, call):
+    """A uniform partition: one scan from panel 0's lo* to panel m - 1's hi*, 8 steps a panel and 8 more, with the
+    stride-8 triples that are each panel's widest."""
+    partition = Partition((1.0, 1.25, 1.5, 1.75))
+    call(partition)
+    assert [widen(left, right) for left, right in partition.panels()] == [(0.875, 1.375), (1.125, 1.625), (1.375, 1.875)]
+    assert [(scan.lo, scan.hi, scan.steps, scan.wide) for scan in scans] == [(0.875, 1.875, 32, 8)]
 
 
 @pytest.mark.parametrize("fn, a, b, target, q, want", [
