@@ -1,10 +1,10 @@
 """Batch front-end: verify named inequalities over given or randomized inputs,
 run certified midpoint integration, and evaluate the special functions.
 
-``verify`` looks every target up in one table, which says whether it needs
-``--fn`` and computes exactly the reports it prints.  The function targets of an
-interval share one :class:`hhaudit.hh_bounds.Instance`, so each guard, the mean
-integral and the bounds run once; a failed guard counts in ``guarded_out`` per target.
+``verify`` looks every target up in one table, which says whether it needs ``--fn``, checks
+the parameters it reads and computes exactly the reports it prints.  The function targets of
+an interval share one :class:`hhaudit.hh_bounds.Instance`, so each guard, the mean integral, f
+at each point and the bounds run once; a failed guard counts in ``guarded_out`` per target.
 
 Output is one compact JSON document per invocation, ``json.dumps(doc, sort_keys=True)``,
 so a fixed command and seed give identical bytes.  ``--pretty`` switches to a table.
@@ -72,20 +72,25 @@ environment: HH_TOL overrides the absolute comparison tolerance (default 1e-12).
 exit codes: 0 ok, 1 violation finding, 2 error, 3 integrate ended uncertified.
 """
 
-# verify's targets: name -> (needs --fn, run(inst, iv, args, cfg) -> the reports of one
-# interval), inst being the interval's shared Instance (None without --fn); "all" runs TARGETS.
+# verify's targets: name -> (needs --fn, check(args) of the parameters it reads or None, run(inst, iv, args, cfg) ->
+# the reports of one interval), inst being the interval's shared Instance (None without --fn); "all" runs TARGETS.
 _TARGETS: dict[str, tuple] = {
-    **{name: (True, lambda inst, iv, args, cfg, run=run: run(inst)) for name, run in TARGETS.items()},
-    **{f"prop{i}": (False, lambda inst, iv, args, cfg, prop=f"P{i}": list(
-        means_proposition_check(prop, iv.a, iv.b, q=args.q, n=args.n, cfg=cfg))) for i in (1, 2, 3)},
-    "prop4": (True, lambda inst, iv, args, cfg: [prop4_check(inst.f, Partition.uniform(iv, args.panels), cfg)]),
-    "prop5": (True, lambda inst, iv, args, cfg: [
+    **{name: (True, None, lambda inst, iv, args, cfg, run=run: run(inst)) for name, run in TARGETS.items()},
+    **{f"prop{i}": (False, check, lambda inst, iv, args, cfg, prop=f"P{i}": list(
+        means_proposition_check(prop, iv.a, iv.b, q=args.q, n=args.n, cfg=cfg)))
+       for i, check in ((1, lambda args: _check_p1_order(args.n)), (2, None), (3, None))},
+    "prop4": (True, None, lambda inst, iv, args, cfg: [prop4_check(inst.f, Partition.uniform(iv, args.panels), cfg)]),
+    "prop5": (True, None, lambda inst, iv, args, cfg: [
         prop5_check(inst.f, Partition.uniform(iv, args.panels), args.q, cfg)]),
-    "prop6": (False, lambda inst, iv, args, cfg: bessel_prop6(args.p, iv.a, iv.b, cfg)),
-    "prop7": (False, lambda inst, iv, args, cfg: [bessel_prop7(args.p, iv.a, iv.b, cfg)]),
+    "prop6": (False, lambda args: _check_first_kind(args.p, 1.0),  # a finite x: only p is checked
+              lambda inst, iv, args, cfg: bessel_prop6(args.p, iv.a, iv.b, cfg)),
+    "prop7": (False, lambda args: _check_finite("bessel_K", p=args.p),  # only K_p; its p > 1 is a hypothesis
+              lambda inst, iv, args, cfg: [bessel_prop7(args.p, iv.a, iv.b, cfg)]),
     # prop9's left side is built from prop8's two sides, so both come from one call
-    "prop8": (False, lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[:1]),
-    "prop9": (False, lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[1:]),
+    "prop8": (False, lambda args: _check_q_x(args.qbase, 1.0),
+              lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[:1]),
+    "prop9": (False, lambda args: _check_q_x(args.qbase, 1.0),
+              lambda inst, iv, args, cfg: qdigamma_prop_checks(args.qbase, iv.a, iv.b, cfg)[1:]),
 }
 
 
@@ -122,30 +127,26 @@ def cmd_verify(args, cfg: ToleranceConfig):
         raise ValueError(f"target {args.target!r} needs --fn")
     if (args.a is None) != (args.b is None):
         raise ValueError("provide both --a and --b, or omit both for random mode")
-    # the parameters the target reads, checked before any interval, so a bad one exits 2 in random mode too
+    # the parameters each target reads, checked before any interval, so a bad one exits 2 in random mode too
     require_exponent(args.q)
-    if args.target == "prop1":
-        _check_p1_order(args.n)
-    elif args.target == "prop6":
-        _check_first_kind(args.p, 1.0)  # a finite x: only p is checked
-    elif args.target == "prop7":
-        _check_finite("bessel_K", p=args.p)  # prop7 reads only K_p; its p > 1 is a hypothesis
-    elif args.target in ("prop8", "prop9"):
-        _check_q_x(args.qbase, 1.0)
+    for target in targets:
+        check = _TARGETS[target][1]
+        if check is not None:
+            check(args)
 
     reports: list[dict] = []
     findings: list[dict] = []
-    satisfied = violated = guarded_out = 0
+    guarded_out = 0
     tolerant = args.target == "all"
 
     def run_instance(iv: Interval, trial: int | None) -> None:
-        nonlocal satisfied, violated, guarded_out
+        nonlocal guarded_out
         # one context per interval: the targets share its guards, mean integral and bounds
         inst = Instance(expr, iv, args.q, cfg) if expr is not None else None
         for target in targets:
             try:
                 try:
-                    checks = _TARGETS[target][1](inst, iv, args, cfg)
+                    checks = _TARGETS[target][2](inst, iv, args, cfg)
                 except OverflowError as exc:  # a closed form left the float range: a domain failure
                     raise DomainError(f"{target}: a value overflowed ({exc})") from exc
             except (DomainError, PreconditionError, ConvergenceError) as exc:
@@ -158,10 +159,7 @@ def cmd_verify(args, cfg: ToleranceConfig):
                 if trial is not None:
                     entry["inputs"] = {**entry["inputs"], "trial": trial, "a": iv.a, "b": iv.b}
                 reports.append(entry)
-                if report.satisfied:
-                    satisfied += 1
-                else:
-                    violated += 1
+                if not report.satisfied:
                     findings.append(entry)
 
     if args.a is not None:
@@ -174,9 +172,9 @@ def cmd_verify(args, cfg: ToleranceConfig):
     doc = {
         "command": _echo("verify", args, ("target", "fn", "a", "b", "q", "n", "p", "qbase", "panels", "trials", "seed")),
         "counts": {
-            "checked": satisfied + violated + guarded_out,
-            "satisfied": satisfied,
-            "violated": violated,
+            "checked": len(reports) + guarded_out,
+            "satisfied": len(reports) - len(findings),
+            "violated": len(findings),
             "guarded_out": guarded_out,
         },
         "findings": findings,

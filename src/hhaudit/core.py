@@ -59,6 +59,7 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+K1 = 0.125  # the first-derivative constant 1/8: of thm2 and cor1, the midpoint certificate, and P1-P3's second display
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,14 @@ def _generic_scan() -> Callable[..., tuple[float, float]]:
     return namespace["scan"]
 
 
+def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
+    """A parsed expression's compiled value variant, resolved once; any other callable as it is."""
+    return f.compiled(0) if hasattr(f, "compiled") else f
+
+
 def _scan_of(f: Callable[[float], float]) -> Callable[..., tuple[float, float]]:
-    """``scan(lo, hi, n, wide)`` of f: the one an evaluator compiled with its jet's lines carries, else the generic one."""
+    """``scan(lo, hi, n, wide)`` of f, chosen only here: :func:`evaluator`'s compiled one, else the generic one."""
+    f = evaluator(f)
     return f.scan if hasattr(f, "scan") else functools.partial(_generic_scan(), f=f)
 
 
@@ -266,8 +273,8 @@ def sample_convexity(
     each consecutive triple (x_{i-2}, x_{i-1}, x_i) as soon as x_i is known, then that of the widest triple
     (a, mid, b), so that a domain hole surfaces as the :class:`DomainError` of the first failing point rather than
     as a spurious verdict.  4 divides n, so the ends, quarter points and midpoint are grid points; for a widened
-    interval the quarter points equal the base endpoints up to rounding.  The report view of the scan that
-    :func:`convexity_guard` runs without one.
+    interval the quarter points equal the base endpoints up to rounding.  The report view of the one scan that
+    :func:`convexity_guard` runs without one, for a parsed f its compiled one (:func:`_scan_of`).
 
     The report's ``lhs`` is the worst observed gap ``f(m) - (f(l)/2 + f(r)/2)`` of a triple (l, m, r),
     an average that cannot overflow; convexity is "satisfied" when that gap stays below ``abs_tol``.
@@ -275,11 +282,6 @@ def sample_convexity(
     """
     worst, worst_at = _scan_of(f)(iv.a, iv.b, _grid_steps(n), n // 2)
     return make_report(label, worst, 0.0, {"lo": iv.a, "hi": iv.b, "steps": n, "worst_at": worst_at}, cfg=cfg)
-
-
-def evaluator(f: Callable[[float], float]) -> Callable[[float], float]:
-    """A parsed expression's compiled value variant, resolved once; any other callable as it is."""
-    return f.compiled(0) if hasattr(f, "compiled") else f
 
 
 def convexity_guard(f, order: int = 0, q: float = 1.0, *, steps: int = 32, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -295,7 +297,7 @@ def convexity_guard(f, order: int = 0, q: float = 1.0, *, steps: int = 32, cfg: 
     too, are prefixed ``subinterval i [l, r]: ``: the panel scanned, or in the union the panel i with x_i < x <=
     x_{i+1} at the hole or the worst gap's midpoint x (the end panel for x beyond the ends)."""
     if order == 0:
-        what, scan = "f", _scan_of(evaluator(f))
+        what, scan = "f", _scan_of(f)
     else:
         require_exponent(q)
         what = "|f" + "'" * order + f"|^q (q = {q!r})"

@@ -35,6 +35,7 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     Interval,
+    K1,
     PreconditionError,
     ToleranceConfig,
     conjugate_exponent,
@@ -46,8 +47,6 @@ from .core import (
 )
 from .exprlang import Expr, fn_label
 from .oracle import integrate_ref
-
-K1 = 0.125
 
 LEMMA_RESIDUAL_TOL = 1e-8
 
@@ -80,11 +79,11 @@ class Instance:
 
     The battery's bounds share four hypotheses (f convex on [a, b]; f, |f'|^q
     and |f''|^q convex on the widened interval) and one left side, the mean
-    integral.  An instance computes each of those, f at the widened ends and
-    at the midpoint, and the first- and second-order bounds at most once.  A
-    DomainError or PreconditionError is kept and raised again, as the same
-    exception, to every later check that needs that piece.  Every report
-    names f in its canonical form.
+    integral.  An instance computes each of those, f at each point it reads,
+    and the first- and second-order bounds at most once.  A DomainError or
+    PreconditionError is kept and raised again, as the same exception, to
+    every later check that needs that piece.  Every report names f in its
+    canonical form.
     """
 
     def __init__(self, f, iv: Interval, q: float = 1.0, cfg: ToleranceConfig = DEFAULT_TOL):
@@ -117,10 +116,9 @@ class Instance:
         self._once(f"guard {order} {widened}",
                    lambda: convexity_guard(self.f, order, self.q, cfg=self.cfg)(self.ext if widened else self.iv))
 
-    def _f_at(self, point: str) -> float:
-        """f at the widened interval's ends "lo" and "hi", or at "mid", the base midpoint."""
-        return self._once(point, lambda: self.f(
-            self.iv.midpoint if point == "mid" else self.ext.a if point == "lo" else self.ext.b))
+    def _f_at(self, x: float) -> float:
+        """f at ``x``, memoized by the point: a, b, the midpoint or a widened end."""
+        return self._once(x, lambda: self.f(x))
 
     def mean(self) -> float:
         """(1/(b-a)) * integral of f over [a, b], from the reference integrator."""
@@ -129,11 +127,11 @@ class Instance:
 
     def classic(self) -> tuple[BoundReport, BoundReport]:
         """Classical two-sided bound: f(mid) <= mean integral <= (f(a)+f(b))/2."""
-        fn, iv, cfg = self.f, self.iv, self.cfg
+        f, iv, cfg = self._f_at, self.iv, self.cfg
         self._guard(0, widened=False)
         mean = self.mean()
-        lower = make_report("eq1.lower", fn(iv.midpoint), mean, self.inputs, cfg)
-        upper = make_report("eq1.upper", mean, 0.5 * (fn(iv.a) + fn(iv.b)), self.inputs, cfg)
+        lower = make_report("eq1.lower", f(iv.midpoint), mean, self.inputs, cfg)
+        upper = make_report("eq1.upper", mean, 0.5 * (f(iv.a) + f(iv.b)), self.inputs, cfg)
         return lower, upper
 
     def lemma_residual(self, which: str) -> float:
@@ -146,13 +144,13 @@ class Instance:
         """
         if which not in ("lemma1", "lemma2"):
             raise ValueError(f"which must be 'lemma1' or 'lemma2', got {which!r}")
-        fn, cfg = self.f, self.cfg
+        f, cfg = self._f_at, self.cfg
         a, b = self.iv.a, self.iv.b
         width = self.iv.width
         mean = self.mean()
         if which == "lemma1":
-            lhs = 0.5 * (fn(a) + fn(b)) - mean
-            jet2 = fn.compiled(2)
+            lhs = 0.5 * (f(a) + f(b)) - mean
+            jet2 = self.f.compiled(2)
 
             def weighted_second(t: float) -> float:
                 return t * (1.0 - t) * jet2(t * a + (1.0 - t) * b)[2]
@@ -160,8 +158,8 @@ class Instance:
             inner = integrate_ref(weighted_second, Interval(0.0, 1.0), cfg).value
             rhs = 0.5 * width * width * inner
         else:
-            lhs = mean - fn(self.iv.midpoint)
-            jet1 = fn.compiled(1)
+            lhs = mean - f(self.iv.midpoint)
+            jet1 = self.f.compiled(1)
 
             def deriv_at(t: float) -> float:
                 return jet1(b + (a - b) * t)[1]
@@ -175,8 +173,8 @@ class Instance:
         """Three-point bound: f(mid) <= mean integral <= [2 f(mid) + f(hi) + f(lo)] / 4,
         with lo/hi from the widened interval.  Needs f convex there."""
         self._guard(0)
-        mean = self.mean()
-        fmid, flo, fhi = self._f_at("mid"), self._f_at("lo"), self._f_at("hi")
+        mean, f, ext = self.mean(), self._f_at, self.ext
+        fmid, flo, fhi = f(self.iv.midpoint), f(ext.a), f(ext.b)
         lower = make_report("k1.lower", fmid, mean, self.inputs, self.cfg)
         upper = make_report("k1.upper", mean, (2.0 * fmid + fhi + flo) / 4.0, self.inputs, self.cfg)
         return lower, upper
@@ -188,9 +186,9 @@ class Instance:
         right side, so violations are recorded as findings, not artifact bugs.
         """
         self._guard(0)
-        mean = self.mean()
-        lhs = abs(mean - 0.5 * self._f_at("mid"))
-        rhs = abs(self._f_at("hi") + self._f_at("lo")) / 4.0
+        mean, f, ext = self.mean(), self._f_at, self.ext
+        lhs = abs(mean - 0.5 * f(self.iv.midpoint))
+        rhs = abs(f(ext.b) + f(ext.a)) / 4.0
         return make_report("k2", lhs, rhs, self.inputs, self.cfg, fragile=True)
 
     def first_order(self) -> tuple[float, dict[str, float]]:
@@ -204,7 +202,7 @@ class Instance:
         (b-a) S^(1/q), where (b-a) S^(1/q) = 8 thm2."""
         q, width = self.q, self.iv.width
         self._guard(1)
-        lhs = abs(self.mean() - self._f_at("mid"))
+        lhs = abs(self.mean() - self._f_at(self.iv.midpoint))
         jet1 = self.f.compiled(1)
         mean_d = power_mean(q, abs(jet1(self.ext.a)[1]), abs(jet1(self.ext.b)[1]))
         rhs = {"thm2": (width / 8.0) * 2.0 ** (1.0 / q) * mean_d}
@@ -224,11 +222,11 @@ class Instance:
         K6 weight |f''(lo)|^q : |f''(hi)|^q as 1 : q+1 and 2 : q+1, so their means take w = 1/(q+2), 2/(q+3)."""
         q = self.q
         self._guard(2)
-        mean = self.mean()
-        lhs = abs(mean - (self._f_at("lo") + self._f_at("hi") + 2.0 * self._f_at("mid")) / 4.0)
+        mean, f, ext = self.mean(), self._f_at, self.ext
+        lhs = abs(mean - (f(ext.a) + f(ext.b) + 2.0 * f(self.iv.midpoint)) / 4.0)
         jet2 = self.f.compiled(2)
-        dd_lo = abs(jet2(self.ext.a)[2])
-        dd_hi = abs(jet2(self.ext.b)[2])
+        dd_lo = abs(jet2(ext.a)[2])
+        dd_hi = abs(jet2(ext.b)[2])
         w2 = self.iv.width**2
         mean_dd = power_mean(q, dd_lo, dd_hi)
         rhs = {"thm4": (w2 / 3.0) * mean_dd}

@@ -20,6 +20,7 @@ from .core import (
     BoundReport,
     DEFAULT_TOL,
     DomainError,
+    K1,
     ToleranceConfig,
     make_report,
     power_mean,
@@ -28,7 +29,6 @@ from .core import (
     require_positive_widening,
     widen,
 )
-from .hh_bounds import K1
 
 
 def _gen_log_power(n: int, a: float, b: float) -> float:

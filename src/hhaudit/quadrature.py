@@ -28,6 +28,7 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     Interval,
+    K1,
     PreconditionError,
     ToleranceConfig,
     convexity_guard,
@@ -39,7 +40,6 @@ from .core import (
     widen,
 )
 from .exprlang import Expr, fn_label
-from .hh_bounds import K1
 from .oracle import PANEL_CAP, integrate_ref, refine
 
 

@@ -495,3 +495,79 @@ def test_a_repeated_verify_call_compiles_nothing(capsys, monkeypatch):
     assert len(sources) == 3  # f, (f, f') and (f, f', f'')
     assert run_cli(capsys, *argv) == first
     assert len(sources) == 3
+
+
+def _strict(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def _run(argv, fresh, capsys):
+    """(exit code, stdout, stderr) of ``hhaudit *argv``: in a fresh ``python -m hhaudit`` process, or through main."""
+    if fresh:
+        proc = subprocess.run([sys.executable, "-m", "hhaudit", *argv], capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+    return run_cli(capsys, *argv)
+
+
+# each subcommand runs one case as `python -m hhaudit` (the last field), the others in-process
+CANONICAL_JSON = [
+    # verify has k2 findings, so it exits 1
+    (("verify", "--target", "all", "--fn", "x^2-5", "--trials", "50", "--seed", "7"), 1, False),
+    # integrate covers both certificate orders, and at 1e-12 the uncertified exit 3
+    (("integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-6"), 0, True),
+    (("integrate", "--fn", "x^2+abs(x+9)", "--a", "0", "--b", "2", "--err", "1e-3"), 0, False),
+    # a second-order guard of [a, b] whose widened hull leaves sqrt's domain
+    (("integrate", "--fn", "sqrt(x)", "--a", "0.5", "--b", "2", "--err", "1e-8"), 0, False),
+    (("integrate", "--fn", "exp(x)", "--a", "0", "--b", "2", "--err", "1e-12"), 3, False),
+    # an interval too narrow to widen: one uncertified second-order panel
+    (("integrate", "--fn", "x", "--a", "1.0000000000000002", "--b", "1.0000000000000004", "--err", "1e-40"), 3, False),
+    # besselK at a large value (p = 10, x = 0.01) and a small one (p = 7, x = 300), the q-digamma on both sides of q = 1
+    (("special", "besselK", "--p", "0.5", "--x", "1"), 0, True),
+    (("special", "besselK", "--p", "10", "--x", "0.01"), 0, False),
+    (("special", "besselK", "--p", "7", "--x", "300"), 0, False),
+    (("special", "qdigamma", "--q", "0.5", "--x", "2", "--order", "3"), 0, False),
+    (("special", "qdigamma", "--q", "2", "--x", "2"), 0, False),
+    # prop3 a means display pair, prop4 and prop5 the partition guard (prop4 also at the 65,536-panel cap, one union
+    # scan of 524,296 steps), and prop7 over 20 random intervals the five bessel_K calls of each
+    (("verify", "--target", "prop3", "--a", "1", "--b", "2"), 0, False),
+    (("verify", "--target", "prop4", "--fn", "x^4", "--a", "1", "--b", "2", "--panels", "16"), 0, False),
+    (("verify", "--target", "prop4", "--fn", "x^4", "--a", "1", "--b", "2", "--panels", "65536"), 0, False),
+    (("verify", "--target", "prop5", "--fn", "exp(x)", "--trials", "20", "--seed", "3", "--panels", "16"), 0, False),
+    (("verify", "--target", "prop7", "--trials", "20", "--seed", "1"), 0, False),
+]
+
+
+@pytest.mark.parametrize("argv, code, fresh", CANONICAL_JSON, ids=[" ".join(argv) for argv, _, _ in CANONICAL_JSON])
+def test_stdout_is_canonical_compact_json(capsys, monkeypatch, argv, code, fresh):
+    # sorted keys, no spaces, and no NaN or Infinity token
+    monkeypatch.delenv("HH_TOL", raising=False)
+    got, out, _ = _run(argv, fresh, capsys)
+    assert got == code
+    assert out == json.dumps(json.loads(out, parse_constant=_strict), sort_keys=True) + "\n"
+
+
+ONE_ERROR_LINE = [
+    # a malformed --fn, and a concave one that starts with a minus, given as a separate token
+    (("--target", "eq1", "--fn", "x^^2", "--a", "1", "--b", "2"), "error: ", False),
+    (("--target", "eq1", "--fn", "-x^2+5", "--a", "1", "--b", "2"), "error: ", False),
+    # a 60,000-term sum fits in one 128 KiB argument and reaches Python's parser, whose depth handling differs
+    # between 3.10 and 3.11, so it runs in a fresh process
+    (("--target", "eq1", "--fn", "x" + "+x" * 59999, "--a", "1", "--b", "2"), "error: ", True),
+    # convexity hypotheses that the guard's grid refutes: x^3 across 0 for eq1, the |f'|^2 of x^3-x for thm2
+    (("--target", "eq1", "--fn", "x^3", "--a=-0.42", "--b=2.02"), "error: ", False),
+    (("--target", "thm2", "--fn", "x^3-x", "--a=0.48", "--b=1.03", "--q", "2"), "error: ", False),
+    # the same two refuted by the partition guard's union scan, whose line names the subinterval
+    (("--target", "prop4", "--fn", "x^3", "--a=-1", "--b=1", "--panels", "4"), "error: subinterval 0 ", False),
+    (("--target", "prop5", "--fn", "x^3-x", "--a=0.2", "--b=1.2", "--panels", "4", "--q", "2"),
+     "error: subinterval 0 ", False),
+]
+
+
+@pytest.mark.parametrize("argv, start, fresh", ONE_ERROR_LINE,
+                         ids=[" ".join(argv)[:40] for argv, _, _ in ONE_ERROR_LINE])
+def test_a_refused_verify_prints_one_error_line_and_nothing_on_stdout(capsys, monkeypatch, argv, start, fresh):
+    monkeypatch.delenv("HH_TOL", raising=False)
+    code, out, err = _run(("verify", *argv), fresh, capsys)
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 1)
+    assert lines[0].startswith(start)

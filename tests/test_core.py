@@ -164,6 +164,14 @@ class TestSampleConvexity:
         with pytest.raises(DomainError, match="x = 0.0"):
             sample_convexity(parse("1/x"), Interval(-1.0, 3.0), 48)
 
+    def test_a_parsed_function_runs_the_guards_compiled_scan(self, scans):
+        # the scan that convexity_guard runs, with f's jet inlined, not the generic one calling f at each point
+        r = sample_convexity(parse("exp(x)+x^4"), Interval(1.0, 2.0), 32)
+        assert [scan[:5] for scan in scans] == [(0, 1.0, 2.0, 32, 16)]
+        assert scans[0].result == (r.lhs, r.inputs["worst_at"])
+        assert r.satisfied
+        assert (r.lhs.hex(), r.inputs["worst_at"].hex()) == ("-0x1.f230e6e58b200p-8", "0x1.0800000000000p+0")
+
     def test_accepts_base_interval_and_callables(self):
         r = sample_convexity(lambda x: x * x, Interval(0.0, 1.0), 12)
         assert r.satisfied

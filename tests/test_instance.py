@@ -1,10 +1,11 @@
 """Work counts of the per-instance evaluation context behind `verify --target all`.
 
 Guards are counted at their one seam, the compiled scan of each parsed function (the
-``scans`` fixture); the rest by wrapping the module-global bindings that the battery
-calls through.
+``scans`` fixture); the values of f at ``Expr.__call__``; the rest by wrapping the
+module-global bindings that the battery calls through.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -26,8 +27,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.fixture
 def calls(monkeypatch, scans):
-    """Record each guard's scan, integrate_ref and bounds computation."""
-    log = {"guards": scans, "integrals": [], "first_order": 0, "second_order": 0}
+    """Record each guard's scan, integrate_ref, bounds computation and value of f read through ``Expr.__call__``."""
+    log = {"guards": scans, "integrals": [], "first_order": 0, "second_order": 0, "values": collections.Counter()}
+    value = Expr.__call__
+
+    def counted_value(self, x):
+        log["values"][x] += 1
+        return value(self, x)
 
     def wrap_integral(original):
         def counted(f, iv, *args, **kwargs):
@@ -46,6 +52,7 @@ def calls(monkeypatch, scans):
     monkeypatch.setattr(hh_bounds, "integrate_ref", wrap_integral(hh_bounds.integrate_ref))
     for name in ("first_order", "second_order"):
         monkeypatch.setattr(Instance, f"_{name}", wrap_bounds(name))
+    monkeypatch.setattr(Expr, "__call__", counted_value)
     monkeypatch.delenv("HH_TOL", raising=False)
     return log
 
@@ -69,6 +76,11 @@ def test_verify_all_computes_each_shared_piece_once(calls, q):
     assert kinds.count("weighted") == 3  # lemma1's inner integral, lemma2's two
     assert calls["first_order"] == calls["second_order"] == 1
     assert doc["counts"]["guarded_out"] == (4 if q == "1" else 0)
+    # f at a, b, the midpoint and the widened ends once each, through the instance's memo; the midpoint is also the
+    # centre node of the mean integral's one G7/K15 panel, whose 15 nodes make up the rest
+    lo, hi = widen(1.0, 2.0)
+    assert {x: calls["values"][x] for x in (1.0, 2.0, 1.5, lo, hi)} == {1.0: 1, 2.0: 1, 1.5: 2, lo: 1, hi: 1}
+    assert sum(calls["values"].values()) == 15 + 5
 
 
 def test_each_instance_starts_fresh(calls):

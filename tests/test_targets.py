@@ -47,8 +47,11 @@ def test_table_covers_every_target_and_builds_the_choices():
         assert parser.parse_args(["verify", "--target", target]).target == target
     with pytest.raises(SystemExit):
         parser.parse_args(["verify", "--target", "prop10"])
-    needs_fn = {name for name, (fn_required, _) in cli._TARGETS.items() if fn_required}
+    needs_fn = {name for name, (fn_required, _, _) in cli._TARGETS.items() if fn_required}
     assert needs_fn == {*TARGETS, "prop4", "prop5"}
+    # a row checks the parameters its target reads: --n, --p or --qbase
+    checked = {name for name, (_, check, _) in cli._TARGETS.items() if check is not None}
+    assert checked == {"prop1", "prop6", "prop7", "prop8", "prop9"}
 
 
 @pytest.mark.parametrize("target", ["eq1", "cor2", "prop4", "prop5"])
