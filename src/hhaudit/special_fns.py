@@ -97,10 +97,14 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     2 K_p(x cos s) / (e^(2 pi s/h) - 1) (Trefethen and Weideman, SIAM Review 56, 2014, Thm 5.1): as
     e^y y^m K_p(y) increases in y for m = max(|p|, 1/2), at most eps K_p(x), with h making
     eps = 2 sec(s)^m e^(x (1 - cos s)) / (e^(2 pi s/h) - 1) about 2^-53.  The sum stops past the peak,
-    once g(t) / (x sinh t - |p|), a majorant of the integral beyond t, is below 2^-56 of it.
+    once g(t) / (x sinh t - |p|), a majorant of the integral beyond t, is below 2^-56 of it.  As
+    x sinh t - |p| < x cosh t, that test cannot pass while g(t) exceeds 2^-55 h (sum so far) x cosh t,
+    the factor 2 covering the rounding, so sinh and the test wait until it does.  Only where the sum
+    overflows is it taken again with each exponent lowered by 64 ln 2, and the value times 2^64.
     ``tail_bound`` is eps / (1 - eps) of the value, that majorant, and the rounding of the n positive
-    terms (Higham, ch. 3): each exponent errs by at most 4 (x cosh t + |p| t) + 3 units, largest at
-    the last node, and each term may underflow by 2^-1074.  It must fit max(abs_tol, rel_tol |value|).
+    terms (Higham, ch. 3): each exponent errs by at most 4 (x cosh t + |p| t + shift) + 3 units, largest
+    at the last node, with shift 0 or 64 ln 2, and each term may underflow by 2^-1074 (times 2^64 when
+    lowered).  It must fit max(abs_tol, rel_tol |value|).
     A value beyond the float range is a DomainError; reaching t = 710, where cosh overflows, or 2^16
     nodes first is a ConvergenceError, each with its own message.
     """
@@ -115,28 +119,35 @@ def bessel_K(p: float, x: float, cfg: ToleranceConfig = DEFAULT_TOL) -> SeriesRe
     h = 2.0 * math.pi * s / (log_c + 53.0 * _LN2)
     h -= h % (math.ulp(h) * 2.0**27)  # 26 bits, so that every node k h is exact
     eps = 1.0 / (math.exp(2.0 * math.pi * s / h - log_c) - math.exp(-log_c))
-    total = 0.5 * math.exp(-x)
-    try:
-        for k in range(1, min(int(710.0 / h), 1 << 16)):
-            t = k * h
-            apt = ap * t
-            arg = -x * math.cosh(t) + (apt + math.log1p(math.exp(-2.0 * apt)) - _LN2)  # + log cosh(p t)
-            g = math.exp(arg) if arg > -745.0 else 0.0
-            total += g
-            lam = x * math.sinh(t) - ap
-            if lam > 0.0 and g <= 2.0**-56 * h * total * lam:
-                break
-        else:
-            if 710.0 / h > 1 << 16:  # the node cap, not t = 710, stopped the sum
-                raise ConvergenceError(f"second-kind sum not converged within 2^16 nodes (p={p!r}, x={x!r})")
-            raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
-        value = h * total
-        if value == math.inf:  # finite terms whose sum overflows
-            raise OverflowError
-    except OverflowError as exc:
-        raise DomainError(f"second-kind Bessel function beyond the float range (p={p!r}, x={x!r})") from exc
-    rounding = (2 * k + 4.0 * (x * math.cosh(t) + apt) + 10) * 2.0**-53 * value + k * 1e-323
-    bound = eps / (1.0 - eps) * value + g / lam + rounding
+    for power in (0, 64):  # 64 only where the sum at 0 overflows; shift = 0.0 leaves every float as it was
+        shift = power * _LN2
+        try:
+            total = 0.5 * math.exp(-x - shift)
+            for k in range(1, min(int(710.0 / h), 1 << 16)):
+                t = k * h
+                apt = ap * t
+                xc = x * math.cosh(t)
+                arg = -xc + (apt + math.log1p(math.exp(-2.0 * apt)) - (_LN2 + shift))  # + log cosh(p t)
+                g = math.exp(arg) if arg > -745.0 else 0.0
+                total += g
+                if g > 2.0**-55 * h * total * xc:  # the stop test cannot pass yet
+                    continue
+                lam = x * math.sinh(t) - ap
+                if lam > 0.0 and g <= 2.0**-56 * h * total * lam:
+                    break
+            else:
+                if 710.0 / h > 1 << 16:  # the node cap, not t = 710, stopped the sum
+                    raise ConvergenceError(f"second-kind sum not converged within 2^16 nodes (p={p!r}, x={x!r})")
+                raise ConvergenceError(f"tail of the second-kind integral not boundable (p={p!r}, x={x!r})")
+            value = math.ldexp(h * total, power)
+            if value == math.inf:  # finite terms whose sum overflows
+                raise OverflowError
+            break
+        except OverflowError as exc:
+            if power:
+                raise DomainError(f"second-kind Bessel function beyond the float range (p={p!r}, x={x!r})") from exc
+    rounding = (2 * k + 4.0 * (xc + apt + shift) + 10) * 2.0**-53 * value + math.ldexp(k * 1e-323, power)
+    bound = eps / (1.0 - eps) * value + math.ldexp(g / lam, power) + rounding
     if bound > max(cfg.abs_tol, cfg.rel_tol * value):
         raise ConvergenceError(f"second-kind sum error bound {bound!r} exceeds its target (p={p!r}, x={x!r})")
     return SeriesResult(value, k + 1, bound)
@@ -158,15 +169,31 @@ def _power_tail_series(
     Stops when ``scale`` times the geometric tail majorant drops below
     ``abs_tol``; raises :class:`ConvergenceError` at the term cap (q near 1
     or small x need more terms than the default budget).
+
+    The test waits while the numerator num = k^weight rho^k, rho = qbase^x, exceeds
+    floor = 2 abs_tol (1 - qbase) / (scale rho).  When rhat < 1 the tail is
+    scale (k+1)^weight rho^(k+1) / ((1 - qbase)(1 - rhat)) >= scale num rho / (1 - qbase), and
+    rounding is monotone, so tail <= abs_tol needs fl(fl(scale fl(num rho)) / fl(1 - qbase)) <= abs_tol.
+    Each of those three roundings errs by a factor 1 + 2^-53, or by 2^-1075 at most where it
+    underflows.  If abs_tol (1 - qbase) >= 2^-1022 (2 + scale), the underflows count for at most
+    2^-53 of num, and if scale rho >= 2^-1022, floor too is rounded relatively; then the factor 2
+    covers every rounding, and num <= floor wherever the test could pass.  Where either condition
+    fails, as when scale rho underflows to 0 or abs_tol is below about 1e-280, floor is inf.
     """
     rho = qbase**x
+    scaled_rho = scale * rho
+    cut = cfg.abs_tol * (1.0 - qbase)
+    floor = 2.0 * cut / scaled_rho if scaled_rho >= 2.0**-1022 and cut >= 2.0**-1022 * (2.0 + scale) else math.inf
     qk = 1.0
     rhok = 1.0
     total = 0.0
     for k in range(1, cfg.max_series_terms + 1):
         qk *= qbase
         rhok *= rho
-        total += (k**weight) * rhok / (1.0 - qk)
+        num = (k**weight) * rhok
+        total += num / (1.0 - qk)
+        if num > floor:  # the tail test cannot pass yet
+            continue
         growth = ((k + 2.0) / (k + 1.0)) ** weight
         rhat = rho * growth
         if rhat < 1.0:

@@ -1,5 +1,5 @@
-"""The reference integrator, bessel_K, the certified midpoint rule and the power mean
-against an independent 40-digit path (mpmath).
+"""The reference integrator, bessel_K, the q-digamma family, the certified midpoint rule and the
+power mean against an independent 40-digit path (mpmath).
 
 mpmath is a test-only dependency; the package itself imports only the standard
 library (see ``test_stdlib_only.py``).
@@ -10,11 +10,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhaudit.core import DEFAULT_TOL, Interval, power_mean
+from hhaudit.core import DEFAULT_TOL, Interval, ToleranceConfig, power_mean
 from hhaudit.exprlang import parse
 from hhaudit.oracle import integrate_ref
 from hhaudit.quadrature import adaptive_midpoint
-from hhaudit.special_fns import bessel_K
+from hhaudit.special_fns import bessel_K, q_digamma, q_digamma_deriv
 from conftest import draw_interval, draw_narrow_interval
 
 mpmath = pytest.importorskip("mpmath")
@@ -67,13 +67,15 @@ def test_integrate_ref_meets_its_target(text, digits40):
 
 
 # the 400-call grid of test_bessel_K_bit_for_bit, the special workload's draw, and edges: large
-# values (10, 0.01), (50, 2), (3, 0.0502) and (4, 0.3), small ones (0.5, 50) and (7, 300), and the
-# tiny argument (0, 1e-100), where the sum takes its most nodes
+# values (10, 0.01), (50, 2), (3, 0.0502) and (4, 0.3), small ones (0.5, 50) and (7, 300), the
+# tiny argument (0, 1e-100), where the sum takes its most nodes, and (150.64, 1) and (151, 1),
+# near the float maximum, where the unscaled sum overflows
 _rng = random.Random(29)
 BESSEL_K_CASES = [(_rng.uniform(-5.0, 10.0), 10.0 ** _rng.uniform(-3.0, 2.5)) for _ in range(400)]
 _rng = random.Random(2017)
 BESSEL_K_CASES += [(_rng.uniform(0.0, 3.0), _rng.uniform(0.5, 5.0)) for _ in range(100)]
-BESSEL_K_CASES += [(10.0, 0.01), (50.0, 2.0), (3.0, 0.0502), (4.0, 0.3), (0.5, 50.0), (7.0, 300.0), (0.0, 1e-100)]
+BESSEL_K_CASES += [(10.0, 0.01), (50.0, 2.0), (3.0, 0.0502), (4.0, 0.3), (0.5, 50.0), (7.0, 300.0), (0.0, 1e-100),
+                    (150.64, 1.0), (151.0, 1.0)]
 
 
 def test_bessel_K_within_its_tail_bound(digits40):
@@ -85,6 +87,53 @@ def test_bessel_K_within_its_tail_bound(digits40):
         error = abs(mpf(res.value) - ref)
         assert error <= res.tail_bound <= max(DEFAULT_TOL.abs_tol, DEFAULT_TOL.rel_tol * res.value), (p, x)
         assert error <= 1e-13 * ref, (p, x)
+
+
+def _q_family_40(q, x, order):
+    """psi_q^(order)(x), 40 digits, from the defining series in b = min(q, 1/q) and lam = ln b:
+    closed + lam^(order+1) sum_{n>=0} P(b^(n+x)), with P(u) = u/(1-u), u/(1-u)^2 and
+    u(1+4u+u^2)/(1-u)^4 at orders 0, 1 and 3 (the order-th x-derivative of sum_m u^m, over lam^order).
+    Returns the value and the closed part's terms."""
+    q, x = mpf(q), mpf(x)
+    b = q if q < 1 else 1 / q
+    lam = mpmath.log(b)
+    if q < 1:
+        closed = [-mpmath.log(1 - q)] if order == 0 else []
+    else:
+        closed = [-mpmath.log(q - 1), mpmath.log(q) * (x - mpf(0.5))] if order == 0 else [mpmath.log(q)] if order == 1 else []
+    shape = {0: lambda u: u / (1 - u), 1: lambda u: u / (1 - u) ** 2, 3: lambda u: u * (1 + 4 * u + u * u) / (1 - u) ** 4}[order]
+    u, total = b**x, mpf(0)
+    while True:  # P(u b) <= b P(u), so the tail past a term is at most term b / (1 - b)
+        term = shape(u)
+        total += term
+        if term * b / (1 - b) <= mpf(10) ** -45 * total:
+            return sum(closed) + lam ** (order + 1) * total, closed
+        u *= b
+
+
+_rng = random.Random(36)
+Q_FAMILY_CASES = [(q, x) for q in (0.2, 0.5, 0.8, 0.97, 1.03, 1.25, 2.0, 5.0) for x in (0.3, 1.0, 2.5, 10.0)]
+Q_FAMILY_CASES += [(_rng.uniform(0.2, 0.9) if i % 2 else _rng.uniform(1.15, 3.0), _rng.uniform(1.0, 4.0)) for i in range(16)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_q_digamma_family_within_its_tail_bound_and_rounding(order, digits40):
+    """The error is within tail_bound plus the rounding of the n = terms_used positive terms, to first
+    order in u = 2^-53 (Higham, ch. 3), with libm's pow, log and log1p within 2u.  The base b = 1/q
+    rounds by u for q > 1, so rho = b^x errs by (x + 2)u and rho^k by k (x + 3)u; b^k errs by 2ku, so
+    1 - b^k errs by 2ku b^k / (1 - b^k) + u <= (2b/(1 - b) + 1)u; with the product and the quotient
+    each term errs by at most (n (x + 3) + 2b/(1 - b) + 3)u, and their sum adds (n - 1)u.  lam^(order+1)
+    adds 2(order + 1) + 3 units, each closed part 5 units of itself (and log(q - 1) one unit more,
+    absolute), and the final sum one unit of the value."""
+    cfg = ToleranceConfig(max_series_terms=20_000)
+    for q, x in Q_FAMILY_CASES:
+        res = q_digamma(q, x, cfg) if order == 0 else q_digamma_deriv(q, x, order, cfg)
+        ref, closed = _q_family_40(q, x, order)
+        series = abs(ref - sum(closed))
+        b = min(q, 1.0 / q)
+        units = (res.terms_used * (x + 4.0) + 2.0 * b / (1.0 - b) + 2.0 * order + 7.0) * series
+        units += 5 * sum(abs(c) for c in closed) + 1 + abs(ref)
+        assert abs(mpf(res.value) - ref) <= res.tail_bound + UNIT_ROUNDOFF * units, (q, x, order)
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0])

@@ -119,8 +119,11 @@ class TestBesselSecondKind:
         assert str(info.value) == "second-kind sum not converged within 2^16 nodes (p=10000000000.0, x=10000000000.0)"
 
     def test_a_value_beyond_the_float_range_is_a_domain_error(self):
-        with pytest.raises(DomainError, match=r"beyond the float range \(p=800.0, x=1.0\)"):
-            bessel_K(800.0, 1.0)
+        # K_152(1) = 2.46e310: the sum times 2^-64 is finite, the value is not
+        for p in (152.0, 800.0):
+            with pytest.raises(DomainError) as info:
+                bessel_K(p, 1.0)
+            assert str(info.value) == f"second-kind Bessel function beyond the float range (p={p!r}, x=1.0)"
 
 
 class TestQDigamma:
@@ -265,6 +268,18 @@ def test_bessel_K_bit_for_bit():
     grid += [(800.0, 1.0), (0.0, 1e-310)]
     digest = outcome_digest(lambda p=p, x=x: bessel_K(p, x) for p, x in grid)
     assert digest == "72f3681c0222022d79d3c00a0c0b611e211c684cf4e1ce4b8b7f722409abe603"
+
+
+def test_q_digamma_family_grid_bit_for_bit():
+    """Orders 0, 1 and 3 over a seeded grid of q in 10^[-3, 3], on both sides of 1, and x in
+    10^[-1.5, 1.5], 24 of them past the term cap: every value, term count, tail and message, hashed."""
+    rng = random.Random(36)
+    grid = [(10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-1.5, 1.5), order) for order in (0, 1, 3) for _ in range(150)]
+    digest = outcome_digest(
+        lambda q=q, x=x, order=order: q_digamma(q, x) if order == 0 else q_digamma_deriv(q, x, order)
+        for q, x, order in grid
+    )
+    assert digest == "f265e5282ef2af73b188e7399dc4a5cad3331373d17df267e7a261cba5015d09"
 
 
 def test_the_reflected_series_names_its_own_base_at_the_term_cap():
