@@ -5,6 +5,8 @@ run certified midpoint integration, and evaluate the special functions.
 the parameters it reads and computes exactly the reports it prints.  The function targets of
 an interval share one :class:`hhaudit.hh_bounds.Instance`, so each guard, the mean integral, f
 at each point and the bounds run once; a failed guard counts in ``guarded_out`` per target.
+A command line that starts with a command's name is read by that command's parser alone, as argparse's
+top-level pass would hand it on; help, usage and unknown-command errors stay argparse's own.
 
 Output is one compact JSON document per invocation, ``json.dumps(doc, sort_keys=True)``,
 so a fixed command and seed give identical bytes.  ``--pretty`` switches to a table.
@@ -256,6 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> its parser, which main hands the rest of a command line
 
     v = sub.add_parser(
         "verify",
@@ -299,17 +302,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # argparse reads a value that starts with '-' as an option unless it looks like -1 or -.5, so an
-    # option that takes a value is joined with such a token: "--a -1e-3" is read as "--a=-1e-3"
+    # option that takes a value is joined with such a token: "--a -1e-3" is read as "--a=-1e-3"; "--" takes none
     tokens: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
         last = tokens[-1] if tokens else ""
-        takes_value = last.startswith("--") and "=" not in last and last not in ("--pretty", "--help")
+        takes_value = last.startswith("--") and "=" not in last and last not in ("--", "--pretty", "--help")
         if takes_value and token.startswith("-") and not token.startswith("--"):
             tokens[-1] = f"{last}={token}"
         else:
             tokens.append(token)
+    parser = _build_parser()
+    command = parser.commands.get(tokens[0]) if tokens else None
     try:
-        args = _build_parser().parse_args(tokens)
+        if command is None:  # help, no command, an unknown one or a leading "--": argparse's top-level pass
+            args = parser.parse_args(tokens)
+        else:  # that pass would hand every token after the name to this parser and reject what it leaves
+            args, extras = command.parse_known_args(tokens[1:])
+            args.command = tokens[0]
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -76,7 +76,11 @@ def config_from_env() -> ToleranceConfig:
     raw = os.environ.get("HH_TOL")
     if raw is None:
         return DEFAULT_TOL
-    return replace(DEFAULT_TOL, abs_tol=float(raw))
+    try:
+        abs_tol = float(raw)
+    except ValueError:
+        raise ValueError(f"HH_TOL must be a number, got {raw!r}") from None
+    return replace(DEFAULT_TOL, abs_tol=abs_tol)
 
 
 @dataclass(frozen=True)

@@ -398,8 +398,8 @@ class TestEnvOverride:
 
     def test_bad_hh_tol(self, capsys, monkeypatch):
         monkeypatch.setenv("HH_TOL", "not-a-number")
-        code, _, _ = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--a", "0", "--b", "2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "verify", "--target", "k1", "--fn", "x^2", "--a", "0", "--b", "2")
+        assert (code, out, err) == (2, "", "error: HH_TOL must be a number, got 'not-a-number'\n")
 
     @pytest.mark.parametrize("raw", ["inf", "1e309"])
     def test_infinite_hh_tol_exits_two(self, capsys, monkeypatch, raw):
@@ -459,6 +459,16 @@ def test_a_value_that_starts_with_a_minus_reads_as_its_equals_form(capsys, argv,
     got = run_cli(capsys, *argv)
     assert got == run_cli(capsys, *joined)
     assert got[0] == code and len(got[2].splitlines()) == code // 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--target", "eq1", "--fn", "x^2", "--a", "1", "--b", "2", "--", "-5"),
+    ("special", "normI", "--p", "0.5", "--x", "1", "--", "-5"),
+])
+def test_a_minus_led_token_after_the_end_of_options_marker_stays_apart(capsys, argv):
+    # "--" ends the options and takes no value, so "-5" stays a token of its own
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", "hhaudit: error: unrecognized arguments: -- -5")
 
 
 def test_repeated_calls_in_one_process_match_separate_processes(capsys):
